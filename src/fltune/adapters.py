@@ -1,15 +1,18 @@
 """Tuning methods as trainable deltas over a frozen backbone.
 
-Feed-forward hidden-unit expansion is implemented twice on purpose: a
-production split path (frozen FFN output plus a small added FFN) and a
-materialized-concatenation oracle. Their agreement is the executable form of
-the split and position-invariance equivalence theorems, checked by the
-verify_* suites at near-machine-epsilon tolerance. The attention-side analog,
-prompt adapters, and the parameter registry with frozen-content hashing live
-here too.
+The adapter containers (FL, PV1/PV2 prompts, MA) are plain data that
+implement the encoder's ``AdapterHooks`` protocol; the production forward
+paths they feed (``ffn_fl_split`` and the expansion argument of
+``attention_forward``) live in ``encoder`` and are re-exported here.
 
-Adapters are plain data, safe to read concurrently; only the single-threaded
-optimizer step mutates them.
+This module holds the materialized-concatenation oracles for both
+expansions. Their agreement with the split paths is the executable form of
+the split and position-invariance equivalence theorems, checked by the
+verify_* suites at near-machine-epsilon tolerance. The parameter registry
+with frozen-content hashing and the budget accounting live here too.
+
+Adapters are safe to read concurrently; only the single-threaded optimizer
+step mutates them.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .encoder import AttentionLayer, EncoderConfig, EncoderWeights, FFNLayer, attention_forward, ffn_forward
-from .tensor import ShapeError, Tensor, add, concat, matmul, relu, scale, softmax_rows, transpose
+from .encoder import (AdapterHooks, AttentionLayer, EncoderConfig, EncoderWeights, FFNLayer,
+                      attention_forward, ffn_fl_split)
+from .tensor import ShapeError, Tensor
 
 POSITIONS = ("prefix", "infix", "suffix")
 
@@ -52,13 +56,16 @@ class FLLayerParams:
 
 
 @dataclass
-class FLAdapter:
+class FLAdapter(AdapterHooks):
     """Per-layer independent hidden-unit expansions of the FFN sublayers."""
 
     d_a: int
     position: str
     infix_index: Optional[int]
     layers: dict[int, FLLayerParams]
+
+    def ffn_units(self, i: int) -> Optional[FLLayerParams]:
+        return self.layers.get(i)
 
     def named_tensors(self) -> Iterator[tuple[str, Tensor]]:
         for i in sorted(self.layers):
@@ -69,7 +76,7 @@ class FLAdapter:
 
 
 @dataclass
-class PromptAdapter:
+class PromptAdapter(AdapterHooks):
     """Trainable prompts: input-level rows (pv1) or per-layer, per-head
     key/value prefix rows (pv2)."""
 
@@ -77,6 +84,12 @@ class PromptAdapter:
     prompt_len: int
     prompt: Optional[Tensor] = None                                # pv1: l x d_m
     prefixes: Optional[list[list[tuple[Tensor, Tensor]]]] = None   # pv2: [layer][head] = (e0, e1)
+
+    def prompt_rows(self) -> Optional[Tensor]:
+        return self.prompt if self.mode == "pv1" else None
+
+    def kv_prefix(self, i: int) -> Optional[list[tuple[Tensor, Tensor]]]:
+        return self.prefixes[i] if self.mode == "pv2" else None
 
     def named_tensors(self) -> Iterator[tuple[str, Tensor]]:
         if self.mode == "pv1":
@@ -103,9 +116,12 @@ class MAHeadParams:
 
 
 @dataclass
-class MAAdapter:
+class MAAdapter(AdapterHooks):
     d_a_prime: int
     layers: list[list[MAHeadParams]]  # [layer][head]
+
+    def attn_expansion(self, i: int) -> list[MAHeadParams]:
+        return self.layers[i]
 
     def named_tensors(self) -> Iterator[tuple[str, Tensor]]:
         for i, heads in enumerate(self.layers):
@@ -206,21 +222,8 @@ def init_ma_adapter(config: EncoderConfig, d_a_prime: int = 160, seed: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# FFN expansion: production split path and concatenation oracle
+# FFN expansion: concatenation oracle (the split path is encoder.ffn_fl_split)
 # ---------------------------------------------------------------------------
-
-def ffn_fl_split(layer: FFNLayer, params: FLLayerParams, x: Tensor) -> Tensor:
-    """Expanded FFN computed without any concatenation.
-
-    The frozen layer and the added units are evaluated independently and
-    summed, backbone contribution first, added units second. This is the
-    production path for training; it never touches the frozen matrices.
-    """
-    params.added_units()
-    backbone = ffn_forward(layer, x)
-    hidden = relu(add(matmul(x, params.w1), params.b1))
-    return add(backbone, matmul(hidden, params.w2))
-
 
 def _as_array(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
@@ -291,47 +294,13 @@ def ffn_fl_concat(
 
 
 # ---------------------------------------------------------------------------
-# Attention expansion: production split path and concatenation oracle
+# Attention expansion: split path and concatenation oracle
 # ---------------------------------------------------------------------------
 
 def ma_forward(layer: AttentionLayer, params: Sequence[MAHeadParams], x: Tensor) -> Tensor:
-    """Attention with expanded score and value inner dimensions.
-
-    Scores use the extended inner product q·k + q'·k' while keeping the
-    frozen 1/sqrt(d_k) scaling, so zeroed expansion weights reproduce the
-    frozen sublayer exactly. The extra value columns are mapped to model
-    width by each head's dwo and summed in after the frozen output
-    projection, the additive-split analog of the FFN expansion.
-    """
-    n_heads = len(layer.wq)
-    if len(params) != n_heads:
-        raise ShapeError(f"expansion params must cover all {n_heads} heads, got {len(params)}")
-    d_k = layer.wq[0].shape[1]
-
-    head_outs = []
-    extras = []
-    for h in range(n_heads):
-        p = params[h]
-        q = matmul(x, layer.wq[h])
-        k = matmul(x, layer.wk[h])
-        v = matmul(x, layer.wv[h])
-        scores = matmul(q, transpose(k))
-        if p.dwq.shape[1]:
-            qe = matmul(x, p.dwq)
-            ke = matmul(x, p.dwk)
-            scores = add(scores, matmul(qe, transpose(ke)))
-        a = softmax_rows(scale(scores, 1.0 / np.sqrt(d_k)))
-        head_outs.append(matmul(a, v))
-        if p.dwv.shape[1]:
-            extras.append(matmul(matmul(a, matmul(x, p.dwv)), p.dwo))
-
-    merged = head_outs[0]
-    for h in range(1, n_heads):
-        merged = concat(merged, head_outs[h], "cols")
-    out = add(matmul(merged, layer.out_proj), layer.out_bias)
-    for extra in extras:
-        out = add(out, extra)
-    return out
+    """Attention with expanded score and value inner dimensions, the
+    additive-split analog of the FFN expansion (see ``attention_forward``)."""
+    return attention_forward(layer, x, expansion=params)
 
 
 def ma_concat_reference(layer: AttentionLayer, params: Sequence[MAHeadParams], x) -> np.ndarray:
@@ -382,6 +351,26 @@ class VerifyReport:
                 f"{self.trials} trials (tolerance {self.tolerance:g}): {status}")
 
 
+def _run_trials(name: str, trials: int, tolerance: float, seed: int,
+                trial: Callable) -> VerifyReport:
+    """The trial loop shared by the verify_* suites.
+
+    ``trial(rng, t, fail)`` runs trial ``t`` and returns its deviation and
+    the label naming it in a failure message; it may report failures of its
+    own through ``fail(message)``.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    rng = np.random.default_rng(seed)
+    report = VerifyReport(name, trials, tolerance, 0.0)
+    for t in range(trials):
+        dev, label = trial(rng, t, lambda msg: report.failures.append(f"trial {t}: {msg}"))
+        report.max_deviation = max(report.max_deviation, dev)
+        if dev > tolerance:
+            report.failures.append(f"trial {t}: {label} {dev:.3e} > {tolerance:g}")
+    return report
+
+
 def _random_ffn_instance(rng: np.random.Generator):
     d_m = int(rng.integers(4, 33))
     d_o = int(rng.integers(8, 65))
@@ -395,6 +384,18 @@ def _random_ffn_instance(rng: np.random.Generator):
     return layer, params, Tensor(u(seq, d_m))
 
 
+def _random_attention(rng: np.random.Generator, d_m: int, d_k: int, d_v: int,
+                      n_heads: int) -> AttentionLayer:
+    u = lambda *shape: Tensor(rng.uniform(-1.0, 1.0, shape))
+    return AttentionLayer(
+        wq=[u(d_m, d_k) for _ in range(n_heads)],
+        wk=[u(d_m, d_k) for _ in range(n_heads)],
+        wv=[u(d_m, d_v) for _ in range(n_heads)],
+        out_proj=u(n_heads * d_v, d_m),
+        out_bias=u(1, d_m),
+    )
+
+
 def verify_theorem1(trials: int = 200, tolerance: float = 1e-12, seed: int = 0,
                     draw: Optional[Callable] = None) -> VerifyReport:
     """Split-form vs concatenated-form equivalence of the expanded FFN.
@@ -402,23 +403,18 @@ def verify_theorem1(trials: int = 200, tolerance: float = 1e-12, seed: int = 0,
     Each trial draws a random frozen layer, expansion, input, and placement,
     and compares the two computation paths in the sup norm.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    rng = np.random.default_rng(seed)
     draw = draw or _random_ffn_instance
-    report = VerifyReport("ffn split equivalence", trials, tolerance, 0.0)
-    for t in range(trials):
+
+    def trial(rng, t, fail):
         layer, params, x = draw(rng)
         position = POSITIONS[int(rng.integers(0, 3))]
         infix = int(rng.integers(0, layer.w1.shape[1] + 1))
         split = ffn_fl_split(layer, params, x).data
         conc = ffn_fl_concat(layer, params, x, position=position, infix_index=infix)
         dev = float(np.max(np.abs(split - conc))) if split.size else 0.0
-        report.max_deviation = max(report.max_deviation, dev)
-        if dev > tolerance:
-            report.failures.append(
-                f"trial {t}: position={position} deviation {dev:.3e} > {tolerance:g}")
-    return report
+        return dev, f"position={position} deviation"
+
+    return _run_trials("ffn split equivalence", trials, tolerance, seed, trial)
 
 
 def verify_theorem2(trials: int = 200, tolerance: float = 1e-12, seed: int = 0,
@@ -429,12 +425,9 @@ def verify_theorem2(trials: int = 200, tolerance: float = 1e-12, seed: int = 0,
     infix index sweeps the boundary values 0 and d_o as well as random
     interior splits.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    rng = np.random.default_rng(seed)
     draw = draw or _random_ffn_instance
-    report = VerifyReport("ffn placement invariance", trials, tolerance, 0.0)
-    for t in range(trials):
+
+    def trial(rng, t, fail):
         layer, params, x = draw(rng)
         d_o = layer.w1.shape[1]
         # always exercise both boundaries, then a random interior index
@@ -449,84 +442,58 @@ def verify_theorem2(trials: int = 200, tolerance: float = 1e-12, seed: int = 0,
                 ffn_fl_concat(layer, params, x, position="suffix")]
         dev = max(float(np.max(np.abs(a - b))) if a.size else 0.0
                   for i, a in enumerate(outs) for b in outs[i + 1:])
-        report.max_deviation = max(report.max_deviation, dev)
-        if dev > tolerance:
-            report.failures.append(
-                f"trial {t}: infix={infix} pairwise deviation {dev:.3e} > {tolerance:g}")
-    return report
+        return dev, f"infix={infix} pairwise deviation"
+
+    return _run_trials("ffn placement invariance", trials, tolerance, seed, trial)
 
 
 def verify_ma_equivalence(trials: int = 100, tolerance: float = 1e-12,
                           seed: int = 0) -> VerifyReport:
     """Additive-split attention expansion vs its materialized-concat oracle."""
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    rng = np.random.default_rng(seed)
-    report = VerifyReport("attention expansion equivalence", trials, tolerance, 0.0)
-    for t in range(trials):
+
+    def trial(rng, t, fail):
         d_m = int(rng.integers(4, 17))
         d_k = int(rng.integers(2, 9))
         d_v = int(rng.integers(2, 9))
         d_a = int(rng.integers(1, 9))
         n_heads = int(rng.integers(1, 3))
         seq = int(rng.integers(1, 8))
-        u = lambda *shape: rng.uniform(-1.0, 1.0, shape)
-        layer = AttentionLayer(
-            wq=[Tensor(u(d_m, d_k)) for _ in range(n_heads)],
-            wk=[Tensor(u(d_m, d_k)) for _ in range(n_heads)],
-            wv=[Tensor(u(d_m, d_v)) for _ in range(n_heads)],
-            out_proj=Tensor(u(n_heads * d_v, d_m)),
-            out_bias=Tensor(u(1, d_m)),
-        )
-        params = [MAHeadParams(dwq=Tensor(u(d_m, d_a)), dwk=Tensor(u(d_m, d_a)),
-                               dwv=Tensor(u(d_m, d_a)), dwo=Tensor(u(d_a, d_m)))
+        layer = _random_attention(rng, d_m, d_k, d_v, n_heads)
+        u = lambda *shape: Tensor(rng.uniform(-1.0, 1.0, shape))
+        params = [MAHeadParams(dwq=u(d_m, d_a), dwk=u(d_m, d_a), dwv=u(d_m, d_a), dwo=u(d_a, d_m))
                   for _ in range(n_heads)]
-        x = Tensor(u(seq, d_m))
+        x = u(seq, d_m)
         split = ma_forward(layer, params, x).data
         conc = ma_concat_reference(layer, params, x)
-        dev = float(np.max(np.abs(split - conc)))
-        report.max_deviation = max(report.max_deviation, dev)
-        if dev > tolerance:
-            report.failures.append(f"trial {t}: deviation {dev:.3e} > {tolerance:g}")
-    return report
+        return float(np.max(np.abs(split - conc))), "deviation"
+
+    return _run_trials("attention expansion equivalence", trials, tolerance, seed, trial)
 
 
 def verify_prefix_attention_rows(trials: int = 50, tolerance: float = 1e-12,
                                  seed: int = 0) -> VerifyReport:
     """Attention rows with key/value prefixes are probability distributions
     over seq + prefix_len keys: each row must sum to 1."""
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    rng = np.random.default_rng(seed)
-    report = VerifyReport("prefix attention normalization", trials, tolerance, 0.0)
-    for t in range(trials):
+
+    def trial(rng, t, fail):
         d_m = int(rng.integers(4, 17))
         d_k = int(rng.integers(2, 9))
         d_v = int(rng.integers(2, 9))
         n_heads = int(rng.integers(1, 3))
         seq = int(rng.integers(1, 8))
         l = int(rng.integers(0, 9)) if t else 4
-        u = lambda *shape: rng.uniform(-1.0, 1.0, shape)
-        layer = AttentionLayer(
-            wq=[Tensor(u(d_m, d_k)) for _ in range(n_heads)],
-            wk=[Tensor(u(d_m, d_k)) for _ in range(n_heads)],
-            wv=[Tensor(u(d_m, d_v)) for _ in range(n_heads)],
-            out_proj=Tensor(u(n_heads * d_v, d_m)),
-            out_bias=Tensor(u(1, d_m)),
-        )
-        prefix = [(Tensor(u(l, d_k)), Tensor(u(l, d_v))) for _ in range(n_heads)]
-        _, weights = attention_forward(layer, Tensor(u(seq, d_m)),
-                                       kv_prefix=prefix, return_weights=True)
+        layer = _random_attention(rng, d_m, d_k, d_v, n_heads)
+        u = lambda *shape: Tensor(rng.uniform(-1.0, 1.0, shape))
+        prefix = [(u(l, d_k), u(l, d_v)) for _ in range(n_heads)]
+        _, weights = attention_forward(layer, u(seq, d_m), kv_prefix=prefix, return_weights=True)
         dev = 0.0
         for a in weights:
             if a.shape != (seq, seq + l):
-                report.failures.append(
-                    f"trial {t}: weight shape {a.shape} != {(seq, seq + l)}")
+                fail(f"weight shape {a.shape} != {(seq, seq + l)}")
             dev = max(dev, float(np.max(np.abs(a.data.sum(axis=1) - 1.0))))
-        report.max_deviation = max(report.max_deviation, dev)
-        if dev > tolerance:
-            report.failures.append(f"trial {t}: row sum deviation {dev:.3e} > {tolerance:g}")
-    return report
+        return dev, "row sum deviation"
+
+    return _run_trials("prefix attention normalization", trials, tolerance, seed, trial)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ concurrent readers never observe a partial file.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from typing import Optional, Sequence
@@ -86,20 +87,43 @@ def load_checkpoint(path) -> tuple[dict, bytes]:
         manifest = json.loads(manifest_text.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"{path}: manifest is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{path}: manifest must be a JSON object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported format version {version!r} (expected {FORMAT_VERSION})")
-    expected_bytes = 0
-    for row in manifest["tensors"]:
-        n = int(np.prod(row["shape"], dtype=np.int64)) if row["shape"] else 1
-        end = row["offset"] + 8 * n
-        if end > expected_bytes:
-            expected_bytes = end
+    expected_bytes = _validate_table(path, manifest.get("tensors"))
     if len(payload) != expected_bytes:
         raise CheckpointError(
             f"{path}: truncated payload: {len(payload)} bytes, expected {expected_bytes}")
     return manifest, payload
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _validate_table(path, table) -> int:
+    """Check the tensor table has the form ``save_tensors`` writes: a list of
+    {name, shape, offset} rows, shapes of non-negative ints, each offset
+    equal to the end of the previous tensor starting from 0, so tensors are
+    ordered, contiguous and never overlap. Returns the payload size."""
+    if not isinstance(table, list):
+        raise CheckpointError(f"{path}: manifest tensor table must be a list")
+    end = 0
+    for row in table:
+        if not isinstance(row, dict) or not isinstance(row.get("name"), str):
+            raise CheckpointError(f"{path}: malformed tensor table row {row!r}")
+        name, shape, offset = row["name"], row.get("shape"), row.get("offset")
+        if not isinstance(shape, list) or not all(_is_count(d) for d in shape):
+            raise CheckpointError(f"{path}: tensor {name}: bad shape {shape!r}")
+        if not _is_count(offset) or offset != end:
+            raise CheckpointError(
+                f"{path}: tensor {name}: offset {offset!r}, expected {end} "
+                "(tensors must be ordered and contiguous)")
+        end += 8 * math.prod(shape)
+    return end
 
 
 def load_tensors(path, expected: dict[str, tuple[int, ...]],

@@ -18,9 +18,10 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
+from .adapters import build_registry
 from .encoder import EncoderWeights, encoder_hidden
-from .tensor import Tape, Tensor, add, cross_entropy_mean, gather_rows, matmul, scale
-from .training import Adam, DivergenceError
+from .tensor import Tensor, add, cross_entropy_mean, gather_rows, matmul, scale
+from .training import Adam, train_step
 
 PAD_ID = 0
 SEP_ID = 1
@@ -255,44 +256,34 @@ def pretrain_backbone(
                         requires_grad=True)
     pre_head_b = Tensor(np.zeros((1, config.vocab_size)), requires_grad=True)
 
-    backbone = [(name, t) for name, t, _group in weights.named_tensors()]
-    saved_flags = [(t, t.requires_grad) for _n, t in backbone]
-    for _n, t in backbone:
-        t.requires_grad = True
-
-    class _Entry(NamedTuple):
-        tensor: Tensor
-
-    trainable = [_Entry(t) for _n, t in backbone] + [_Entry(pre_head_w), _Entry(pre_head_b)]
+    saved_flags = [(t, t.requires_grad) for _name, t, _group in weights.named_tensors()]
     optimizer = Adam(learning_rate)
     sequences = [ex.tokens for ex in task.train]
 
+    def pretext_loss():
+        loss = None
+        for i in rng.integers(0, len(sequences), size=batch_size):
+            tokens = list(sequences[int(i)])
+            mask = rng.random(len(tokens)) < mask_prob
+            if not mask.any():
+                mask[int(rng.integers(0, len(tokens)))] = True
+            corrupted = [MASK_ID if m else t for t, m in zip(tokens, mask)]
+            hidden, _ = encoder_hidden(weights, corrupted)
+            logits = add(matmul(hidden, pre_head_w), pre_head_b)
+            positions = np.flatnonzero(mask)
+            targets = [tokens[p] for p in positions]
+            part = scale(cross_entropy_mean(gather_rows(logits, positions), targets),
+                         1.0 / batch_size)
+            loss = part if loss is None else add(loss, part)
+        return (loss,)
+
     try:
+        registry = build_registry(weights, finetune=True)
+        registry.register("pretext.weight", pre_head_w, frozen=False, group="pretext")
+        registry.register("pretext.bias", pre_head_b, frozen=False, group="pretext")
+        trainable = registry.trainable_entries()
         for step in range(steps):
-            batch_idx = rng.integers(0, len(sequences), size=batch_size)
-            with Tape() as tape:
-                loss = None
-                for i in batch_idx:
-                    tokens = list(sequences[int(i)])
-                    mask = rng.random(len(tokens)) < mask_prob
-                    if not mask.any():
-                        mask[int(rng.integers(0, len(tokens)))] = True
-                    corrupted = [MASK_ID if m else t for t, m in zip(tokens, mask)]
-                    hidden, _ = encoder_hidden(weights, corrupted)
-                    logits = add(matmul(hidden, pre_head_w), pre_head_b)
-                    positions = np.flatnonzero(mask)
-                    targets = [tokens[p] for p in positions]
-                    part = scale(cross_entropy_mean(gather_rows(logits, positions), targets),
-                                 1.0 / batch_size)
-                    loss = part if loss is None else add(loss, part)
-                loss_val = loss.item()
-                if not np.isfinite(loss_val):
-                    raise DivergenceError(
-                        f"non-finite pretext loss {loss_val} at step {step + 1}")
-                tape.backward(loss)
-            optimizer.step(trainable)
-            for e in trainable:
-                e.tensor.grad = None
+            loss_val, = train_step(pretext_loss, trainable, optimizer, step + 1)
             if loss_hook is not None:
                 loss_hook(loss_val)
     finally:

@@ -1,9 +1,9 @@
 """A pretrained-shaped transformer encoder used as the frozen backbone.
 
-Per-head self-attention with optional key/value prefix rows, position-wise
-feed-forward sublayers, residual connections with post-norm layout (layer
-norm applied after each residual add), token plus position embeddings, and a
-linear task head pooled at the first token position.
+Per-head self-attention, position-wise feed-forward sublayers, residual
+connections with post-norm layout (layer norm applied after each residual
+add), token plus position embeddings, and a linear task head pooled at the
+first token position. Tuning methods plug in through ``AdapterHooks``.
 
 Forward/backward is single-threaded per example; independent examples may run
 concurrently as long as each uses its own tape, with weight tensors read-only
@@ -12,7 +12,7 @@ while adapters train.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -55,15 +55,13 @@ class EncoderConfig:
             self.d_v = self.d_m // self.n_heads
         if self.d_o is None:
             self.d_o = 4 * self.d_m
-        for name in ("d_m", "n_heads", "n_layers", "vocab_size", "max_seq_len",
-                     "n_classes", "d_k", "d_v", "d_o"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"EncoderConfig.{name} must be positive, got {getattr(self, name)}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value < 1:
+                raise ValueError(f"EncoderConfig.{f.name} must be positive, got {value}")
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("d_m", "n_heads", "n_layers", "vocab_size", "max_seq_len",
-                 "n_classes", "d_k", "d_v", "d_o")}
+        return asdict(self)
 
 
 @dataclass
@@ -139,6 +137,28 @@ class EncoderWeights:
         yield "head.bias", self.head_b, "head"
 
 
+class AdapterHooks:
+    """How a tuning method plugs into ``encoder_hidden``: ``prompt_rows()``
+    gives rows prepended to the embedded input; for layer ``i``,
+    ``kv_prefix(i)`` gives per-head (e0, e1) key/value prefix rows,
+    ``attn_expansion(i)`` per-head attention expansions (dwq, dwk, dwv, dwo)
+    and ``ffn_units(i)`` added FFN hidden units (w1, b1, w2). A hook returns
+    None where the method adds nothing, so this base class is the transparent
+    adapter; adapters override only the hooks they use."""
+
+    def prompt_rows(self) -> Optional[Tensor]:
+        return None
+
+    def kv_prefix(self, i: int) -> Optional[Sequence[tuple[Tensor, Tensor]]]:
+        return None
+
+    def attn_expansion(self, i: int) -> Optional[Sequence]:
+        return None
+
+    def ffn_units(self, i: int):
+        return None
+
+
 def init_encoder(config: EncoderConfig, seed: int = 0, std: float = 0.02) -> EncoderWeights:
     """Synthesize pretrained-shaped weights: Gaussian(0, std) matrices under a
     fixed seed, zero biases, identity layer norms. Real checkpoints are out of
@@ -182,13 +202,18 @@ def attention_forward(
     x: Tensor,
     kv_prefix: Optional[Sequence[tuple[Tensor, Tensor]]] = None,
     return_weights: bool = False,
+    expansion: Optional[Sequence] = None,
 ):
     """Multi-head scaled dot-product self-attention.
 
     ``kv_prefix`` optionally supplies per-head trainable rows (e0, e1) that
     are prepended to that head's key and value matrices, so every attention
-    row becomes a distribution over seq + prefix_len keys. With
-    ``return_weights`` the per-head softmax matrices are returned as well.
+    row becomes a distribution over seq + prefix_len keys. ``expansion``
+    optionally widens each head's inner dimensions: scores become
+    q·k + (x·dwq)(x·dwk)ᵀ under the frozen 1/sqrt(d_k) scaling, and the extra
+    value columns, mapped to model width by dwo, are summed in after the
+    frozen output projection. With ``return_weights`` the per-head softmax
+    matrices are returned as well.
     """
     n_heads = len(layer.wq)
     d_k = layer.wq[0].shape[1]
@@ -199,9 +224,12 @@ def attention_forward(
             if e0.shape[0] != e1.shape[0]:
                 raise ShapeError(
                     f"kv_prefix row counts disagree: {e0.shape} vs {e1.shape}")
+    if expansion is not None and len(expansion) != n_heads:
+        raise ShapeError(f"expansion params must cover all {n_heads} heads, got {len(expansion)}")
 
     head_outs = []
     weights = []
+    extras = []
     for h in range(n_heads):
         q = matmul(x, layer.wq[h])
         k = matmul(x, layer.wk[h])
@@ -210,15 +238,22 @@ def attention_forward(
             e0, e1 = kv_prefix[h]
             k = concat(e0, k, "rows")
             v = concat(e1, v, "rows")
-        scores = scale(matmul(q, transpose(k)), 1.0 / np.sqrt(d_k))
-        a = softmax_rows(scores)
+        scores = matmul(q, transpose(k))
+        p = expansion[h] if expansion is not None else None
+        if p is not None and p.dwq.shape[1]:
+            scores = add(scores, matmul(matmul(x, p.dwq), transpose(matmul(x, p.dwk))))
+        a = softmax_rows(scale(scores, 1.0 / np.sqrt(d_k)))
         weights.append(a)
         head_outs.append(matmul(a, v))
+        if p is not None and p.dwv.shape[1]:
+            extras.append(matmul(matmul(a, matmul(x, p.dwv)), p.dwo))
 
     merged = head_outs[0]
     for h in range(1, n_heads):
         merged = concat(merged, head_outs[h], "cols")
     out = add(matmul(merged, layer.out_proj), layer.out_bias)
+    for extra in extras:
+        out = add(out, extra)
     if return_weights:
         return out, weights
     return out
@@ -230,6 +265,20 @@ def ffn_forward(layer: FFNLayer, x: Tensor) -> Tensor:
         raise ShapeError(f"ffn input width {x.shape} does not match w1 {layer.w1.shape}")
     hidden = relu(add(matmul(x, layer.w1), layer.b1))
     return add(matmul(hidden, layer.w2), layer.b2)
+
+
+def ffn_fl_split(layer: FFNLayer, params, x: Tensor) -> Tensor:
+    """Expanded FFN computed without any concatenation.
+
+    The frozen layer and the added units (``params``: w1, b1, w2) are
+    evaluated independently and summed, backbone contribution first, added
+    units second. This is the production path for training; it never
+    touches the frozen matrices.
+    """
+    params.added_units()
+    backbone = ffn_forward(layer, x)
+    hidden = relu(add(matmul(x, params.w1), params.b1))
+    return add(backbone, matmul(hidden, params.w2))
 
 
 def _validate_tokens(config: EncoderConfig, tokens: Sequence[int], prompt_len: int) -> list[int]:
@@ -249,43 +298,34 @@ def _validate_tokens(config: EncoderConfig, tokens: Sequence[int], prompt_len: i
 def encoder_hidden(
     weights: EncoderWeights,
     tokens: Sequence[int],
-    adapter=None,
+    adapter: Optional[AdapterHooks] = None,
 ) -> tuple[Tensor, int]:
     """Hidden states after the final layer, plus the prompt row count.
 
-    Adapter hooks: input-level prompt rows are prepended to the embedding
-    sequence, per-layer key/value prefixes enter each attention sublayer,
-    feed-forward expansion adds its contribution to each FFN output, and
-    attention expansion replaces the attention sublayer computation. With no
-    adapter (or a transparent one) this is the plain frozen backbone.
+    Every ``AdapterHooks`` hook is consulted: prompt rows are prepended to
+    the embedding sequence, key/value prefixes and the attention expansion
+    enter each attention sublayer, and added FFN units contribute to each
+    FFN output through the split form. With no adapter (or a transparent
+    one) this is the plain frozen backbone.
     """
-    from .adapters import FLAdapter, MAAdapter, PromptAdapter, ffn_fl_split, ma_forward
-
+    hooks = adapter if adapter is not None else AdapterHooks()
     config = weights.config
-    prompt_len = 0
-    if isinstance(adapter, PromptAdapter) and adapter.mode == "pv1":
-        prompt_len = adapter.prompt_len
+    prompt = hooks.prompt_rows()
+    prompt_len = 0 if prompt is None else prompt.shape[0]
     ids = _validate_tokens(config, tokens, prompt_len)
 
     x = gather_rows(weights.tok_emb, ids)
     if prompt_len:
-        x = concat(adapter.prompt, x, "rows")
+        x = concat(prompt, x, "rows")
     total = prompt_len + len(ids)
     x = add(x, gather_rows(weights.pos_emb, range(total)))
 
     for i, layer in enumerate(weights.layers):
-        if isinstance(adapter, PromptAdapter) and adapter.mode == "pv2":
-            attn_out = attention_forward(layer.attn, x, kv_prefix=adapter.prefixes[i])
-        elif isinstance(adapter, MAAdapter):
-            attn_out = ma_forward(layer.attn, adapter.layers[i], x)
-        else:
-            attn_out = attention_forward(layer.attn, x)
+        attn_out = attention_forward(layer.attn, x, kv_prefix=hooks.kv_prefix(i),
+                                     expansion=hooks.attn_expansion(i))
         x = layer_norm(add(x, attn_out), layer.norm1.gain, layer.norm1.bias)
-
-        if isinstance(adapter, FLAdapter) and i in adapter.layers:
-            ffn_out = ffn_fl_split(layer.ffn, adapter.layers[i], x)
-        else:
-            ffn_out = ffn_forward(layer.ffn, x)
+        units = hooks.ffn_units(i)
+        ffn_out = ffn_forward(layer.ffn, x) if units is None else ffn_fl_split(layer.ffn, units, x)
         x = layer_norm(add(x, ffn_out), layer.norm2.gain, layer.norm2.bias)
     return x, prompt_len
 

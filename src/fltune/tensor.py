@@ -1,12 +1,14 @@
 """Dense float64 tensors with a reverse-mode differentiation tape.
 
-Ops record onto the innermost active ``Tape``; ``Tape.backward`` replays the
-records in reverse order. ``check_gradients`` is the central finite-difference
-oracle used to validate every backward formula in the package.
+Ops record onto the innermost active ``Tape`` of the current thread (or
+context); ``Tape.backward`` replays the records in reverse order.
+``check_gradients`` is the central finite-difference oracle used to validate
+every backward formula in the package.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -16,13 +18,10 @@ class ShapeError(ValueError):
     """Operand shapes violate an op contract."""
 
 
-# Innermost active tape last. Tapes are confined to a single thread; tensors
-# themselves are plain data and may be shared read-only across threads.
-_TAPES: list["Tape"] = []
-
-
-def _active_tape() -> Optional["Tape"]:
-    return _TAPES[-1] if _TAPES else None
+# The innermost active tape. Each thread starts with its own empty context,
+# so concurrent threads each record onto their own tape; tensors themselves
+# are plain data and may be shared read-only across threads.
+_ACTIVE_TAPE: ContextVar[Optional["Tape"]] = ContextVar("fltune_active_tape", default=None)
 
 
 class Tensor:
@@ -79,14 +78,15 @@ class Tape:
 
     def __init__(self):
         self._records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        self._tokens = []
 
     def __enter__(self) -> "Tape":
-        _TAPES.append(self)
+        self._tokens.append(_ACTIVE_TAPE.set(self))
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _TAPES.pop()
-        assert popped is self, "tapes must be exited in LIFO order"
+        assert _ACTIVE_TAPE.get() is self, "tapes must be exited in LIFO order"
+        _ACTIVE_TAPE.reset(self._tokens.pop())
         return False
 
     def __len__(self) -> int:
@@ -124,7 +124,7 @@ class Tape:
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], bw: Callable) -> Tensor:
-    tape = _active_tape()
+    tape = _ACTIVE_TAPE.get()
     if tape is not None and any(t.needs_grad() for t in inputs):
         out._tracked = True
         tape._records.append((out, inputs, bw))
@@ -417,11 +417,13 @@ def check_gradients(
     worst = 0.0
     for i in coords:
         orig = flat[i]
-        flat[i] = orig + eps
-        f_plus = f(x).item()
-        flat[i] = orig - eps
-        f_minus = f(x).item()
-        flat[i] = orig
+        try:
+            flat[i] = orig + eps
+            f_plus = f(x).item()
+            flat[i] = orig - eps
+            f_minus = f(x).item()
+        finally:
+            flat[i] = orig
         numeric = (f_plus - f_minus) / (2.0 * eps)
         err = abs(flat_analytic[i] - numeric) / max(1.0, abs(numeric))
         worst = max(worst, err)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .adapters import (
     init_pv2_adapter,
 )
 from .encoder import EncoderConfig, EncoderWeights, encoder_forward
-from .tensor import Tape, add, cross_entropy_mean, scale
+from .tensor import Tape, Tensor, add, cross_entropy_mean, scale
 
 MODES = ("fl", "pv1", "pv2", "ma", "finetune")
 
@@ -36,7 +36,7 @@ METRICS_HEADER = "step,loss,smoothed_loss,accuracy,wallclock_ms"
 
 
 class DivergenceError(RuntimeError):
-    """Training loss became non-finite."""
+    """Training loss or a gradient became non-finite."""
 
 
 @dataclass
@@ -247,6 +247,21 @@ def span_f1(true_seqs: Sequence[Sequence[int]], pred_seqs: Sequence[Sequence[int
     return 2 * precision * recall / (precision + recall)
 
 
+def batch_loss(weights, adapter, examples, kind: str) -> tuple[Tensor, int, int]:
+    """Mean loss over a batch, plus its correct and total label counts."""
+    per_position = kind == "tagging"
+    inv = 1.0 / len(examples)
+    loss = None
+    correct = labels = 0
+    for ex in examples:
+        ex_loss, ex_correct, ex_n, _ = _example_forward(weights, adapter, ex, per_position)
+        part = scale(ex_loss, inv)
+        loss = part if loss is None else add(loss, part)
+        correct += ex_correct
+        labels += ex_n
+    return loss, correct, labels
+
+
 def evaluate(weights, adapter, examples, kind: str) -> EvalResult:
     """Accuracy (token-level for tagging) and mean loss; span F1 for tagging."""
     per_position = kind == "tagging"
@@ -270,21 +285,47 @@ def evaluate(weights, adapter, examples, kind: str) -> EvalResult:
 # Training loop
 # ---------------------------------------------------------------------------
 
+def train_step(loss_fn: Callable[[], tuple], trainable: Sequence[RegistryEntry],
+               optimizer, step: int) -> tuple:
+    """One optimizer step on the loss that ``loss_fn()`` records on a fresh tape.
+
+    ``loss_fn`` returns the scalar loss tensor, then any values to hand back
+    after the loss value. A non-finite loss or gradient raises
+    DivergenceError before any tensor changes; grads are always cleared.
+    """
+    try:
+        with Tape() as tape:
+            loss, *extras = loss_fn()
+            loss_val = loss.item()
+            if not np.isfinite(loss_val):
+                raise DivergenceError(
+                    f"non-finite loss {loss_val} at step {step}; aborting run")
+            tape.backward(loss)
+        for e in trainable:
+            if e.tensor.grad is not None and not np.isfinite(e.tensor.grad).all():
+                raise DivergenceError(
+                    f"non-finite gradient for {e.name} at step {step}; aborting run")
+        optimizer.step(trainable)
+    finally:
+        for e in trainable:
+            e.tensor.grad = None
+    return (loss_val, *extras)
+
+
 def train(weights: EncoderWeights, adapter, task, config: TrainConfig,
           registry: Optional[ParamRegistry] = None) -> RunMetrics:
     """Deterministic training of the trainable tensors selected by the mode.
 
     The registry (built here unless supplied) freezes the backbone for
-    adapter modes. Aborts with DivergenceError on a non-finite loss. Each
-    epoch ends with a dev-split evaluation; metrics rows carry raw loss,
-    the smoothed series, batch accuracy, and cumulative wall-clock ms.
+    adapter modes. ``train_step`` aborts on a non-finite loss or gradient.
+    Each epoch ends with a dev-split evaluation; metrics rows carry raw
+    loss, the smoothed series, batch accuracy, and cumulative wall-clock ms.
     """
     if registry is None:
         registry = build_registry(weights, adapter, finetune=(config.mode == "finetune"))
     trainable = registry.trainable_entries()
     optimizer = make_optimizer(config)
     rng = np.random.default_rng([config.seed, 2])
-    per_position = task.kind == "tagging"
 
     metrics = RunMetrics()
     smoothed: Optional[float] = None
@@ -296,25 +337,9 @@ def train(weights: EncoderWeights, adapter, task, config: TrainConfig,
         order = rng.permutation(len(task.train))
         for lo in range(0, len(order), config.batch_size):
             batch = [task.train[i] for i in order[lo:lo + config.batch_size]]
-            inv = 1.0 / len(batch)
-            correct = labels = 0
-            with Tape() as tape:
-                loss = None
-                for ex in batch:
-                    ex_loss, ex_correct, ex_n, _ = _example_forward(
-                        weights, adapter, ex, per_position)
-                    part = scale(ex_loss, inv)
-                    loss = part if loss is None else add(loss, part)
-                    correct += ex_correct
-                    labels += ex_n
-                loss_val = loss.item()
-                if not np.isfinite(loss_val):
-                    raise DivergenceError(
-                        f"non-finite loss {loss_val} at step {step + 1}; aborting run")
-                tape.backward(loss)
-            optimizer.step(trainable)
-            for e in trainable:
-                e.tensor.grad = None
+            loss_val, correct, labels = train_step(
+                lambda: batch_loss(weights, adapter, batch, task.kind),
+                trainable, optimizer, step + 1)
             step += 1
             smoothed = smooth_loss(smoothed, loss_val, config.smoothing_alpha)
             metrics.rows.append(StepRow(
