@@ -23,8 +23,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .encoder import (AdapterHooks, AttentionLayer, EncoderConfig, EncoderWeights, FFNLayer,
-                      attention_forward, ffn_fl_split)
+from .encoder import (INIT_STD, AdapterHooks, AttentionLayer, EncoderConfig, EncoderWeights,
+                      FFNLayer, attention_forward, ffn_fl_split)
 from .tensor import ShapeError, Tensor
 
 POSITIONS = ("prefix", "infix", "suffix")
@@ -57,11 +57,11 @@ class FLLayerParams:
 
 @dataclass
 class FLAdapter(AdapterHooks):
-    """Per-layer independent hidden-unit expansions of the FFN sublayers."""
+    """Per-layer independent hidden-unit expansions of the FFN sublayers.
 
-    d_a: int
-    position: str
-    infix_index: Optional[int]
+    It stores no placement: where the added units sit cannot change the output
+    (``verify_theorem2``), so only the ``ffn_fl_concat`` oracle takes one."""
+
     layers: dict[int, FLLayerParams]
 
     def ffn_units(self, i: int) -> Optional[FLLayerParams]:
@@ -80,25 +80,22 @@ class PromptAdapter(AdapterHooks):
     """Trainable prompts: input-level rows (pv1) or per-layer, per-head
     key/value prefix rows (pv2)."""
 
-    mode: str  # "pv1" | "pv2"
-    prompt_len: int
     prompt: Optional[Tensor] = None                                # pv1: l x d_m
     prefixes: Optional[list[list[tuple[Tensor, Tensor]]]] = None   # pv2: [layer][head] = (e0, e1)
 
     def prompt_rows(self) -> Optional[Tensor]:
-        return self.prompt if self.mode == "pv1" else None
+        return self.prompt
 
     def kv_prefix(self, i: int) -> Optional[list[tuple[Tensor, Tensor]]]:
-        return self.prefixes[i] if self.mode == "pv2" else None
+        return None if self.prefixes is None else self.prefixes[i]
 
     def named_tensors(self) -> Iterator[tuple[str, Tensor]]:
-        if self.mode == "pv1":
+        if self.prompt is not None:
             yield "adapter.prompt", self.prompt
-        else:
-            for i, heads in enumerate(self.prefixes):
-                for h, (e0, e1) in enumerate(heads):
-                    yield f"adapter.layer{i:02d}.head{h}.e0", e0
-                    yield f"adapter.layer{i:02d}.head{h}.e1", e1
+        for i, heads in enumerate(self.prefixes or ()):
+            for h, (e0, e1) in enumerate(heads):
+                yield f"adapter.layer{i:02d}.head{h}.e0", e0
+                yield f"adapter.layer{i:02d}.head{h}.e1", e1
 
 
 @dataclass
@@ -117,7 +114,6 @@ class MAHeadParams:
 
 @dataclass
 class MAAdapter(AdapterHooks):
-    d_a_prime: int
     layers: list[list[MAHeadParams]]  # [layer][head]
 
     def attn_expansion(self, i: int) -> list[MAHeadParams]:
@@ -135,25 +131,16 @@ class MAAdapter(AdapterHooks):
 def init_fl_adapter(
     config: EncoderConfig,
     d_a: int = 160,
-    position: str = "prefix",
-    infix_index: Optional[int] = None,
     layer_subset: Optional[Sequence[int]] = None,
     seed: int = 0,
-    std: float = 0.02,
 ) -> FLAdapter:
     """Fresh expansion units for each selected layer.
 
     w1 is Gaussian, b1 and w2 start at zero, so the adapter is transparent:
     the first forward pass reproduces the frozen backbone exactly.
     """
-    if position not in POSITIONS:
-        raise ValueError(f"position must be one of {POSITIONS}, got {position!r}")
     if d_a < 0:
         raise ValueError(f"d_a must be nonnegative, got {d_a}")
-    if position == "infix":
-        infix_index = config.d_o // 2 if infix_index is None else infix_index
-        if not (0 <= infix_index <= config.d_o):
-            raise ShapeError(f"infix index {infix_index} out of range [0, {config.d_o}]")
     rng = np.random.default_rng(seed)
     subset = range(config.n_layers) if layer_subset is None else sorted(set(layer_subset))
     layers = {}
@@ -161,15 +148,14 @@ def init_fl_adapter(
         if not (0 <= i < config.n_layers):
             raise ValueError(f"layer index {i} out of range for {config.n_layers} layers")
         layers[i] = FLLayerParams(
-            w1=Tensor(rng.normal(0.0, std, (config.d_m, d_a)), requires_grad=True),
+            w1=Tensor(rng.normal(0.0, INIT_STD, (config.d_m, d_a)), requires_grad=True),
             b1=Tensor(np.zeros((1, d_a)), requires_grad=True),
             w2=Tensor(np.zeros((d_a, config.d_m)), requires_grad=True),
         )
-    return FLAdapter(d_a=d_a, position=position, infix_index=infix_index, layers=layers)
+    return FLAdapter(layers=layers)
 
 
-def init_pv1_adapter(config: EncoderConfig, prompt_len: int = 160, seed: int = 0,
-                     std: float = 0.02) -> PromptAdapter:
+def init_pv1_adapter(config: EncoderConfig, prompt_len: int = 160, seed: int = 0) -> PromptAdapter:
     """Input-level continuous prompt. Prompt rows consume sequence budget:
     inputs may be at most max_seq_len - prompt_len tokens."""
     if not (1 <= prompt_len <= config.max_seq_len - 1):
@@ -177,29 +163,25 @@ def init_pv1_adapter(config: EncoderConfig, prompt_len: int = 160, seed: int = 0
             f"prompt_len must be in [1, {config.max_seq_len - 1}], got {prompt_len}")
     rng = np.random.default_rng(seed)
     return PromptAdapter(
-        mode="pv1",
-        prompt_len=prompt_len,
-        prompt=Tensor(rng.normal(0.0, std, (prompt_len, config.d_m)), requires_grad=True),
+        prompt=Tensor(rng.normal(0.0, INIT_STD, (prompt_len, config.d_m)), requires_grad=True),
     )
 
 
-def init_pv2_adapter(config: EncoderConfig, prompt_len: int = 160, seed: int = 0,
-                     std: float = 0.02) -> PromptAdapter:
+def init_pv2_adapter(config: EncoderConfig, prompt_len: int = 160, seed: int = 0) -> PromptAdapter:
     """Per-layer, per-head trainable key/value prefix rows."""
     if prompt_len < 1:
         raise ValueError(f"prompt_len must be positive, got {prompt_len}")
     rng = np.random.default_rng(seed)
     prefixes = [
-        [(Tensor(rng.normal(0.0, std, (prompt_len, config.d_k)), requires_grad=True),
-          Tensor(rng.normal(0.0, std, (prompt_len, config.d_v)), requires_grad=True))
+        [(Tensor(rng.normal(0.0, INIT_STD, (prompt_len, config.d_k)), requires_grad=True),
+          Tensor(rng.normal(0.0, INIT_STD, (prompt_len, config.d_v)), requires_grad=True))
          for _ in range(config.n_heads)]
         for _ in range(config.n_layers)
     ]
-    return PromptAdapter(mode="pv2", prompt_len=prompt_len, prefixes=prefixes)
+    return PromptAdapter(prefixes=prefixes)
 
 
-def init_ma_adapter(config: EncoderConfig, d_a_prime: int = 160, seed: int = 0,
-                    std: float = 0.02) -> MAAdapter:
+def init_ma_adapter(config: EncoderConfig, d_a_prime: int = 160, seed: int = 0) -> MAAdapter:
     """Attention-side expansion units for every layer and head.
 
     dwq/dwv are Gaussian while dwk and dwo start at zero, so both the score
@@ -211,14 +193,14 @@ def init_ma_adapter(config: EncoderConfig, d_a_prime: int = 160, seed: int = 0,
     rng = np.random.default_rng(seed)
     layers = [
         [MAHeadParams(
-            dwq=Tensor(rng.normal(0.0, std, (config.d_m, d_a_prime)), requires_grad=True),
+            dwq=Tensor(rng.normal(0.0, INIT_STD, (config.d_m, d_a_prime)), requires_grad=True),
             dwk=Tensor(np.zeros((config.d_m, d_a_prime)), requires_grad=True),
-            dwv=Tensor(rng.normal(0.0, std, (config.d_m, d_a_prime)), requires_grad=True),
+            dwv=Tensor(rng.normal(0.0, INIT_STD, (config.d_m, d_a_prime)), requires_grad=True),
             dwo=Tensor(np.zeros((d_a_prime, config.d_m)), requires_grad=True),
         ) for _ in range(config.n_heads)]
         for _ in range(config.n_layers)
     ]
-    return MAAdapter(d_a_prime=d_a_prime, layers=layers)
+    return MAAdapter(layers=layers)
 
 
 # ---------------------------------------------------------------------------
@@ -525,9 +507,6 @@ class ParamCounts:
     @property
     def fraction(self) -> float:
         return self.trainable / self.total if self.total else 0.0
-
-    def as_tuple(self) -> tuple[int, int, float]:
-        return self.total, self.trainable, self.fraction
 
 
 class ParamRegistry:

@@ -85,8 +85,8 @@ def load_checkpoint(path) -> tuple[dict, bytes]:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic line)")
     try:
         manifest = json.loads(manifest_text.decode("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"{path}: manifest is not valid JSON: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"{path}: manifest is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise CheckpointError(f"{path}: manifest must be a JSON object")
     version = manifest.get("format_version")
@@ -106,16 +106,20 @@ def _is_count(value) -> bool:
 
 def _validate_table(path, table) -> int:
     """Check the tensor table has the form ``save_tensors`` writes: a list of
-    {name, shape, offset} rows, shapes of non-negative ints, each offset
-    equal to the end of the previous tensor starting from 0, so tensors are
-    ordered, contiguous and never overlap. Returns the payload size."""
+    {name, shape, offset} rows, names distinct, shapes of non-negative ints,
+    each offset the end of the previous tensor starting from 0, so tensors
+    are ordered, contiguous and never overlap. Returns the payload size."""
     if not isinstance(table, list):
         raise CheckpointError(f"{path}: manifest tensor table must be a list")
     end = 0
+    names = set()
     for row in table:
         if not isinstance(row, dict) or not isinstance(row.get("name"), str):
             raise CheckpointError(f"{path}: malformed tensor table row {row!r}")
         name, shape, offset = row["name"], row.get("shape"), row.get("offset")
+        if name in names:
+            raise CheckpointError(f"{path}: tensor {name} listed twice")
+        names.add(name)
         if not isinstance(shape, list) or not all(_is_count(d) for d in shape):
             raise CheckpointError(f"{path}: tensor {name}: bad shape {shape!r}")
         if not _is_count(offset) or offset != end:

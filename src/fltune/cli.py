@@ -17,8 +17,9 @@ import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence
+import typing
+from dataclasses import dataclass, field
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -77,27 +78,51 @@ class TaskSpec:
 @dataclass
 class ExperimentConfig:
     encoder: EncoderConfig
-    task: TaskSpec
-    train: TrainConfig
+    task: TaskSpec = field(default_factory=TaskSpec)
+    train: TrainConfig = field(default_factory=TrainConfig)
     pretrain_steps: int = 0
     backbone_seed: int = 0
     output_dir: Optional[str] = None
 
 
-_TOP_LEVEL_KEYS = ("encoder", "task", "train", "pretrain_steps", "backbone_seed", "output_dir")
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits type ``hint``: a bool is not an int, an int fits float."""
+    if typing.get_origin(hint) is Union:
+        return any(_fits(value, arg) for arg in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(v, typing.get_args(hint)[0]) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
-def _build_section(name: str, cls, data) -> object:
+def _type_name(hint) -> str:
+    return hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
+
+
+def _build_section(prefix: str, cls, data) -> object:
+    """Build dataclass ``cls`` from a JSON object whose keys and value types its
+    type hints fix; a field of dataclass type is built as a nested section."""
+    section = prefix.rstrip(".") or "config"
     if not isinstance(data, dict):
-        raise ConfigError(f"config section {name!r} must be an object, got {type(data).__name__}")
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - allowed)
+        raise ConfigError(f"{section} must be an object, got {type(data).__name__}")
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(prefix + key for key in set(data) - set(hints))
     if unknown:
-        raise ConfigError(f"unknown key(s) in {name!r}: {', '.join(unknown)}")
+        raise ConfigError(f"unknown key(s): {', '.join(unknown)}")
+    values = {}
+    for key, value in data.items():
+        hint = hints[key]
+        if dataclasses.is_dataclass(hint):
+            values[key] = _build_section(f"{prefix}{key}.", hint, value)
+        elif _fits(value, hint):
+            values[key] = value
+        else:
+            raise ConfigError(f"{prefix}{key} must be {_type_name(hint)}, got {value!r}")
     try:
-        return cls(**data)
+        return cls(**values)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"in section {name!r}: {exc}") from exc
+        raise ConfigError(f"in {section}: {exc}") from exc
 
 
 def _apply_override(raw: dict, assignment: str) -> None:
@@ -135,25 +160,9 @@ def load_experiment_config(path, overrides: Sequence[str] = (),
     for assignment in overrides:
         _apply_override(raw, assignment)
     if seed is not None:
-        raw.setdefault("train", {})["seed"] = seed
+        _apply_override(raw, f"train.seed={seed}")
 
-    unknown = sorted(set(raw) - set(_TOP_LEVEL_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown top-level key(s): {', '.join(unknown)}")
-    if "encoder" not in raw:
-        raise ConfigError("config needs an 'encoder' section")
-
-    encoder = _build_section("encoder", EncoderConfig, raw["encoder"])
-    task = _build_section("task", TaskSpec, raw.get("task", {}))
-    train_cfg = _build_section("train", TrainConfig, raw.get("train", {}))
-    config = ExperimentConfig(
-        encoder=encoder,
-        task=task,
-        train=train_cfg,
-        pretrain_steps=int(raw.get("pretrain_steps", 0)),
-        backbone_seed=int(raw.get("backbone_seed", 0)),
-        output_dir=raw.get("output_dir"),
-    )
+    config = _build_section("", ExperimentConfig, raw)
     _validate_experiment(config)
     return config
 

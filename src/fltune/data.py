@@ -30,6 +30,9 @@ MARKER_BASE = 3
 ENTITY_BEGIN_IDS = (3, 4)
 ENTITY_INSIDE_IDS = (5, 6)
 TAG_OUTSIDE, TAG_BEGIN, TAG_INSIDE = 0, 1, 2
+PRETRAIN_LEARNING_RATE = 1e-3  # pretext Adam step size
+PRETRAIN_BATCH_SIZE = 8        # sequences per pretext step
+MASK_PROB = 0.15               # chance that a pretext position is masked
 
 KINDS = ("classification", "pair", "tagging")
 
@@ -233,9 +236,6 @@ def pretrain_backbone(
     task: SyntheticTask,
     steps: int,
     seed: int = 0,
-    learning_rate: float = 1e-3,
-    batch_size: int = 8,
-    mask_prob: float = 0.15,
     loss_hook: Optional[Callable[[float], None]] = None,
 ) -> EncoderWeights:
     """Train every backbone parameter on token denoising, in place.
@@ -257,14 +257,14 @@ def pretrain_backbone(
     pre_head_b = Tensor(np.zeros((1, config.vocab_size)), requires_grad=True)
 
     saved_flags = [(t, t.requires_grad) for _name, t, _group in weights.named_tensors()]
-    optimizer = Adam(learning_rate)
+    optimizer = Adam(PRETRAIN_LEARNING_RATE)
     sequences = [ex.tokens for ex in task.train]
 
     def pretext_loss():
         loss = None
-        for i in rng.integers(0, len(sequences), size=batch_size):
+        for i in rng.integers(0, len(sequences), size=PRETRAIN_BATCH_SIZE):
             tokens = list(sequences[int(i)])
-            mask = rng.random(len(tokens)) < mask_prob
+            mask = rng.random(len(tokens)) < MASK_PROB
             if not mask.any():
                 mask[int(rng.integers(0, len(tokens)))] = True
             corrupted = [MASK_ID if m else t for t, m in zip(tokens, mask)]
@@ -273,7 +273,7 @@ def pretrain_backbone(
             positions = np.flatnonzero(mask)
             targets = [tokens[p] for p in positions]
             part = scale(cross_entropy_mean(gather_rows(logits, positions), targets),
-                         1.0 / batch_size)
+                         1.0 / PRETRAIN_BATCH_SIZE)
             loss = part if loss is None else add(loss, part)
         return (loss,)
 

@@ -32,6 +32,8 @@ from .tensor import (
     transpose,
 )
 
+INIT_STD = 0.02  # std of every Gaussian-initialized backbone and adapter matrix
+
 
 @dataclass
 class EncoderConfig:
@@ -159,14 +161,14 @@ class AdapterHooks:
         return None
 
 
-def init_encoder(config: EncoderConfig, seed: int = 0, std: float = 0.02) -> EncoderWeights:
-    """Synthesize pretrained-shaped weights: Gaussian(0, std) matrices under a
+def init_encoder(config: EncoderConfig, seed: int = 0) -> EncoderWeights:
+    """Synthesize pretrained-shaped weights: Gaussian(0, INIT_STD) matrices under a
     fixed seed, zero biases, identity layer norms. Real checkpoints are out of
     scope; the tasks module can further pre-train these on a pretext task."""
     rng = np.random.default_rng(seed)
 
     def mat(rows, cols):
-        return Tensor(rng.normal(0.0, std, (rows, cols)))
+        return Tensor(rng.normal(0.0, INIT_STD, (rows, cols)))
 
     layers = []
     for _ in range(config.n_layers):

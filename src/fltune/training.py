@@ -60,8 +60,6 @@ class TrainConfig:
     d_a: int = 160
     prompt_len: int = 160
     d_a_prime: int = 160
-    position: str = "prefix"
-    infix_index: Optional[int] = None
     layer_subset: Optional[list[int]] = None
 
     def __post_init__(self):
@@ -182,8 +180,7 @@ def make_adapter(encoder_config: EncoderConfig, config: TrainConfig):
     if config.mode == "finetune":
         return None
     if config.mode == "fl":
-        return init_fl_adapter(encoder_config, d_a=config.d_a, position=config.position,
-                               infix_index=config.infix_index,
+        return init_fl_adapter(encoder_config, d_a=config.d_a,
                                layer_subset=config.layer_subset, seed=seed)
     if config.mode == "pv1":
         return init_pv1_adapter(encoder_config, prompt_len=config.prompt_len, seed=seed)
@@ -264,6 +261,8 @@ def batch_loss(weights, adapter, examples, kind: str) -> tuple[Tensor, int, int]
 
 def evaluate(weights, adapter, examples, kind: str) -> EvalResult:
     """Accuracy (token-level for tagging) and mean loss; span F1 for tagging."""
+    if not examples:
+        raise ValueError("cannot evaluate an empty example list")
     per_position = kind == "tagging"
     total_correct = total_labels = 0
     losses = []

@@ -167,6 +167,21 @@ def test_manifest_must_be_an_object(tmp_path):
         load_checkpoint(path)
 
 
+def test_manifest_that_is_not_utf8_raises_checkpoint_error(tmp_path):
+    path = tmp_path / "t.flckpt"
+    path.write_bytes(MAGIC + b'\n{"format_version": 1, "kind": "\xff"}\n' + SENTINEL + b"\n")
+    with pytest.raises(CheckpointError, match="not valid UTF-8"):
+        load_checkpoint(path)
+
+
+def test_duplicate_tensor_names_rejected(tmp_path):
+    table = [{"name": "a", "shape": [1], "offset": 0},
+             {"name": "a", "shape": [1], "offset": 8}]
+    path = write_raw(tmp_path / "t.flckpt", manifest_with(table), bytes(16))
+    with pytest.raises(CheckpointError, match="tensor a listed twice"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("row", ["w", {"shape": [1], "offset": 0}, {"name": 3, "shape": [1]}])
 def test_table_rows_need_a_name(tmp_path, row):
     path = write_raw(tmp_path / "t.flckpt", manifest_with([row]), bytes(8))

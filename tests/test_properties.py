@@ -1,0 +1,127 @@
+"""Property-based robustness: wrong-typed config values and corrupted
+checkpoint bytes fail with the package's own errors and nothing else."""
+
+import dataclasses
+import json
+import typing
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fltune.checkpoint import CheckpointError, load_tensors, save_tensors
+from fltune.cli import (
+    EXIT_USAGE,
+    ConfigError,
+    ExperimentConfig,
+    TaskSpec,
+    load_experiment_config,
+    main,
+)
+from fltune.encoder import EncoderConfig
+from fltune.training import TrainConfig
+
+BASE_CONFIG = {
+    "encoder": {"d_m": 8, "n_heads": 2, "n_layers": 1, "vocab_size": 32,
+                "max_seq_len": 16, "n_classes": 2},
+    "task": {"kind": "classification", "train_size": 20, "dev_size": 8,
+             "test_size": 8, "seq_len": 8, "seed": 1},
+    "train": {"mode": "fl", "d_a": 2, "max_steps": 2, "layer_subset": [0]},
+    "pretrain_steps": 0,
+}
+
+SECTIONS = {"": ExperimentConfig, "encoder.": EncoderConfig, "task.": TaskSpec,
+            "train.": TrainConfig}
+FIELDS = [(prefix + name, hint) for prefix, cls in SECTIONS.items()
+          for name, hint in typing.get_type_hints(cls).items()]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=6)
+
+
+def json_kind(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, (bool, int, float, str, dict)):
+        return {bool: "bool", int: "int", float: "float", str: "str", dict: "object"}[type(value)]
+    return "list[int]" if all(json_kind(v) == "int" for v in value) else "list"
+
+
+def allowed_kinds(hint) -> set:
+    """The JSON kinds a field of this type accepts."""
+    if dataclasses.is_dataclass(hint):
+        return {"object"}
+    if typing.get_origin(hint) is typing.Union:
+        return set().union(*(allowed_kinds(arg) for arg in typing.get_args(hint)))
+    return {type(None): {"null"}, int: {"int"}, float: {"int", "float"},
+            str: {"str"}, list[int]: {"list[int]"}}[hint]
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("config") / "config.json"
+    path.write_text(json.dumps(BASE_CONFIG), encoding="utf-8")
+    return path
+
+
+def test_base_config_loads(config_path):
+    assert load_experiment_config(config_path).train.layer_subset == [0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_any_wrong_typed_config_value_is_a_config_error(config_path, data):
+    key, hint = data.draw(st.sampled_from(FIELDS), label="field")
+    value = data.draw(JSON_VALUES.filter(lambda v: json_kind(v) not in allowed_kinds(hint)),
+                      label="value")
+    with pytest.raises(ConfigError):
+        load_experiment_config(config_path, overrides=[f"{key}={json.dumps(value)}"])
+
+
+@pytest.mark.parametrize("assignment", [
+    "pretrain_steps=null", "pretrain_steps=[1]", "pretrain_steps=2.7",
+    "train.batch_size=2.5", 'train.max_steps="5"', "train.layer_subset=1",
+    "encoder.d_m=16.5", "task.train_size=16.0",
+])
+def test_wrong_typed_value_exits_2_with_config_error(config_path, capsys, assignment):
+    assert main(["params", str(config_path), "--set", assignment]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("assignment", ['train.position="infix"', "train.infix_index=3"])
+def test_fl_placement_is_not_a_config_key(config_path, capsys, assignment):
+    assert main(["params", str(config_path), "--set", assignment]) == EXIT_USAGE
+    assert "unknown key(s): train." in capsys.readouterr().err
+
+
+CHECKPOINT_TENSORS = {"adapter.w1": (2, 3), "adapter.b1": (1, 3), "empty": (0, 2), "scalar": ()}
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    rng = np.random.default_rng(0)
+    path = tmp_path_factory.mktemp("ckpt") / "good.flckpt"
+    save_tensors(path, [(name, rng.normal(size=shape))
+                        for name, shape in CHECKPOINT_TENSORS.items()], kind="adapter")
+    return path, path.read_bytes()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_one_corrupted_byte_raises_checkpoint_error_or_loads_expected(checkpoint_bytes, data):
+    good_path, good = checkpoint_bytes
+    pos = data.draw(st.integers(0, len(good) - 1), label="position")
+    byte = data.draw(st.integers(0, 255).filter(lambda b: b != good[pos]), label="byte")
+    path = good_path.with_name("corrupt.flckpt")
+    path.write_bytes(good[:pos] + bytes([byte]) + good[pos + 1:])
+    try:
+        loaded = load_tensors(path, CHECKPOINT_TENSORS)
+    except CheckpointError:
+        return
+    assert {name: arr.shape for name, arr in loaded.items()} == CHECKPOINT_TENSORS

@@ -1,6 +1,7 @@
 """One forward path: the adapter hook protocol and the single attention loop."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from fltune.encoder import (
     init_encoder,
 )
 from fltune.tensor import Tensor
+from fltune.training import TrainConfig
 
 
 def small_config():
@@ -94,3 +96,13 @@ def test_ma_forward_is_attention_with_expansion():
                           attention_forward(attn, x, expansion=ma.attn_expansion(0)).data)
     assert not np.array_equal(ma_forward(attn, ma.layers[0], x).data,
                               attention_forward(attn, x).data)
+
+
+def test_adapters_hold_only_their_tensors():
+    # FL placement cannot change the output, so neither the adapter nor the
+    # run config carries one; only the ffn_fl_concat oracle takes it.
+    field_names = lambda cls: [f.name for f in dataclasses.fields(cls)]
+    assert field_names(FLAdapter) == ["layers"]
+    assert field_names(PromptAdapter) == ["prompt", "prefixes"]
+    assert field_names(MAAdapter) == ["layers"]
+    assert not {"position", "infix_index"} & set(field_names(TrainConfig))

@@ -178,6 +178,12 @@ def test_training_improves_dev_loss():
     assert metrics.epoch_dev, "per-epoch dev evaluations recorded"
 
 
+def test_evaluate_rejects_empty_example_list():
+    weights, adapter, task, _config = small_setup()
+    with pytest.raises(ValueError, match="empty example list"):
+        evaluate(weights, adapter, [], task.kind)
+
+
 def test_tagging_mode_trains_and_reports_f1():
     encoder_config = EncoderConfig(d_m=8, n_heads=2, n_layers=1, vocab_size=32,
                                    max_seq_len=12, n_classes=3)
