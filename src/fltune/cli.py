@@ -70,8 +70,6 @@ class TaskSpec:
     dev_size: int = 500
     test_size: int = 500
     seq_len: int = 16
-    vocab_size: Optional[int] = None   # defaults to the encoder vocabulary
-    n_classes: Optional[int] = None    # defaults to the encoder head width
     seed: int = 0
 
 
@@ -83,6 +81,20 @@ class ExperimentConfig:
     pretrain_steps: int = 0
     backbone_seed: int = 0
     output_dir: Optional[str] = None
+
+    def __post_init__(self):
+        """Rules that span sections; the task takes its vocabulary and
+        classes from the encoder."""
+        enc, tc = self.encoder, self.train
+        if self.task.kind == "tagging" and enc.n_classes != 3:
+            raise ValueError(f"tagging tasks need encoder.n_classes 3, got {enc.n_classes}")
+        budget = enc.max_seq_len - (tc.prompt_len if tc.mode == "pv1" else 0)
+        if self.task.seq_len > budget:
+            raise ValueError(
+                f"task seq_len {self.task.seq_len} exceeds the available budget {budget} "
+                f"(max_seq_len {enc.max_seq_len}, mode {tc.mode})")
+        if self.pretrain_steps < 0:
+            raise ValueError(f"pretrain_steps must be nonnegative, got {self.pretrain_steps}")
 
 
 def _fits(value, hint) -> bool:
@@ -162,32 +174,7 @@ def load_experiment_config(path, overrides: Sequence[str] = (),
     if seed is not None:
         _apply_override(raw, f"train.seed={seed}")
 
-    config = _build_section("", ExperimentConfig, raw)
-    _validate_experiment(config)
-    return config
-
-
-def _validate_experiment(config: ExperimentConfig) -> None:
-    enc, task, tc = config.encoder, config.task, config.train
-    if task.vocab_size is None:
-        task.vocab_size = enc.vocab_size
-    if task.n_classes is None:
-        task.n_classes = enc.n_classes
-    if task.kind == "tagging" and task.n_classes != 3:
-        raise ConfigError("tagging tasks use 3 tag classes; set n_classes accordingly")
-    if task.vocab_size > enc.vocab_size:
-        raise ConfigError(
-            f"task vocab {task.vocab_size} exceeds encoder vocab {enc.vocab_size}")
-    if task.n_classes != enc.n_classes:
-        raise ConfigError(
-            f"task n_classes {task.n_classes} != encoder n_classes {enc.n_classes}")
-    budget = enc.max_seq_len - (tc.prompt_len if tc.mode == "pv1" else 0)
-    if task.seq_len > budget:
-        raise ConfigError(
-            f"task seq_len {task.seq_len} exceeds the available budget {budget} "
-            f"(max_seq_len {enc.max_seq_len}, mode {tc.mode})")
-    if config.pretrain_steps < 0:
-        raise ConfigError(f"pretrain_steps must be nonnegative, got {config.pretrain_steps}")
+    return _build_section("", ExperimentConfig, raw)
 
 
 def build_experiment(config: ExperimentConfig):
@@ -196,9 +183,9 @@ def build_experiment(config: ExperimentConfig):
         config.task.kind,
         sizes=(config.task.train_size, config.task.dev_size, config.task.test_size),
         seed=config.task.seed,
-        vocab_size=config.task.vocab_size,
+        vocab_size=config.encoder.vocab_size,
         seq_len=config.task.seq_len,
-        n_classes=config.task.n_classes,
+        n_classes=config.encoder.n_classes,
     )
     weights = init_encoder(config.encoder, seed=config.backbone_seed)
     if config.pretrain_steps:
@@ -345,8 +332,6 @@ def cmd_fewshot(args) -> int:
         print("fewshot: --sizes is empty", file=sys.stderr)
         return EXIT_USAGE
     outdir = _resolve_outdir(args, config, "fewshot")
-    os.makedirs(outdir, exist_ok=True)
-
     task, weights, _adapter, _registry = build_experiment(config)
     subsets = fewshot_subsample(task, sizes, seed=config.task.seed)
     snapshot = [(name, t.data.copy()) for name, t, _g in weights.named_tensors()]

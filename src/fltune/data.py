@@ -172,6 +172,8 @@ def generate_task(
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     if len(sizes) != 3 or any(s < 1 for s in sizes):
         raise ValueError(f"sizes must be three positive counts, got {sizes}")
+    if seq_len < 1:
+        raise ValueError(f"seq_len must be at least 1, got {seq_len}")
     if kind == "pair" and n_classes != 2:
         raise ValueError("pair task is match/mismatch and needs n_classes=2")
     if kind == "tagging" and n_classes != 3:

@@ -51,14 +51,14 @@ class EncoderConfig:
     d_o: Optional[int] = None
 
     def __post_init__(self):
-        if self.d_k is None:
-            self.d_k = self.d_m // self.n_heads
-        if self.d_v is None:
-            self.d_v = self.d_m // self.n_heads
-        if self.d_o is None:
-            self.d_o = 4 * self.d_m
+        # Declaration order: the given fields, n_heads among them, are checked
+        # before d_k/d_v/d_o are derived from them, and derived values are
+        # checked too (d_m 2 with n_heads 4 gives d_k 0).
         for f in fields(self):
             value = getattr(self, f.name)
+            if value is None:
+                value = 4 * self.d_m if f.name == "d_o" else self.d_m // self.n_heads
+                setattr(self, f.name, value)
             if value < 1:
                 raise ValueError(f"EncoderConfig.{f.name} must be positive, got {value}")
 

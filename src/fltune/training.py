@@ -50,9 +50,6 @@ class TrainConfig:
     epochs: int = 1
     seed: int = 0
     optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     smoothing_alpha: float = 0.99
     max_steps: Optional[int] = None
     loss_threshold: float = 0.5
@@ -75,6 +72,10 @@ class TrainConfig:
             raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ValueError(f"max_steps must be at least 1 or null, got {self.max_steps}")
+        if self.loss_threshold <= 0:
+            raise ValueError(f"loss_threshold must be positive, got {self.loss_threshold}")
 
 
 @dataclass
@@ -171,7 +172,7 @@ class Adam:
 def make_optimizer(config: TrainConfig):
     if config.optimizer == "sgd":
         return SGD(config.learning_rate)
-    return Adam(config.learning_rate, config.beta1, config.beta2, config.adam_eps)
+    return Adam(config.learning_rate)
 
 
 def make_adapter(encoder_config: EncoderConfig, config: TrainConfig):

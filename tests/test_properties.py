@@ -1,7 +1,9 @@
 """Property-based robustness: wrong-typed config values and corrupted
-checkpoint bytes fail with the package's own errors and nothing else."""
+checkpoint bytes fail with the package's own errors and nothing else, and
+every op's gradient matches finite differences over random shapes."""
 
 import dataclasses
+import inspect
 import json
 import typing
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fltune import tensor
 from fltune.checkpoint import CheckpointError, load_tensors, save_tensors
 from fltune.cli import (
     EXIT_USAGE,
@@ -20,6 +23,7 @@ from fltune.cli import (
     main,
 )
 from fltune.encoder import EncoderConfig
+from fltune.tensor import Tensor, check_gradients, matmul, sum_all
 from fltune.training import TrainConfig
 
 BASE_CONFIG = {
@@ -98,6 +102,98 @@ def test_wrong_typed_value_exits_2_with_config_error(config_path, capsys, assign
 def test_fl_placement_is_not_a_config_key(config_path, capsys, assignment):
     assert main(["params", str(config_path), "--set", assignment]) == EXIT_USAGE
     assert "unknown key(s): train." in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("assignment", ["task.vocab_size=32", "task.n_classes=2",
+                                        "train.beta1=0.9", "train.beta2=0.999",
+                                        "train.adam_eps=1e-8"])
+def test_single_value_settings_are_not_config_keys(config_path, capsys, assignment):
+    # the task's vocabulary and classes are the encoder's; Adam's betas and
+    # epsilon are fixed
+    assert main(["params", str(config_path), "--set", assignment]) == EXIT_USAGE
+    assert f"unknown key(s): {assignment.partition('=')[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, args, message", [
+    ("train", ["--set", "encoder.n_heads=0"],
+     "config error: in encoder: EncoderConfig.n_heads must be positive, got 0"),
+    ("train", ["--set", "encoder.d_m=2", "--set", "encoder.n_heads=4"],
+     "config error: in encoder: EncoderConfig.d_k must be positive, got 0"),
+    ("train", ["--set", "task.seq_len=0"], "error: seq_len must be at least 1, got 0"),
+    ("train", ["--set", "train.max_steps=0"],
+     "config error: in train: max_steps must be at least 1 or null, got 0"),
+    ("train", ["--set", "train.max_steps=-3"],
+     "config error: in train: max_steps must be at least 1 or null, got -3"),
+    ("train", ["--set", "train.loss_threshold=0"],
+     "config error: in train: loss_threshold must be positive, got 0"),
+    ("train", ["--set", "task.kind=tagging"],
+     "config error: in config: tagging tasks need encoder.n_classes 3, got 2"),
+    ("fewshot", ["--sizes", "999"], "error: subset size 999 outside [1, 20]"),
+])
+def test_rejected_run_exits_2_and_writes_nothing(config_path, tmp_path, capsys,
+                                                 command, args, message):
+    out = tmp_path / "out"
+    assert main([command, str(config_path), "--out", str(out), *args]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def op_case(name, draw, rng):
+    """Values of op ``name``'s differentiable operands, then its other
+    arguments; every dimension is drawn from 1-6."""
+    m, n, k = (draw(st.integers(1, 6), label="dim") for _ in range(3))
+    u = lambda *shape: rng.uniform(-1.0, 1.0, shape)
+    if name == "matmul":
+        return [u(m, k), u(k, n)], []
+    if name == "add":  # same shapes, or a 1 x n row bias
+        return [u(m, n), u(draw(st.sampled_from([m, 1]), label="rows"), n)], []
+    if name == "scale":
+        return [u(m, n)], [rng.uniform(-2.0, 2.0)]
+    if name == "relu":
+        # |x| >= 0.1, so no finite-difference probe crosses the kink at 0
+        return [rng.choice([-1.0, 1.0], (m, n)) * rng.uniform(0.1, 1.0, (m, n))], []
+    if name == "concat":
+        axis = draw(st.sampled_from(["rows", "cols"]), label="axis")
+        return [u(m, n), u(k, n) if axis == "rows" else u(m, k)], [axis]
+    if name == "row_slice":
+        start = draw(st.integers(0, m), label="start")
+        return [u(m, n)], [start, draw(st.integers(start, m), label="stop")]
+    if name == "gather_rows":
+        return [u(m, n)], [draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=6),
+                                label="ids")]
+    if name == "layer_norm":
+        return [u(m, n), u(1, n), u(1, n)], []
+    if name == "cross_entropy_mean":
+        return [u(m, n)], [draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m),
+                                label="labels")]
+    if name in ("transpose", "softmax_rows", "sum_all"):
+        return [u(m, n)], []
+    raise AssertionError(f"no gradient case for op {name}")
+
+
+OPS = sorted(name for name, fn in vars(tensor).items()
+             if inspect.isfunction(fn) and fn.__module__ == tensor.__name__
+             and not name.startswith("_") and name != "check_gradients")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_op_gradients_match_finite_differences(data):
+    name = data.draw(st.sampled_from(OPS), label="op")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    arrays, args = op_case(name, data.draw, rng)
+    operands = [Tensor(a, requires_grad=True) for a in arrays]
+    op = lambda: getattr(tensor, name)(*operands, *args)
+    out_shape = op().shape
+    if len(out_shape) == 2:  # reduce to a scalar through a fixed random column
+        column = Tensor(rng.normal(size=(out_shape[1], 1)))
+        loss = lambda _x: sum_all(matmul(op(), column))
+    else:
+        loss = lambda _x: op()
+    for i, x in enumerate(operands):
+        err = check_gradients(loss, x, eps=1e-6, max_coords=x.size, rng=rng)
+        assert err < 1e-6, f"{name} operand {i} of shapes {[a.shape for a in arrays]}: {err:.3e}"
 
 
 CHECKPOINT_TENSORS = {"adapter.w1": (2, 3), "adapter.b1": (1, 3), "empty": (0, 2), "scalar": ()}
