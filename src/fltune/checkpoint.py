@@ -75,8 +75,11 @@ def save_tensors(path, named: Sequence[tuple[str, np.ndarray]], kind: str,
 def load_checkpoint(path) -> tuple[dict, bytes]:
     """Parse manifest and payload, validating magic, sentinel, version, and
     payload length against the tensor table."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     head, sep, payload = raw.partition(b"\n" + SENTINEL + b"\n")
     if not sep:
         raise CheckpointError(f"{path}: missing payload sentinel")

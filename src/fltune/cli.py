@@ -95,6 +95,9 @@ class ExperimentConfig:
                 f"(max_seq_len {enc.max_seq_len}, mode {tc.mode})")
         if self.pretrain_steps < 0:
             raise ValueError(f"pretrain_steps must be nonnegative, got {self.pretrain_steps}")
+        if tc.epochs < 1:
+            # TrainConfig allows 0 for library callers; a run must train.
+            raise ValueError(f"train.epochs must be at least 1, got {tc.epochs}")
 
 
 def _fits(value, hint) -> bool:
@@ -241,6 +244,8 @@ def cmd_gradcheck(args) -> int:
         print(f"gradcheck: refusing d_m {config.encoder.d_m} > 32 "
               "(finite differences would be too slow)", file=sys.stderr)
         return EXIT_USAGE
+    if args.examples < 1:
+        raise ValueError(f"--examples must be at least 1, got {args.examples}")
     task, weights, adapter, registry = build_experiment(config)
     loss_fn = _gradcheck_loss_fn(weights, adapter, task.train[:args.examples], task.kind)
     rng = np.random.default_rng([config.train.seed, 5])

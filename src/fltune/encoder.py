@@ -5,6 +5,12 @@ connections with post-norm layout (layer norm applied after each residual
 add), token plus position embeddings, and a linear task head pooled at the
 first token position. Tuning methods plug in through ``AdapterHooks``.
 
+When only the pooled row is read (classification and pair tasks), the final
+layer computes only that row: its keys and values still come from every row,
+but its queries, attention row, output projection, layer norms and FFN run on
+one row. Each of those steps treats rows independently, so the pooled logits
+equal those of the all-rows pass up to float rounding.
+
 Forward/backward is single-threaded per example; independent examples may run
 concurrently as long as each uses its own tape, with weight tensors read-only
 while adapters train.
@@ -205,8 +211,13 @@ def attention_forward(
     kv_prefix: Optional[Sequence[tuple[Tensor, Tensor]]] = None,
     return_weights: bool = False,
     expansion: Optional[Sequence] = None,
+    queries: Optional[Tensor] = None,
 ):
     """Multi-head scaled dot-product self-attention.
+
+    ``queries`` optionally gives the rows that attend (default ``x``); keys
+    and values always come from every row of ``x``, and the output has one
+    row per query row.
 
     ``kv_prefix`` optionally supplies per-head trainable rows (e0, e1) that
     are prepended to that head's key and value matrices, so every attention
@@ -214,8 +225,8 @@ def attention_forward(
     optionally widens each head's inner dimensions: scores become
     q·k + (x·dwq)(x·dwk)ᵀ under the frozen 1/sqrt(d_k) scaling, and the extra
     value columns, mapped to model width by dwo, are summed in after the
-    frozen output projection. With ``return_weights`` the per-head softmax
-    matrices are returned as well.
+    frozen output projection; its dwq side takes the query rows. With
+    ``return_weights`` the per-head softmax matrices are returned as well.
     """
     n_heads = len(layer.wq)
     d_k = layer.wq[0].shape[1]
@@ -229,11 +240,13 @@ def attention_forward(
     if expansion is not None and len(expansion) != n_heads:
         raise ShapeError(f"expansion params must cover all {n_heads} heads, got {len(expansion)}")
 
+    if queries is None:
+        queries = x
     head_outs = []
     weights = []
     extras = []
     for h in range(n_heads):
-        q = matmul(x, layer.wq[h])
+        q = matmul(queries, layer.wq[h])
         k = matmul(x, layer.wk[h])
         v = matmul(x, layer.wv[h])
         if kv_prefix is not None:
@@ -243,7 +256,7 @@ def attention_forward(
         scores = matmul(q, transpose(k))
         p = expansion[h] if expansion is not None else None
         if p is not None and p.dwq.shape[1]:
-            scores = add(scores, matmul(matmul(x, p.dwq), transpose(matmul(x, p.dwk))))
+            scores = add(scores, matmul(matmul(queries, p.dwq), transpose(matmul(x, p.dwk))))
         a = softmax_rows(scale(scores, 1.0 / np.sqrt(d_k)))
         weights.append(a)
         head_outs.append(matmul(a, v))
@@ -301,6 +314,7 @@ def encoder_hidden(
     weights: EncoderWeights,
     tokens: Sequence[int],
     adapter: Optional[AdapterHooks] = None,
+    pooled: bool = False,
 ) -> tuple[Tensor, int]:
     """Hidden states after the final layer, plus the prompt row count.
 
@@ -308,7 +322,9 @@ def encoder_hidden(
     the embedding sequence, key/value prefixes and the attention expansion
     enter each attention sublayer, and added FFN units contribute to each
     FFN output through the split form. With no adapter (or a transparent
-    one) this is the plain frozen backbone.
+    one) this is the plain frozen backbone. With ``pooled`` the final layer
+    computes only row ``prompt_len`` (its keys and values still read every
+    row), and the result is that single row.
     """
     hooks = adapter if adapter is not None else AdapterHooks()
     config = weights.config
@@ -322,10 +338,12 @@ def encoder_hidden(
     total = prompt_len + len(ids)
     x = add(x, gather_rows(weights.pos_emb, range(total)))
 
+    last = len(weights.layers) - 1
     for i, layer in enumerate(weights.layers):
+        rows = row_slice(x, prompt_len, prompt_len + 1) if pooled and i == last else x
         attn_out = attention_forward(layer.attn, x, kv_prefix=hooks.kv_prefix(i),
-                                     expansion=hooks.attn_expansion(i))
-        x = layer_norm(add(x, attn_out), layer.norm1.gain, layer.norm1.bias)
+                                     expansion=hooks.attn_expansion(i), queries=rows)
+        x = layer_norm(add(rows, attn_out), layer.norm1.gain, layer.norm1.bias)
         units = hooks.ffn_units(i)
         ffn_out = ffn_forward(layer.ffn, x) if units is None else ffn_fl_split(layer.ffn, units, x)
         x = layer_norm(add(x, ffn_out), layer.norm2.gain, layer.norm2.bias)
@@ -342,14 +360,14 @@ def encoder_forward(
 
     Returns 1 x n_classes logits pooled at the first token position (prompt
     rows shift that position but never replace it), or seq x n_classes
-    logits, one row per input token, when ``per_position``.
+    logits, one row per input token, when ``per_position``. The pooled case
+    runs the final layer on the pooled row alone (``encoder_hidden(...,
+    pooled=True)``).
     """
-    hidden, prompt_len = encoder_hidden(weights, tokens, adapter)
-    if per_position:
-        body = row_slice(hidden, prompt_len, hidden.shape[0]) if prompt_len else hidden
-        return add(matmul(body, weights.head_w), weights.head_b)
-    pooled = row_slice(hidden, prompt_len, prompt_len + 1)
-    return add(matmul(pooled, weights.head_w), weights.head_b)
+    hidden, prompt_len = encoder_hidden(weights, tokens, adapter, pooled=not per_position)
+    if per_position and prompt_len:
+        hidden = row_slice(hidden, prompt_len, hidden.shape[0])
+    return add(matmul(hidden, weights.head_w), weights.head_b)
 
 
 def layer_param_counts(config: EncoderConfig) -> dict[str, int]:

@@ -247,6 +247,8 @@ def span_f1(true_seqs: Sequence[Sequence[int]], pred_seqs: Sequence[Sequence[int
 
 def batch_loss(weights, adapter, examples, kind: str) -> tuple[Tensor, int, int]:
     """Mean loss over a batch, plus its correct and total label counts."""
+    if not examples:
+        raise ValueError("cannot take the loss of an empty batch")
     per_position = kind == "tagging"
     inv = 1.0 / len(examples)
     loss = None

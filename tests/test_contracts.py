@@ -18,7 +18,7 @@ from fltune.checkpoint import (
 )
 from fltune.cli import EXIT_USAGE, main
 from fltune.tensor import Tape, Tensor, check_gradients, matmul, sum_all
-from fltune.training import SGD, Adam, DivergenceError, train_step
+from fltune.training import SGD, Adam, DivergenceError, batch_loss, train_step
 
 
 # ---------------------------------------------------------------------------
@@ -244,3 +244,65 @@ def test_cli_eval_reports_malformed_table_as_usage_error(tmp_path, capsys):
     ckpt = write_raw(tmp_path / "t.flckpt", manifest_with(None), b"")
     assert main(["eval", str(config_path), "--checkpoint", str(ckpt)]) == EXIT_USAGE
     assert "tensor table" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Runs that cannot start exit 2 with the package's message
+# ---------------------------------------------------------------------------
+
+RUN_CONFIG = {
+    "encoder": {"d_m": 8, "n_heads": 2, "n_layers": 1, "vocab_size": 32,
+                "max_seq_len": 16, "n_classes": 2},
+    "task": {"kind": "classification", "train_size": 20, "dev_size": 8,
+             "test_size": 8, "seq_len": 8, "seed": 1},
+    "train": {"mode": "fl", "d_a": 2, "max_steps": 2},
+}
+
+
+@pytest.fixture
+def run_config(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(RUN_CONFIG), encoding="utf-8")
+    return str(path)
+
+
+def usage_error(capsys, argv) -> str:
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("epochs, message", [
+    (0, "config error: in config: train.epochs must be at least 1, got 0"),
+    (-1, "config error: in train: epochs must be nonnegative, got -1"),
+])
+def test_train_rejects_epochs_below_one_and_writes_nothing(run_config, tmp_path, capsys,
+                                                           epochs, message):
+    out = tmp_path / "out"
+    err = usage_error(capsys, ["train", run_config, "--out", str(out),
+                               "--set", f"train.epochs={epochs}"])
+    assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("examples", ["0", "-1"])
+def test_gradcheck_rejects_examples_below_one(run_config, capsys, examples):
+    err = usage_error(capsys, ["gradcheck", run_config, "--examples", examples])
+    assert f"error: --examples must be at least 1, got {examples}" in err
+
+
+def test_batch_loss_of_an_empty_batch_raises_value_error():
+    with pytest.raises(ValueError, match="empty batch"):
+        batch_loss(None, None, [], "classification")
+
+
+def test_missing_checkpoint_raises_checkpoint_error(tmp_path):
+    with pytest.raises(CheckpointError, match="cannot read checkpoint"):
+        load_checkpoint(tmp_path / "missing.flckpt")
+
+
+def test_cli_eval_reports_missing_checkpoint_as_usage_error(run_config, tmp_path, capsys):
+    missing = str(tmp_path / "missing.flckpt")
+    err = usage_error(capsys, ["eval", run_config, "--checkpoint", missing])
+    assert err.startswith(f"error: cannot read checkpoint {missing}")
