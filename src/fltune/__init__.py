@@ -58,7 +58,9 @@ from .encoder import (
     FFNLayer,
     attention_forward,
     encoder_forward,
+    encoder_forward_batch,
     encoder_hidden,
+    encoder_hidden_batch,
     ffn_forward,
     ffn_parameter_share,
     init_encoder,
@@ -68,6 +70,8 @@ from .tensor import (
     Tape,
     Tensor,
     add,
+    attention_values,
+    attention_weights,
     check_gradients,
     concat,
     cross_entropy_mean,

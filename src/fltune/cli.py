@@ -4,15 +4,16 @@ Subcommands: verify (equivalence suites), gradcheck (finite-difference
 oracle over every trainable tensor), params (budget accounting), train,
 fewshot (nested subset sweep), eval (re-evaluate a saved run).
 
-Exit codes: 0 success, 1 check failure, 2 usage or config error. Runs are
-configured by a JSON file; --set key.path=value overrides individual
-entries and --seed overrides the training seed. FLTUNE_OUTPUT_ROOT sets the
-default output root.
+Exit codes: 0 success, 1 check failure or diverged run, 2 usage, config or
+output error. Runs are configured by a JSON file; --set key.path=value
+overrides individual entries and --seed overrides the training seed.
+FLTUNE_OUTPUT_ROOT sets the default output root.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -305,8 +306,17 @@ def cmd_params(args) -> int:
 
 
 def _run_one_training(config: ExperimentConfig, task, weights, adapter, registry, outdir):
+    """Train and write the run's files into ``outdir``. A directory this call
+    created is removed again when training raises (it is still empty then)."""
+    created = not os.path.isdir(outdir)
     os.makedirs(outdir, exist_ok=True)
-    metrics = train(weights, adapter, task, config.train, registry=registry)
+    try:
+        metrics = train(weights, adapter, task, config.train, registry=registry)
+    except BaseException:
+        if created:
+            with contextlib.suppress(OSError):
+                os.rmdir(outdir)
+        raise
     write_metrics_csv(metrics, os.path.join(outdir, "metrics.csv"))
     summary = run_summary(metrics, registry, config.train, task.kind, len(task.train))
     _write_json(os.path.join(outdir, "summary.json"), summary)
@@ -443,8 +453,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DivergenceError as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except ValueError as exc:
-        # bad value combinations surfaced below the config layer
+    except (ValueError, OSError) as exc:
+        # bad value combinations surfaced below the config layer, or an
+        # output path that cannot be created or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .adapters import build_registry
-from .encoder import EncoderWeights, encoder_hidden
+from .encoder import EncoderWeights, encoder_hidden_batch
 from .tensor import Tensor, add, cross_entropy_mean, gather_rows, matmul, scale
 from .training import Adam, train_step
 
@@ -263,19 +263,23 @@ def pretrain_backbone(
     sequences = [ex.tokens for ex in task.train]
 
     def pretext_loss():
-        loss = None
+        batch = []
         for i in rng.integers(0, len(sequences), size=PRETRAIN_BATCH_SIZE):
             tokens = list(sequences[int(i)])
             mask = rng.random(len(tokens)) < MASK_PROB
             if not mask.any():
                 mask[int(rng.integers(0, len(tokens)))] = True
-            corrupted = [MASK_ID if m else t for t, m in zip(tokens, mask)]
-            hidden, _ = encoder_hidden(weights, corrupted)
-            logits = add(matmul(hidden, pre_head_w), pre_head_b)
+            batch.append((tokens, mask))
+        hidden, _ = encoder_hidden_batch(
+            weights, [[MASK_ID if m else t for t, m in zip(tokens, mask)]
+                      for tokens, mask in batch])
+        logits = add(matmul(hidden, pre_head_w), pre_head_b)
+        loss = None
+        for b, (tokens, mask) in enumerate(batch):
             positions = np.flatnonzero(mask)
             targets = [tokens[p] for p in positions]
-            part = scale(cross_entropy_mean(gather_rows(logits, positions), targets),
-                         1.0 / PRETRAIN_BATCH_SIZE)
+            part = scale(cross_entropy_mean(gather_rows(logits, b * len(tokens) + positions),
+                                            targets), 1.0 / PRETRAIN_BATCH_SIZE)
             loss = part if loss is None else add(loss, part)
         return (loss,)
 

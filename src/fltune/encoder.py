@@ -1,19 +1,26 @@
 """A pretrained-shaped transformer encoder used as the frozen backbone.
 
-Per-head self-attention, position-wise feed-forward sublayers, residual
+Multi-head self-attention, position-wise feed-forward sublayers, residual
 connections with post-norm layout (layer norm applied after each residual
 add), token plus position embeddings, and a linear task head pooled at the
 first token position. Tuning methods plug in through ``AdapterHooks``.
 
-When only the pooled row is read (classification and pair tasks), the final
-layer computes only that row: its keys and values still come from every row,
-but its queries, attention row, output projection, layer norms and FFN run on
-one row. Each of those steps treats rows independently, so the pooled logits
-equal those of the all-rows pass up to float rounding.
+A batch of equal-length sequences runs as one packed stack of rows, example
+after example; the single-sequence functions are a batch of one. Every step
+but attention treats rows independently, and attention
+(``tensor.attention_weights``/``attention_values``) mixes rows only within
+one example and one head, so an example's output does not depend on the rest
+of its batch.
 
-Forward/backward is single-threaded per example; independent examples may run
-concurrently as long as each uses its own tape, with weight tensors read-only
-while adapters train.
+When only the pooled row is read (classification and pair tasks), the final
+layer computes only that row of each example: its keys and values still come
+from every row, but its queries, attention row, output projection, layer
+norms and FFN run on the pooled rows. The pooled logits therefore equal those
+of the all-rows pass up to float rounding.
+
+A forward/backward pass runs on the calling thread; independent batches may
+run concurrently as long as each uses its own tape, with weight tensors
+read-only while adapters train.
 """
 
 from __future__ import annotations
@@ -27,15 +34,14 @@ from .tensor import (
     ShapeError,
     Tensor,
     add,
+    attention_values,
+    attention_weights,
     concat,
     gather_rows,
     layer_norm,
     matmul,
     relu,
     row_slice,
-    scale,
-    softmax_rows,
-    transpose,
 )
 
 INIT_STD = 0.02  # std of every Gaussian-initialized backbone and adapter matrix
@@ -205,6 +211,22 @@ def init_encoder(config: EncoderConfig, seed: int = 0) -> EncoderWeights:
     )
 
 
+def _join(parts: Sequence[Tensor], axis: str) -> Tensor:
+    """Per-head tensors side by side (``"cols"``) or stacked (``"rows"``)."""
+    out = parts[0]
+    for t in parts[1:]:
+        out = concat(out, t, axis)
+    return out
+
+
+def _prepend_rows(head: Tensor, body: Tensor, batch: int) -> Tensor:
+    """``head``'s rows placed before each of the ``batch`` examples packed in ``body``."""
+    n, per = head.shape[0], body.shape[0] // batch
+    ids = np.concatenate([np.broadcast_to(np.arange(n), (batch, n)),
+                          n + per * np.arange(batch)[:, None] + np.arange(per)], axis=1)
+    return gather_rows(concat(head, body, "rows"), ids.ravel())
+
+
 def attention_forward(
     layer: AttentionLayer,
     x: Tensor,
@@ -212,21 +234,25 @@ def attention_forward(
     return_weights: bool = False,
     expansion: Optional[Sequence] = None,
     queries: Optional[Tensor] = None,
+    batch: int = 1,
 ):
-    """Multi-head scaled dot-product self-attention.
+    """Multi-head scaled dot-product self-attention over ``batch`` examples.
 
-    ``queries`` optionally gives the rows that attend (default ``x``); keys
-    and values always come from every row of ``x``, and the output has one
-    row per query row.
+    ``x`` packs the examples' rows one after another, the same number per
+    example; each example attends only to its own rows. ``queries``
+    optionally gives the rows that attend (default ``x``), packed the same
+    way; keys and values always come from every row of ``x``, and the output
+    has one row per query row.
 
     ``kv_prefix`` optionally supplies per-head trainable rows (e0, e1) that
-    are prepended to that head's key and value matrices, so every attention
-    row becomes a distribution over seq + prefix_len keys. ``expansion``
-    optionally widens each head's inner dimensions: scores become
-    q·k + (x·dwq)(x·dwk)ᵀ under the frozen 1/sqrt(d_k) scaling, and the extra
-    value columns, mapped to model width by dwo, are summed in after the
-    frozen output projection; its dwq side takes the query rows. With
-    ``return_weights`` the per-head softmax matrices are returned as well.
+    are prepended to every example's keys and values of that head, so every
+    attention row becomes a distribution over seq + prefix_len keys.
+    ``expansion`` optionally widens each head's inner dimensions: scores
+    become q·k + (x·dwq)(x·dwk)ᵀ under the frozen 1/sqrt(d_k) scaling, and
+    the extra value columns, mapped to model width by dwo, are summed in after
+    the frozen output projection; its dwq side takes the query rows. With
+    ``return_weights`` the softmax matrices are returned as well, one
+    (Tq, Tk) matrix per example and head, example-major.
     """
     n_heads = len(layer.wq)
     d_k = layer.wq[0].shape[1]
@@ -237,40 +263,34 @@ def attention_forward(
             if e0.shape[0] != e1.shape[0]:
                 raise ShapeError(
                     f"kv_prefix row counts disagree: {e0.shape} vs {e1.shape}")
-    if expansion is not None and len(expansion) != n_heads:
-        raise ShapeError(f"expansion params must cover all {n_heads} heads, got {len(expansion)}")
+    if expansion is not None:
+        if len(expansion) != n_heads:
+            raise ShapeError(
+                f"expansion params must cover all {n_heads} heads, got {len(expansion)}")
+        if len({(p.dwq.shape[1], p.dwv.shape[1]) for p in expansion}) > 1:
+            raise ShapeError("expansion params must have the same widths in every head")
 
     if queries is None:
         queries = x
-    head_outs = []
-    weights = []
-    extras = []
-    for h in range(n_heads):
-        q = matmul(queries, layer.wq[h])
-        k = matmul(x, layer.wk[h])
-        v = matmul(x, layer.wv[h])
-        if kv_prefix is not None:
-            e0, e1 = kv_prefix[h]
-            k = concat(e0, k, "rows")
-            v = concat(e1, v, "rows")
-        scores = matmul(q, transpose(k))
-        p = expansion[h] if expansion is not None else None
-        if p is not None and p.dwq.shape[1]:
-            scores = add(scores, matmul(matmul(queries, p.dwq), transpose(matmul(x, p.dwk))))
-        a = softmax_rows(scale(scores, 1.0 / np.sqrt(d_k)))
-        weights.append(a)
-        head_outs.append(matmul(a, v))
-        if p is not None and p.dwv.shape[1]:
-            extras.append(matmul(matmul(a, matmul(x, p.dwv)), p.dwo))
-
-    merged = head_outs[0]
-    for h in range(1, n_heads):
-        merged = concat(merged, head_outs[h], "cols")
-    out = add(matmul(merged, layer.out_proj), layer.out_bias)
-    for extra in extras:
-        out = add(out, extra)
+    q = matmul(queries, _join(layer.wq, "cols"))
+    k = matmul(x, _join(layer.wk, "cols"))
+    v = matmul(x, _join(layer.wv, "cols"))
+    if kv_prefix is not None:
+        k = _prepend_rows(_join([e0 for e0, _ in kv_prefix], "cols"), k, batch)
+        v = _prepend_rows(_join([e1 for _, e1 in kv_prefix], "cols"), v, batch)
+    qx = kx = None
+    if expansion is not None and expansion[0].dwq.shape[1]:
+        qx = matmul(queries, _join([p.dwq for p in expansion], "cols"))
+        kx = matmul(x, _join([p.dwk for p in expansion], "cols"))
+    a = attention_weights(q, k, batch, n_heads, 1.0 / np.sqrt(d_k), qx, kx)
+    out = add(matmul(attention_values(a, v, batch, n_heads), layer.out_proj), layer.out_bias)
+    if expansion is not None and expansion[0].dwv.shape[1]:
+        xv = matmul(x, _join([p.dwv for p in expansion], "cols"))
+        out = add(out, matmul(attention_values(a, xv, batch, n_heads),
+                              _join([p.dwo for p in expansion], "rows")))
     if return_weights:
-        return out, weights
+        tq = queries.shape[0] // batch
+        return out, [row_slice(a, i * tq, (i + 1) * tq) for i in range(batch * n_heads)]
     return out
 
 
@@ -310,44 +330,89 @@ def _validate_tokens(config: EncoderConfig, tokens: Sequence[int], prompt_len: i
     return ids
 
 
+def encoder_hidden_batch(
+    weights: EncoderWeights,
+    sequences: Sequence[Sequence[int]],
+    adapter: Optional[AdapterHooks] = None,
+    pooled: bool = False,
+) -> tuple[Tensor, int]:
+    """Hidden states after the final layer for a batch of equal-length
+    sequences, packed example after example, plus the prompt row count.
+
+    Every ``AdapterHooks`` hook is consulted: prompt rows are prepended to
+    each example's embedding rows, key/value prefixes and the attention
+    expansion enter each attention sublayer, and added FFN units contribute
+    to each FFN output through the split form. With no adapter (or a
+    transparent one) this is the plain frozen backbone. Each example holds
+    prompt_len + seq rows. With ``pooled`` the final layer computes only row
+    ``prompt_len`` of each example (its keys and values still read every
+    row), and the result is those rows, one per example. Sequences of
+    different lengths raise ``ShapeError``.
+    """
+    hooks = adapter if adapter is not None else AdapterHooks()
+    config = weights.config
+    prompt = hooks.prompt_rows()
+    prompt_len = 0 if prompt is None else prompt.shape[0]
+    batch = len(sequences)
+    if not batch:
+        raise ShapeError("batch has no sequences")
+    ids = [_validate_tokens(config, tokens, prompt_len) for tokens in sequences]
+    lengths = sorted({len(s) for s in ids})
+    if len(lengths) > 1:
+        raise ShapeError(f"batch sequences differ in length: {lengths}")
+    total = prompt_len + lengths[0]
+
+    x = gather_rows(weights.tok_emb, [t for s in ids for t in s])
+    if prompt_len:
+        x = _prepend_rows(prompt, x, batch)
+    x = add(x, gather_rows(weights.pos_emb, np.tile(np.arange(total), batch)))
+
+    last = len(weights.layers) - 1
+    for i, layer in enumerate(weights.layers):
+        rows = (gather_rows(x, total * np.arange(batch) + prompt_len)
+                if pooled and i == last else x)
+        attn_out = attention_forward(layer.attn, x, kv_prefix=hooks.kv_prefix(i),
+                                     expansion=hooks.attn_expansion(i), queries=rows,
+                                     batch=batch)
+        x = layer_norm(add(rows, attn_out), layer.norm1.gain, layer.norm1.bias)
+        units = hooks.ffn_units(i)
+        ffn_out = ffn_forward(layer.ffn, x) if units is None else ffn_fl_split(layer.ffn, units, x)
+        x = layer_norm(add(x, ffn_out), layer.norm2.gain, layer.norm2.bias)
+    return x, prompt_len
+
+
 def encoder_hidden(
     weights: EncoderWeights,
     tokens: Sequence[int],
     adapter: Optional[AdapterHooks] = None,
     pooled: bool = False,
 ) -> tuple[Tensor, int]:
-    """Hidden states after the final layer, plus the prompt row count.
+    """``encoder_hidden_batch`` for one sequence."""
+    return encoder_hidden_batch(weights, [tokens], adapter, pooled)
 
-    Every ``AdapterHooks`` hook is consulted: prompt rows are prepended to
-    the embedding sequence, key/value prefixes and the attention expansion
-    enter each attention sublayer, and added FFN units contribute to each
-    FFN output through the split form. With no adapter (or a transparent
-    one) this is the plain frozen backbone. With ``pooled`` the final layer
-    computes only row ``prompt_len`` (its keys and values still read every
-    row), and the result is that single row.
+
+def encoder_forward_batch(
+    weights: EncoderWeights,
+    sequences: Sequence[Sequence[int]],
+    adapter=None,
+    per_position: bool = False,
+) -> Tensor:
+    """Run the full encoder and task head on a batch of equal-length
+    sequences, with optional tuning adapter.
+
+    Returns batch x n_classes logits, each example pooled at its first token
+    position (prompt rows shift that position but never replace it), or
+    (batch·seq) x n_classes logits, one row per input token, example after
+    example, when ``per_position``. The pooled case runs the final layer on
+    the pooled rows alone (``encoder_hidden_batch(..., pooled=True)``).
     """
-    hooks = adapter if adapter is not None else AdapterHooks()
-    config = weights.config
-    prompt = hooks.prompt_rows()
-    prompt_len = 0 if prompt is None else prompt.shape[0]
-    ids = _validate_tokens(config, tokens, prompt_len)
-
-    x = gather_rows(weights.tok_emb, ids)
-    if prompt_len:
-        x = concat(prompt, x, "rows")
-    total = prompt_len + len(ids)
-    x = add(x, gather_rows(weights.pos_emb, range(total)))
-
-    last = len(weights.layers) - 1
-    for i, layer in enumerate(weights.layers):
-        rows = row_slice(x, prompt_len, prompt_len + 1) if pooled and i == last else x
-        attn_out = attention_forward(layer.attn, x, kv_prefix=hooks.kv_prefix(i),
-                                     expansion=hooks.attn_expansion(i), queries=rows)
-        x = layer_norm(add(rows, attn_out), layer.norm1.gain, layer.norm1.bias)
-        units = hooks.ffn_units(i)
-        ffn_out = ffn_forward(layer.ffn, x) if units is None else ffn_fl_split(layer.ffn, units, x)
-        x = layer_norm(add(x, ffn_out), layer.norm2.gain, layer.norm2.bias)
-    return x, prompt_len
+    hidden, prompt_len = encoder_hidden_batch(weights, sequences, adapter,
+                                              pooled=not per_position)
+    if per_position and prompt_len:
+        total = hidden.shape[0] // len(sequences)
+        hidden = gather_rows(hidden, np.flatnonzero(np.arange(hidden.shape[0]) % total
+                                                    >= prompt_len))
+    return add(matmul(hidden, weights.head_w), weights.head_b)
 
 
 def encoder_forward(
@@ -356,18 +421,9 @@ def encoder_forward(
     adapter=None,
     per_position: bool = False,
 ) -> Tensor:
-    """Run the full encoder and task head, with optional tuning adapter.
-
-    Returns 1 x n_classes logits pooled at the first token position (prompt
-    rows shift that position but never replace it), or seq x n_classes
-    logits, one row per input token, when ``per_position``. The pooled case
-    runs the final layer on the pooled row alone (``encoder_hidden(...,
-    pooled=True)``).
-    """
-    hidden, prompt_len = encoder_hidden(weights, tokens, adapter, pooled=not per_position)
-    if per_position and prompt_len:
-        hidden = row_slice(hidden, prompt_len, hidden.shape[0])
-    return add(matmul(hidden, weights.head_w), weights.head_b)
+    """``encoder_forward_batch`` for one sequence: 1 x n_classes logits, or
+    seq x n_classes with ``per_position``."""
+    return encoder_forward_batch(weights, [tokens], adapter, per_position)
 
 
 def layer_param_counts(config: EncoderConfig) -> dict[str, int]:

@@ -1,9 +1,11 @@
 """Dense float64 tensors with a reverse-mode differentiation tape.
 
 Ops record onto the innermost active ``Tape`` of the current thread (or
-context); ``Tape.backward`` replays the records in reverse order.
-``check_gradients`` is the central finite-difference oracle used to validate
-every backward formula in the package.
+context); ``Tape.backward`` replays the records in reverse order, releasing
+each one as it is used. Every op works on 2-d row stacks; the two attention
+ops treat their rows as ``batch`` packed examples split into ``heads`` column
+blocks. ``check_gradients`` is the central finite-difference oracle used to
+validate every backward formula in the package.
 """
 
 from __future__ import annotations
@@ -74,11 +76,17 @@ class Tape:
     Use as a context manager around the forward computation, then call
     ``backward(loss)``. Using a fresh tape per training step guarantees no
     gradient state leaks across steps. A tape must stay on one thread.
+
+    ``backward`` consumes the tape: it releases each record (with the output
+    and saved arrays only it holds) as soon as the record's gradient has been
+    propagated, so afterwards ``len(tape) == 0``, and a second ``backward`` on
+    the same tape raises ``RuntimeError``.
     """
 
     def __init__(self):
         self._records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
         self._tokens = []
+        self._consumed = False
 
     def __enter__(self) -> "Tape":
         self._tokens.append(_ACTIVE_TAPE.set(self))
@@ -98,13 +106,20 @@ class Tape:
         Returns the map of trainable tensors to their gradients. Frozen
         tensors receive no grad buffer at all.
         """
+        if self._consumed:
+            raise RuntimeError("this tape's backward has already run; record a new tape")
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-        # id() keys are stable here: every keyed tensor stays alive via the
-        # record list for the lifetime of this call.
+        self._consumed = True
+        # id() keys are safe although records are released on the way: an
+        # input was made before the record reading it, so it stays alive in an
+        # earlier, not yet released record (or in ``leaves``), and no tensor
+        # is created during this call that could reuse a freed id.
         acc: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
         leaves: dict[int, Tensor] = {}
-        for out, inputs, bw in reversed(self._records):
+        records = self._records
+        while records:
+            out, inputs, bw = records.pop()
             g = acc.pop(id(out), None)
             if g is None:
                 continue
@@ -368,6 +383,102 @@ def sum_all(x: Tensor) -> Tensor:
         return (np.full_like(x.data, float(g)) if x.needs_grad() else None,)
 
     return _record(out, (x,), bw)
+
+
+def _split_heads(x: Tensor, batch: int, heads: int, what: str) -> np.ndarray:
+    """View (batch·T, heads·d) rows as (batch, heads, T, d) blocks."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"{what} needs a 2-d tensor, got {x.data.shape}")
+    rows, cols = x.data.shape
+    if batch < 1 or heads < 1 or rows % batch or cols % heads:
+        raise ShapeError(
+            f"{what} of shape {x.data.shape} does not split into {batch} examples "
+            f"x {heads} heads")
+    return x.data.reshape(batch, rows // batch, heads, cols // heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(blocks: np.ndarray) -> np.ndarray:
+    """(batch, heads, T, d) blocks back to (batch·T, heads·d) rows."""
+    b, h, t, d = blocks.shape
+    return blocks.transpose(0, 2, 1, 3).reshape(b * t, h * d)
+
+
+def attention_weights(q: Tensor, k: Tensor, batch: int, heads: int, scale: float,
+                      qx: Optional[Tensor] = None, kx: Optional[Tensor] = None) -> Tensor:
+    """Softmax attention probabilities of every example and head.
+
+    ``q`` packs ``batch`` examples of Tq query rows as (batch·Tq, heads·d) and
+    ``k`` the same examples' Tk key rows as (batch·Tk, heads·d); head h owns
+    columns h·d to (h+1)·d. Scores are q·kᵀ, plus qx·kxᵀ when the optional
+    expansion rows (packed like ``q`` and ``k``) are given, times ``scale``.
+    Each query row then takes a max-subtracted softmax over its own example's
+    Tk keys. The result is (batch·heads·Tq, Tk), ordered by example, then
+    head, then query row.
+    """
+    scale = float(scale)
+    qb = _split_heads(q, batch, heads, "attention_weights q")
+    kb = _split_heads(k, batch, heads, "attention_weights k")
+    if qb.shape[3] != kb.shape[3]:
+        raise ShapeError(f"attention_weights q {q.data.shape} and k {k.data.shape} disagree")
+    inputs = (q, k)
+    scores = qb @ kb.transpose(0, 1, 3, 2)
+    if (qx is None) != (kx is None):
+        raise ShapeError("attention_weights needs both qx and kx, or neither")
+    if qx is not None:
+        qxb = _split_heads(qx, batch, heads, "attention_weights qx")
+        kxb = _split_heads(kx, batch, heads, "attention_weights kx")
+        if qxb.shape[2:] != (qb.shape[2], kxb.shape[3]) or kxb.shape[2] != kb.shape[2]:
+            raise ShapeError(
+                f"attention_weights expansion rows qx {qx.data.shape} and kx "
+                f"{kx.data.shape} do not match q {q.data.shape} and k {k.data.shape}")
+        inputs = (q, k, qx, kx)
+        scores += qxb @ kxb.transpose(0, 1, 3, 2)
+    # in place from here: scores become the probabilities p
+    scores *= scale
+    scores -= scores.max(axis=3, keepdims=True)
+    p = np.exp(scores, out=scores)
+    p /= p.sum(axis=3, keepdims=True)
+    out = Tensor(p.reshape(-1, p.shape[3]))
+
+    def bw(g):
+        g = g.reshape(p.shape)
+        gs = g - (g * p).sum(axis=3, keepdims=True)
+        gs *= p
+        gs *= scale
+        grads = [_merge_heads(gs @ kb) if q.needs_grad() else None,
+                 _merge_heads(gs.transpose(0, 1, 3, 2) @ qb) if k.needs_grad() else None]
+        if qx is not None:
+            grads += [_merge_heads(gs @ kxb) if qx.needs_grad() else None,
+                      _merge_heads(gs.transpose(0, 1, 3, 2) @ qxb) if kx.needs_grad() else None]
+        return grads
+
+    return _record(out, inputs, bw)
+
+
+def attention_values(a: Tensor, v: Tensor, batch: int, heads: int) -> Tensor:
+    """Attention-weighted values of every example and head, heads side by side.
+
+    ``a`` holds probabilities as ``attention_weights`` returns them,
+    (batch·heads·Tq, Tk), and ``v`` packs value rows as (batch·Tk, heads·d).
+    The result is (batch·Tq, heads·d): each example's rows, with head h's
+    ``a @ v`` in columns h·d to (h+1)·d.
+    """
+    vb = _split_heads(v, batch, heads, "attention_values v")
+    if a.data.ndim != 2 or a.data.shape[0] % (batch * heads) or a.data.shape[1] != vb.shape[2]:
+        raise ShapeError(
+            f"attention_values weights {a.data.shape} do not match {batch} examples x "
+            f"{heads} heads of values {v.data.shape}")
+    rows, tk = a.data.shape
+    ab = a.data.reshape(batch, heads, rows // (batch * heads), tk)
+    out = Tensor(_merge_heads(ab @ vb))
+
+    def bw(g):
+        gb = g.reshape(batch, ab.shape[2], heads, vb.shape[3]).transpose(0, 2, 1, 3)
+        ga = (gb @ vb.transpose(0, 1, 3, 2)).reshape(rows, tk) if a.needs_grad() else None
+        gv = _merge_heads(ab.transpose(0, 1, 3, 2) @ gb) if v.needs_grad() else None
+        return ga, gv
+
+    return _record(out, (a, v), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ from .adapters import (
     init_pv1_adapter,
     init_pv2_adapter,
 )
-from .encoder import EncoderConfig, EncoderWeights, encoder_forward
-from .tensor import Tape, Tensor, add, cross_entropy_mean, scale
+from .encoder import EncoderConfig, EncoderWeights, encoder_forward_batch
+from .tensor import Tape, Tensor, cross_entropy_mean
 
 MODES = ("fl", "pv1", "pv2", "ma", "finetune")
 
@@ -196,10 +196,16 @@ def make_adapter(encoder_config: EncoderConfig, config: TrainConfig):
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _example_forward(weights, adapter, example, per_position: bool):
-    logits = encoder_forward(weights, example.tokens, adapter=adapter,
-                             per_position=per_position)
-    labels = list(example.label) if per_position else [example.label]
+EVAL_CHUNK = 16  # examples per packed forward pass in evaluate
+
+
+def _batch_forward(weights, adapter, examples, per_position: bool):
+    """One packed forward pass over ``examples``: the mean loss over every
+    label row, the correct and total label counts, and the predictions."""
+    logits = encoder_forward_batch(weights, [ex.tokens for ex in examples], adapter=adapter,
+                                   per_position=per_position)
+    labels = ([v for ex in examples for v in ex.label] if per_position
+              else [ex.label for ex in examples])
     loss = cross_entropy_mean(logits, labels)
     pred = logits.data.argmax(axis=1)
     correct = int((pred == np.asarray(labels)).sum())
@@ -246,41 +252,40 @@ def span_f1(true_seqs: Sequence[Sequence[int]], pred_seqs: Sequence[Sequence[int
 
 
 def batch_loss(weights, adapter, examples, kind: str) -> tuple[Tensor, int, int]:
-    """Mean loss over a batch, plus its correct and total label counts."""
+    """Mean loss over a batch, plus its correct and total label counts.
+
+    The batch runs as one packed pass. Every example has the same number of
+    label rows, so the mean over all rows is the mean of per-example means.
+    """
     if not examples:
         raise ValueError("cannot take the loss of an empty batch")
-    per_position = kind == "tagging"
-    inv = 1.0 / len(examples)
-    loss = None
-    correct = labels = 0
-    for ex in examples:
-        ex_loss, ex_correct, ex_n, _ = _example_forward(weights, adapter, ex, per_position)
-        part = scale(ex_loss, inv)
-        loss = part if loss is None else add(loss, part)
-        correct += ex_correct
-        labels += ex_n
+    loss, correct, labels, _ = _batch_forward(weights, adapter, examples, kind == "tagging")
     return loss, correct, labels
 
 
 def evaluate(weights, adapter, examples, kind: str) -> EvalResult:
-    """Accuracy (token-level for tagging) and mean loss; span F1 for tagging."""
+    """Accuracy (token-level for tagging) and mean loss; span F1 for tagging.
+
+    Runs packed passes of ``EVAL_CHUNK`` examples.
+    """
     if not examples:
         raise ValueError("cannot evaluate an empty example list")
     per_position = kind == "tagging"
     total_correct = total_labels = 0
-    losses = []
+    loss_sum = 0.0
     true_seqs, pred_seqs = [], []
-    for ex in examples:
-        loss, correct, n, pred = _example_forward(weights, adapter, ex, per_position)
-        losses.append(loss.item())
+    for lo in range(0, len(examples), EVAL_CHUNK):
+        chunk = examples[lo:lo + EVAL_CHUNK]
+        loss, correct, n, pred = _batch_forward(weights, adapter, chunk, per_position)
+        loss_sum += loss.item() * len(chunk)
         total_correct += correct
         total_labels += n
         if per_position:
-            true_seqs.append(ex.label)
-            pred_seqs.append(pred.tolist())
+            true_seqs += [ex.label for ex in chunk]
+            pred_seqs += pred.reshape(len(chunk), -1).tolist()
     f1 = span_f1(true_seqs, pred_seqs) if per_position else None
     return EvalResult(accuracy=total_correct / total_labels,
-                      mean_loss=float(np.mean(losses)), f1=f1)
+                      mean_loss=loss_sum / len(examples), f1=f1)
 
 
 # ---------------------------------------------------------------------------
@@ -295,22 +300,25 @@ def train_step(loss_fn: Callable[[], tuple], trainable: Sequence[RegistryEntry],
     after the loss value. A non-finite loss or gradient raises
     DivergenceError before any tensor changes; grads are always cleared.
     """
-    try:
-        with Tape() as tape:
-            loss, *extras = loss_fn()
-            loss_val = loss.item()
-            if not np.isfinite(loss_val):
-                raise DivergenceError(
-                    f"non-finite loss {loss_val} at step {step}; aborting run")
-            tape.backward(loss)
-        for e in trainable:
-            if e.tensor.grad is not None and not np.isfinite(e.tensor.grad).all():
-                raise DivergenceError(
-                    f"non-finite gradient for {e.name} at step {step}; aborting run")
-        optimizer.step(trainable)
-    finally:
-        for e in trainable:
-            e.tensor.grad = None
+    # Overflow on the way to a non-finite value is reported once, as the
+    # DivergenceError below, not as floating-point warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            with Tape() as tape:
+                loss, *extras = loss_fn()
+                loss_val = loss.item()
+                if not np.isfinite(loss_val):
+                    raise DivergenceError(
+                        f"non-finite loss {loss_val} at step {step}; aborting run")
+                tape.backward(loss)
+            for e in trainable:
+                if e.tensor.grad is not None and not np.isfinite(e.tensor.grad).all():
+                    raise DivergenceError(
+                        f"non-finite gradient for {e.name} at step {step}; aborting run")
+            optimizer.step(trainable)
+        finally:
+            for e in trainable:
+                e.tensor.grad = None
     return (loss_val, *extras)
 
 

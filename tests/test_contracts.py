@@ -306,3 +306,35 @@ def test_cli_eval_reports_missing_checkpoint_as_usage_error(run_config, tmp_path
     missing = str(tmp_path / "missing.flckpt")
     err = usage_error(capsys, ["eval", run_config, "--checkpoint", missing])
     assert err.startswith(f"error: cannot read checkpoint {missing}")
+
+
+@pytest.mark.parametrize("command", ["train", "fewshot"])
+def test_unwritable_out_is_a_usage_error(run_config, tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    argv = [command, run_config, "--out", str(blocker / "x")]
+    if command == "fewshot":
+        argv += ["--sizes", "4"]
+    err = usage_error(capsys, argv)
+    assert err.startswith("error: ") and "Not a directory" in err
+
+
+DIVERGING = ["--set", "train.optimizer=sgd", "--set", "train.learning_rate=1e300",
+             "--set", "train.mode=finetune"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the abort line is the only report
+def test_diverged_train_removes_the_out_it_created(run_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["train", run_config, "--out", str(out), *DIVERGING]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["run aborted: non-finite loss nan at step 2; aborting run"]
+    assert not out.exists()
+
+
+def test_diverged_train_leaves_an_existing_out_alone(run_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["train", run_config, "--out", str(out), *DIVERGING]) == 1
+    assert "run aborted" in capsys.readouterr().err
+    assert out.is_dir() and not any(out.iterdir())

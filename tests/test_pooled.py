@@ -6,7 +6,7 @@ import pytest
 
 import fltune.encoder as encoder_module
 from fltune.adapters import build_registry
-from fltune.data import generate_task, pretrain_backbone
+from fltune.data import PRETRAIN_BATCH_SIZE, generate_task, pretrain_backbone
 from fltune.encoder import EncoderConfig, encoder_forward, encoder_hidden, init_encoder
 from fltune.tensor import Tape, add, check_gradients, cross_entropy_mean, matmul, row_slice
 from fltune.training import TrainConfig, evaluate, make_adapter
@@ -120,13 +120,16 @@ def ffn_rows_by_layer(monkeypatch, weights) -> dict:
     return seen
 
 
+# evaluate packs the whole dev split (3 examples, under EVAL_CHUNK) into one
+# pass: n examples of SEQ_LEN + prompt rows each.
 @pytest.mark.parametrize("mode, prompt_rows", [("fl", 0), ("pv1", PROMPT_LEN),
                                                ("finetune", 0)])
 def test_last_layer_ffn_gets_one_row_for_classification(monkeypatch, mode, prompt_rows):
     weights, adapter, _registry, task = build(mode, "classification")
     seen = ffn_rows_by_layer(monkeypatch, weights)
     evaluate(weights, adapter, task.dev, task.kind)
-    assert seen == {"inner": {SEQ_LEN + prompt_rows}, "last": {1}}
+    n = len(task.dev)
+    assert seen == {"inner": {n * (SEQ_LEN + prompt_rows)}, "last": {n}}
 
 
 @pytest.mark.parametrize("mode, prompt_rows", [("fl", 0), ("pv1", PROMPT_LEN)])
@@ -134,11 +137,14 @@ def test_tagging_ffn_gets_every_row(monkeypatch, mode, prompt_rows):
     weights, adapter, _registry, task = build(mode, "tagging")
     seen = ffn_rows_by_layer(monkeypatch, weights)
     evaluate(weights, adapter, task.dev, task.kind)
-    assert seen == {"inner": {SEQ_LEN + prompt_rows}, "last": {SEQ_LEN + prompt_rows}}
+    n = len(task.dev)
+    assert seen == {"inner": {n * (SEQ_LEN + prompt_rows)},
+                    "last": {n * (SEQ_LEN + prompt_rows)}}
 
 
 def test_pretraining_ffn_gets_every_row(monkeypatch):
     weights, _adapter, _registry, task = build("finetune", "classification")
     seen = ffn_rows_by_layer(monkeypatch, weights)
     pretrain_backbone(weights, task, steps=1, seed=0)
-    assert seen == {"inner": {SEQ_LEN}, "last": {SEQ_LEN}}
+    assert seen == {"inner": {PRETRAIN_BATCH_SIZE * SEQ_LEN},
+                    "last": {PRETRAIN_BATCH_SIZE * SEQ_LEN}}

@@ -169,6 +169,18 @@ def op_case(name, draw, rng):
                                 label="labels")]
     if name in ("transpose", "softmax_rows", "sum_all"):
         return [u(m, n)], []
+    if name in ("attention_weights", "attention_values"):
+        # m query rows, n key rows and k columns per example and head; the
+        # score expansion's operands ride along as fixed arguments
+        batch, heads = (draw(st.integers(1, 3), label=label) for label in ("batch", "heads"))
+        if name == "attention_values":
+            return [u(batch * heads * m, n), u(batch * n, heads * k)], [batch, heads]
+        expansion = []
+        if draw(st.booleans(), label="expansion"):
+            j = draw(st.integers(1, 6), label="dim")
+            expansion = [Tensor(u(batch * m, heads * j)), Tensor(u(batch * n, heads * j))]
+        return ([u(batch * m, heads * k), u(batch * n, heads * k)],
+                [batch, heads, rng.uniform(0.1, 2.0), *expansion])
     raise AssertionError(f"no gradient case for op {name}")
 
 

@@ -239,6 +239,26 @@ def test_untracked_graph_records_nothing():
     assert len(tape) == 0
 
 
+def test_backward_releases_every_record():
+    x = Tensor([[1.0, -2.0]], requires_grad=True)
+    with Tape() as tape:
+        loss = sum_all(relu(matmul(x, Tensor([[1.0], [0.5]]))))
+    assert len(tape) == 3
+    tape.backward(loss)
+    assert len(tape) == 0
+    np.testing.assert_array_equal(x.grad, [[0.0, 0.0]])
+
+
+def test_second_backward_on_a_tape_raises():
+    x = Tensor([[1.0]], requires_grad=True)
+    with Tape() as tape:
+        loss = sum_all(x)
+    tape.backward(loss)
+    with pytest.raises(RuntimeError, match="already run"):
+        tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, [[1.0]])
+
+
 def test_tape_cleared_between_steps():
     x = Tensor([[1.0]], requires_grad=True)
     for expected in ([[1.0]], [[1.0]]):
