@@ -70,6 +70,7 @@ from .tensor import (
     Tape,
     Tensor,
     add,
+    affine,
     attention_values,
     attention_weights,
     check_gradients,

@@ -305,18 +305,26 @@ def cmd_params(args) -> int:
     return EXIT_OK
 
 
-def _run_one_training(config: ExperimentConfig, task, weights, adapter, registry, outdir):
-    """Train and write the run's files into ``outdir``. A directory this call
-    created is removed again when training raises (it is still empty then)."""
-    created = not os.path.isdir(outdir)
-    os.makedirs(outdir, exist_ok=True)
+@contextlib.contextmanager
+def _removed_on_error(path):
+    """Remove the directory ``path`` again when the body raises, if it did
+    not exist on entry and is still empty."""
+    created = not os.path.isdir(path)
     try:
-        metrics = train(weights, adapter, task, config.train, registry=registry)
+        yield
     except BaseException:
         if created:
             with contextlib.suppress(OSError):
-                os.rmdir(outdir)
+                os.rmdir(path)
         raise
+
+
+def _run_one_training(config: ExperimentConfig, task, weights, adapter, registry, outdir):
+    """Train and write the run's files into ``outdir``. A directory this call
+    created is removed again when training raises (it is still empty then)."""
+    with _removed_on_error(outdir):
+        os.makedirs(outdir, exist_ok=True)
+        metrics = train(weights, adapter, task, config.train, registry=registry)
     write_metrics_csv(metrics, os.path.join(outdir, "metrics.csv"))
     summary = run_summary(metrics, registry, config.train, task.kind, len(task.train))
     _write_json(os.path.join(outdir, "summary.json"), summary)
@@ -352,16 +360,17 @@ def cmd_fewshot(args) -> int:
     snapshot = [(name, t.data.copy()) for name, t, _g in weights.named_tensors()]
 
     summaries = []
-    for size, subset in zip(sizes, subsets):
-        for (_, t, _g), (_, saved) in zip(weights.named_tensors(), snapshot):
-            t.data = saved.copy()
-        adapter = make_adapter(config.encoder, config.train)
-        registry = build_registry(weights, adapter,
-                                  finetune=(config.train.mode == "finetune"))
-        run_dir = os.path.join(outdir, f"size_{size:04d}")
-        summary = _run_one_training(config, subset, weights, adapter, registry, run_dir)
-        summaries.append(summary)
-        print(f"size {size}: dev accuracy {summary['final_dev_accuracy']}")
+    with _removed_on_error(outdir):
+        for size, subset in zip(sizes, subsets):
+            for (_, t, _g), (_, saved) in zip(weights.named_tensors(), snapshot):
+                t.data = saved.copy()
+            adapter = make_adapter(config.encoder, config.train)
+            registry = build_registry(weights, adapter,
+                                      finetune=(config.train.mode == "finetune"))
+            run_dir = os.path.join(outdir, f"size_{size:04d}")
+            summary = _run_one_training(config, subset, weights, adapter, registry, run_dir)
+            summaries.append(summary)
+            print(f"size {size}: dev accuracy {summary['final_dev_accuracy']}")
     _write_json(os.path.join(outdir, "fewshot_summary.json"),
                 {"sizes": sizes, "runs": summaries})
     print(f"wrote {outdir}/fewshot_summary.json")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .adapters import build_registry
 from .encoder import EncoderWeights, encoder_hidden_batch
-from .tensor import Tensor, add, cross_entropy_mean, gather_rows, matmul, scale
+from .tensor import Tensor, add, affine, cross_entropy_mean, gather_rows, scale
 from .training import Adam, train_step
 
 PAD_ID = 0
@@ -145,10 +145,10 @@ def _gen_tagging(rng, seq_len, n_classes, filler):
     while len(tokens) < seq_len:
         room = seq_len - len(tokens)
         if room >= 1 and rng.random() < 0.25:
-            tokens.append(int(rng.choice(ENTITY_BEGIN_IDS)))
+            tokens.append(ENTITY_BEGIN_IDS[int(rng.integers(0, len(ENTITY_BEGIN_IDS)))])
             inside = int(rng.integers(0, min(2, room - 1) + 1))
             for _ in range(inside):
-                tokens.append(int(rng.choice(ENTITY_INSIDE_IDS)))
+                tokens.append(ENTITY_INSIDE_IDS[int(rng.integers(0, len(ENTITY_INSIDE_IDS)))])
         else:
             tokens.append(int(rng.integers(lo, hi)))
     return tuple(tokens)
@@ -273,7 +273,7 @@ def pretrain_backbone(
         hidden, _ = encoder_hidden_batch(
             weights, [[MASK_ID if m else t for t, m in zip(tokens, mask)]
                       for tokens, mask in batch])
-        logits = add(matmul(hidden, pre_head_w), pre_head_b)
+        logits = affine(hidden, pre_head_w, pre_head_b)
         loss = None
         for b, (tokens, mask) in enumerate(batch):
             positions = np.flatnonzero(mask)

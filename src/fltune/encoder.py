@@ -34,13 +34,13 @@ from .tensor import (
     ShapeError,
     Tensor,
     add,
+    affine,
     attention_values,
     attention_weights,
     concat,
     gather_rows,
     layer_norm,
     matmul,
-    relu,
     row_slice,
 )
 
@@ -283,7 +283,7 @@ def attention_forward(
         qx = matmul(queries, _join([p.dwq for p in expansion], "cols"))
         kx = matmul(x, _join([p.dwk for p in expansion], "cols"))
     a = attention_weights(q, k, batch, n_heads, 1.0 / np.sqrt(d_k), qx, kx)
-    out = add(matmul(attention_values(a, v, batch, n_heads), layer.out_proj), layer.out_bias)
+    out = affine(attention_values(a, v, batch, n_heads), layer.out_proj, layer.out_bias)
     if expansion is not None and expansion[0].dwv.shape[1]:
         xv = matmul(x, _join([p.dwv for p in expansion], "cols"))
         out = add(out, matmul(attention_values(a, xv, batch, n_heads),
@@ -298,8 +298,7 @@ def ffn_forward(layer: FFNLayer, x: Tensor) -> Tensor:
     """Position-wise feed-forward: relu(x @ w1 + b1) @ w2 + b2."""
     if x.shape[1] != layer.w1.shape[0]:
         raise ShapeError(f"ffn input width {x.shape} does not match w1 {layer.w1.shape}")
-    hidden = relu(add(matmul(x, layer.w1), layer.b1))
-    return add(matmul(hidden, layer.w2), layer.b2)
+    return affine(affine(x, layer.w1, layer.b1, relu=True), layer.w2, layer.b2)
 
 
 def ffn_fl_split(layer: FFNLayer, params, x: Tensor) -> Tensor:
@@ -312,7 +311,7 @@ def ffn_fl_split(layer: FFNLayer, params, x: Tensor) -> Tensor:
     """
     params.added_units()
     backbone = ffn_forward(layer, x)
-    hidden = relu(add(matmul(x, params.w1), params.b1))
+    hidden = affine(x, params.w1, params.b1, relu=True)
     return add(backbone, matmul(hidden, params.w2))
 
 
@@ -412,7 +411,7 @@ def encoder_forward_batch(
         total = hidden.shape[0] // len(sequences)
         hidden = gather_rows(hidden, np.flatnonzero(np.arange(hidden.shape[0]) % total
                                                     >= prompt_len))
-    return add(matmul(hidden, weights.head_w), weights.head_b)
+    return affine(hidden, weights.head_w, weights.head_b)
 
 
 def encoder_forward(

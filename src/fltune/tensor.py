@@ -166,6 +166,36 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bw)
 
 
+def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """``x @ w`` plus the 1xN row bias ``b``, then max(0, ·) when ``relu``.
+
+    One output buffer: the bias is added and the clamp applied in place, so
+    the values equal ``add(matmul(x, w), b)`` (and ``relu`` of it) bit for
+    bit. The ReLU mask comes from the output, since out > 0 exactly where
+    the pre-activation is > 0.
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise ShapeError(f"affine needs 2-d operands, got {x.data.shape} and {w.data.shape}")
+    if x.data.shape[1] != w.data.shape[0]:
+        raise ShapeError(f"affine inner dimensions disagree: {x.data.shape} x {w.data.shape}")
+    if b.data.shape != (1, w.data.shape[1]):
+        raise ShapeError(f"affine bias must be (1, {w.data.shape[1]}), got {b.data.shape}")
+    y = x.data @ w.data
+    y += b.data
+    if relu:
+        np.maximum(y, 0.0, out=y)
+
+    def bw(g):
+        if relu:
+            g = g * (y > 0.0)
+        gx = g @ w.data.T if x.needs_grad() else None
+        gw = x.data.T @ g if w.needs_grad() else None
+        gb = g.sum(axis=0, keepdims=True) if b.needs_grad() else None
+        return gx, gw, gb
+
+    return _record(Tensor(y), (x, w, b), bw)
+
+
 def transpose(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeError(f"transpose needs a 2-d tensor, got {x.data.shape}")
@@ -322,11 +352,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if gain.data.shape != (1, n) or bias.data.shape != (1, n):
         raise ShapeError(
             f"layer_norm gain/bias must be (1, {n}), got {gain.data.shape} and {bias.data.shape}")
+    # in place on two buffers, in the order of the textbook formulas:
+    # xhat = (x - mu) / sqrt(var + eps), out = gain * xhat + bias
     mu = x.data.mean(axis=1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=1, keepdims=True)
-    std = np.sqrt(var + eps)
-    xhat = (x.data - mu) / std
-    out = Tensor(gain.data * xhat + bias.data)
+    xhat = x.data - mu
+    out = np.square(xhat)
+    std = np.sqrt(out.mean(axis=1, keepdims=True) + eps)
+    xhat /= std
+    np.multiply(gain.data, xhat, out=out)
+    out += bias.data
 
     def bw(g):
         gx = gg = gb = None
@@ -335,13 +369,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         if bias.needs_grad():
             gb = g.sum(axis=0, keepdims=True)
         if x.needs_grad():
-            dxhat = g * gain.data
-            m1 = dxhat.mean(axis=1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-            gx = (dxhat - m1 - xhat * m2) / std
+            # (dxhat - m1 - xhat * m2) / std with dxhat = g * gain, on two buffers
+            gx = g * gain.data
+            m1 = gx.mean(axis=1, keepdims=True)
+            tmp = gx * xhat
+            m2 = tmp.mean(axis=1, keepdims=True)
+            np.multiply(xhat, m2, out=tmp)
+            gx -= m1
+            gx -= tmp
+            gx /= std
         return gx, gg, gb
 
-    return _record(out, (x, gain, bias), bw)
+    return _record(Tensor(out), (x, gain, bias), bw)
 
 
 def cross_entropy_mean(logits: Tensor, labels: Sequence[int]) -> Tensor:

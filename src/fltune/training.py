@@ -154,19 +154,33 @@ class Adam:
         self._state: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def step(self, entries: Sequence[RegistryEntry]) -> None:
+        """m = b1·m + (1-b1)·g and v = b2·v + (1-b2)·g², updated in place, then
+        data -= lr · m̂ / (sqrt(v̂) + eps) with the bias-corrected m̂ and v̂.
+        Each tensor's step uses two temporaries."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         for e in entries:
             g = e.tensor.grad
             if g is None:
                 continue
-            m, v = self._state.get(id(e.tensor), (np.zeros_like(g), np.zeros_like(g)))
-            m = b1 * m + (1 - b1) * g
-            v = b2 * v + (1 - b2) * (g * g)
-            self._state[id(e.tensor)] = (m, v)
-            m_hat = m / (1 - b1 ** self.t)
-            v_hat = v / (1 - b2 ** self.t)
-            e.tensor.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            state = self._state.get(id(e.tensor))
+            if state is None:
+                state = self._state[id(e.tensor)] = (np.zeros_like(g), np.zeros_like(g))
+            m, v = state
+            tmp = np.multiply(g, 1 - b1)
+            m *= b1
+            m += tmp
+            np.multiply(g, g, out=tmp)
+            tmp *= 1 - b2
+            v *= b2
+            v += tmp
+            np.divide(m, 1 - b1 ** self.t, out=tmp)
+            tmp *= self.learning_rate
+            denom = np.divide(v, 1 - b2 ** self.t)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            tmp /= denom
+            e.tensor.data -= tmp
 
 
 def make_optimizer(config: TrainConfig):
@@ -274,15 +288,18 @@ def evaluate(weights, adapter, examples, kind: str) -> EvalResult:
     total_correct = total_labels = 0
     loss_sum = 0.0
     true_seqs, pred_seqs = [], []
-    for lo in range(0, len(examples), EVAL_CHUNK):
-        chunk = examples[lo:lo + EVAL_CHUNK]
-        loss, correct, n, pred = _batch_forward(weights, adapter, chunk, per_position)
-        loss_sum += loss.item() * len(chunk)
-        total_correct += correct
-        total_labels += n
-        if per_position:
-            true_seqs += [ex.label for ex in chunk]
-            pred_seqs += pred.reshape(len(chunk), -1).tolist()
+    # As in train_step: weights that overflowed are reported once, as the
+    # next step's DivergenceError, not as floating-point warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(examples), EVAL_CHUNK):
+            chunk = examples[lo:lo + EVAL_CHUNK]
+            loss, correct, n, pred = _batch_forward(weights, adapter, chunk, per_position)
+            loss_sum += loss.item() * len(chunk)
+            total_correct += correct
+            total_labels += n
+            if per_position:
+                true_seqs += [ex.label for ex in chunk]
+                pred_seqs += pred.reshape(len(chunk), -1).tolist()
     f1 = span_f1(true_seqs, pred_seqs) if per_position else None
     return EvalResult(accuracy=total_correct / total_labels,
                       mean_loss=loss_sum / len(examples), f1=f1)

@@ -338,3 +338,28 @@ def test_diverged_train_leaves_an_existing_out_alone(run_config, tmp_path, capsy
     assert main(["train", run_config, "--out", str(out), *DIVERGING]) == 1
     assert "run aborted" in capsys.readouterr().err
     assert out.is_dir() and not any(out.iterdir())
+
+
+FEWSHOT_DIVERGING = [*DIVERGING, "--set", "train.batch_size=2", "--set", "train.epochs=2",
+                     "--set", "train.max_steps=null", "--sizes", "2,8"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the abort line is the only report
+def test_diverged_fewshot_removes_the_out_it_created(run_config, tmp_path, capsys):
+    # size 2 in batches of 2 is one step per epoch, so the dev evaluation
+    # after step 1 already reads overflowed weights before step 2 aborts
+    out = tmp_path / "out"
+    argv = ["fewshot", run_config, "--out", str(out), *FEWSHOT_DIVERGING]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["run aborted: non-finite loss nan at step 2; aborting run"]
+    assert not out.exists()
+
+
+def test_diverged_fewshot_leaves_an_existing_out_alone(run_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["fewshot", run_config, "--out", str(out), *FEWSHOT_DIVERGING]
+    assert main(argv) == 1
+    assert "run aborted" in capsys.readouterr().err
+    assert out.is_dir() and not any(out.iterdir())

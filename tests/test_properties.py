@@ -153,6 +153,14 @@ def op_case(name, draw, rng):
     if name == "relu":
         # |x| >= 0.1, so no finite-difference probe crosses the kink at 0
         return [rng.choice([-1.0, 1.0], (m, n)) * rng.uniform(0.1, 1.0, (m, n))], []
+    if name == "affine":
+        # with the clamp on, redraw until every pre-activation is 0.05 or
+        # more from the kink at 0
+        relu = draw(st.booleans(), label="relu")
+        while True:
+            x, w, b = u(m, k), u(k, n), u(1, n)
+            if not relu or np.abs(x @ w + b).min() >= 0.05:
+                return [x, w, b], [relu]
     if name == "concat":
         axis = draw(st.sampled_from(["rows", "cols"]), label="axis")
         return [u(m, n), u(k, n) if axis == "rows" else u(m, k)], [axis]

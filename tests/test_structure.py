@@ -106,3 +106,19 @@ def test_adapters_hold_only_their_tensors():
     assert field_names(PromptAdapter) == ["prompt", "prefixes"]
     assert field_names(MAAdapter) == ["layers"]
     assert not {"position", "infix_index"} & set(field_names(TrainConfig))
+
+
+def test_biased_projections_use_the_fused_affine_op():
+    # add(matmul(...), ...) and relu(...) would allocate what affine() fuses
+    package = Path(encoder_module.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "add" and node.args and isinstance(node.args[0], ast.Call):
+                first = node.args[0].func
+                assert getattr(first, "id", getattr(first, "attr", None)) != "matmul", \
+                    f"{path.name}:{node.lineno}: add(matmul(...), ...)"
+            if name == "relu":
+                assert path.name == "tensor.py", f"{path.name}:{node.lineno}: relu(...)"

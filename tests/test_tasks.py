@@ -1,6 +1,8 @@
 """Synthetic task generation: oracle consistency, determinism, disjointness,
 learnability probe, and the denoising pretext."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,16 @@ def test_tagging_task_has_entities_and_consistent_tags():
             else:
                 assert tag == 0
     assert any_entity
+
+
+def test_tagging_examples_are_pinned():
+    # a fixed digest of the examples: any change to the number or order of
+    # random draws in generation changes it
+    task = generate_task("tagging", sizes=(200, 50, 50), seed=3, n_classes=3)
+    pairs = [(ex.tokens, ex.label) for split in (task.train, task.dev, task.test)
+             for ex in split]
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest() == (
+        "fc891b5d80e92f71abf3d4b290c709ae0fea3e8584e7768da556d426c9c81f3e")
 
 
 def test_label_rules_direct():
