@@ -306,29 +306,53 @@ def cmd_params(args) -> int:
 
 
 @contextlib.contextmanager
-def _removed_on_error(path):
-    """Remove the directory ``path`` again when the body raises, if it did
-    not exist on entry and is still empty."""
-    created = not os.path.isdir(path)
+def _removed_on_error():
+    """Yield a list for the paths the body creates, each recorded before it is
+    written; if the body raises, remove them again, newest first. Directories
+    go with ``os.rmdir``, so one holding anything else stays."""
+    created: list[str] = []
     try:
-        yield
+        yield created
     except BaseException:
-        if created:
+        for path in reversed(created):
             with contextlib.suppress(OSError):
-                os.rmdir(path)
+                if os.path.isdir(path):
+                    os.rmdir(path)
+                else:
+                    os.remove(path)
         raise
 
 
-def _run_one_training(config: ExperimentConfig, task, weights, adapter, registry, outdir):
-    """Train and write the run's files into ``outdir``. A directory this call
-    created is removed again when training raises (it is still empty then)."""
-    with _removed_on_error(outdir):
-        os.makedirs(outdir, exist_ok=True)
-        metrics = train(weights, adapter, task, config.train, registry=registry)
-    write_metrics_csv(metrics, os.path.join(outdir, "metrics.csv"))
+def _make_dirs(path, created: list) -> None:
+    """``os.makedirs(path, exist_ok=True)``, recording each level it creates."""
+    missing = []
+    head = os.path.abspath(path)
+    while not os.path.exists(head):
+        missing.append(head)
+        head = os.path.dirname(head)
+    for level in reversed(missing):
+        os.mkdir(level)
+        created.append(level)
+    os.makedirs(path, exist_ok=True)  # raises if ``path`` is a file
+
+
+def _new_file(path, created: list) -> str:
+    """Record ``path`` for removal on error unless it already exists."""
+    if not os.path.exists(path):
+        created.append(path)
+    return path
+
+
+def _run_one_training(config: ExperimentConfig, task, weights, adapter, registry, outdir,
+                      created: list):
+    """Train and write the run's files into ``outdir``, recording in ``created``
+    every directory and file that did not exist before."""
+    _make_dirs(outdir, created)
+    metrics = train(weights, adapter, task, config.train, registry=registry)
+    write_metrics_csv(metrics, _new_file(os.path.join(outdir, "metrics.csv"), created))
     summary = run_summary(metrics, registry, config.train, task.kind, len(task.train))
-    _write_json(os.path.join(outdir, "summary.json"), summary)
-    save_trainable(registry, os.path.join(outdir, "trainable.flckpt"),
+    _write_json(_new_file(os.path.join(outdir, "summary.json"), created), summary)
+    save_trainable(registry, _new_file(os.path.join(outdir, "trainable.flckpt"), created),
                    config_echo=config.encoder.to_dict())
     return summary
 
@@ -337,7 +361,8 @@ def cmd_train(args) -> int:
     config = load_experiment_config(args.config, args.set, args.seed)
     outdir = _resolve_outdir(args, config, "train")
     task, weights, adapter, registry = build_experiment(config)
-    summary = _run_one_training(config, task, weights, adapter, registry, outdir)
+    with _removed_on_error() as created:
+        summary = _run_one_training(config, task, weights, adapter, registry, outdir, created)
     print(f"wrote {outdir}/metrics.csv, summary.json, trainable.flckpt")
     print(f"final train accuracy {summary['final_train_accuracy']}, "
           f"dev accuracy {summary['final_dev_accuracy']}")
@@ -360,7 +385,7 @@ def cmd_fewshot(args) -> int:
     snapshot = [(name, t.data.copy()) for name, t, _g in weights.named_tensors()]
 
     summaries = []
-    with _removed_on_error(outdir):
+    with _removed_on_error() as created:
         for size, subset in zip(sizes, subsets):
             for (_, t, _g), (_, saved) in zip(weights.named_tensors(), snapshot):
                 t.data = saved.copy()
@@ -368,11 +393,12 @@ def cmd_fewshot(args) -> int:
             registry = build_registry(weights, adapter,
                                       finetune=(config.train.mode == "finetune"))
             run_dir = os.path.join(outdir, f"size_{size:04d}")
-            summary = _run_one_training(config, subset, weights, adapter, registry, run_dir)
+            summary = _run_one_training(config, subset, weights, adapter, registry, run_dir,
+                                        created)
             summaries.append(summary)
             print(f"size {size}: dev accuracy {summary['final_dev_accuracy']}")
-    _write_json(os.path.join(outdir, "fewshot_summary.json"),
-                {"sizes": sizes, "runs": summaries})
+        _write_json(_new_file(os.path.join(outdir, "fewshot_summary.json"), created),
+                    {"sizes": sizes, "runs": summaries})
     print(f"wrote {outdir}/fewshot_summary.json")
     return EXIT_OK
 

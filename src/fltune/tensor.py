@@ -6,14 +6,50 @@ each one as it is used. Every op works on 2-d row stacks; the two attention
 ops treat their rows as ``batch`` packed examples split into ``heads`` column
 blocks. ``check_gradients`` is the central finite-difference oracle used to
 validate every backward formula in the package.
+
+Importing this module (and so ``fltune``) tunes the C allocator of the whole
+process, on Linux with glibc only and with no setting to turn it off: the
+mmap threshold is fixed at 32 MiB and the trim threshold at 1 GiB. A training
+step frees most of its memory as ``backward`` releases records, and glibc's
+defaults (a 128 KiB trim threshold, and large blocks served by ``mmap``) would
+hand it back to the kernel after every step, so the next step, evaluation
+pass or model build page-faults it in again. With both set, freed memory stays
+mapped and is reused, and the resident size stays at its high-water mark
+between steps. The mmap threshold has to be set as well because fixing the
+trim threshold alone switches off glibc's dynamic mmap threshold, which makes
+the large blocks fault on every allocation. Outside glibc nothing is set.
 """
 
 from __future__ import annotations
 
+import ctypes
+import platform
 from contextvars import ContextVar
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+
+
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 1 << 30
+
+
+def _keep_freed_memory_mapped() -> None:
+    """Set glibc's mmap and trim thresholds (see the module docstring); a
+    no-op outside glibc. A ``mallopt`` that refuses (returns 0) leaves the
+    defaults, which only costs speed."""
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
+_keep_freed_memory_mapped()
 
 
 class ShapeError(ValueError):

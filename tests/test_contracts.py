@@ -16,6 +16,7 @@ from fltune.checkpoint import (
     load_checkpoint,
     save_tensors,
 )
+from fltune import cli
 from fltune.cli import EXIT_USAGE, main
 from fltune.tensor import Tape, Tensor, check_gradients, matmul, sum_all
 from fltune.training import SGD, Adam, DivergenceError, batch_loss, train_step
@@ -363,3 +364,71 @@ def test_diverged_fewshot_leaves_an_existing_out_alone(run_config, tmp_path, cap
     assert main(argv) == 1
     assert "run aborted" in capsys.readouterr().err
     assert out.is_dir() and not any(out.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# A run that fails after writing removes what it wrote, and only that
+# ---------------------------------------------------------------------------
+
+def failing_save(monkeypatch):
+    def save(_registry, path, config_echo=None):
+        with open(path, "wb") as fh:
+            fh.write(b"partial")
+        raise OSError(f"cannot write {path}")
+    monkeypatch.setattr(cli, "save_trainable", save)
+
+
+def test_train_failing_to_write_removes_the_out_it_created(run_config, tmp_path, capsys,
+                                                           monkeypatch):
+    failing_save(monkeypatch)
+    out = tmp_path / "new" / "out"
+    err = usage_error(capsys, ["train", run_config, "--out", str(out)])
+    assert err.splitlines() == [f"error: cannot write {out / 'trainable.flckpt'}"]
+    assert not (tmp_path / "new").exists()
+
+
+def test_train_failing_to_write_leaves_what_existed_alone(run_config, tmp_path, capsys,
+                                                          monkeypatch):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("mine", encoding="utf-8")
+    (out / "summary.json").write_text("old", encoding="utf-8")
+    failing_save(monkeypatch)
+    usage_error(capsys, ["train", run_config, "--out", str(out)])
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "summary.json"]
+    assert (out / "notes.txt").read_text(encoding="utf-8") == "mine"
+
+
+def diverging_on_second_call(monkeypatch):
+    calls = []
+
+    def train(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise DivergenceError("non-finite loss nan at step 1; aborting run")
+        return real_train(*args, **kwargs)
+
+    real_train = cli.train
+    monkeypatch.setattr(cli, "train", train)
+
+
+def test_fewshot_failing_on_a_later_size_removes_every_size_it_wrote(run_config, tmp_path,
+                                                                     capsys, monkeypatch):
+    diverging_on_second_call(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["fewshot", run_config, "--out", str(out), "--sizes", "4,8"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["run aborted: non-finite loss nan at step 1; aborting run"]
+    assert not out.exists()
+
+
+def test_fewshot_failing_on_a_later_size_leaves_what_existed_alone(run_config, tmp_path,
+                                                                   capsys, monkeypatch):
+    out = tmp_path / "out"
+    (out / "size_0008").mkdir(parents=True)
+    (out / "notes.txt").write_text("mine", encoding="utf-8")
+    diverging_on_second_call(monkeypatch)
+    assert main(["fewshot", run_config, "--out", str(out), "--sizes", "4,8"]) == 1
+    assert "run aborted" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "size_0008"]
+    assert not any((out / "size_0008").iterdir())
