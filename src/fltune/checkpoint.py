@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
+import secrets
 from typing import Optional, Sequence
 
 import numpy as np
@@ -61,7 +61,11 @@ def save_tensors(path, named: Sequence[tuple[str, np.ndarray]], kind: str,
 
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    # Created like open() creates a file: mode 0o666 less the umask (mkstemp
+    # would make every checkpoint 0600). O_EXCL never reuses an existing name.
+    tmp = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0),
+                 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(body)

@@ -379,6 +379,10 @@ def cmd_fewshot(args) -> int:
     if not sizes:
         print("fewshot: --sizes is empty", file=sys.stderr)
         return EXIT_USAGE
+    if len(set(sizes)) != len(sizes):
+        # each size writes its own size_NNNN/, so a repeat would overwrite it
+        print(f"fewshot: duplicate size in --sizes {args.sizes!r}", file=sys.stderr)
+        return EXIT_USAGE
     outdir = _resolve_outdir(args, config, "fewshot")
     task, weights, _adapter, _registry = build_experiment(config)
     subsets = fewshot_subsample(task, sizes, seed=config.task.seed)

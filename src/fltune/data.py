@@ -20,7 +20,7 @@ import numpy as np
 
 from .adapters import build_registry
 from .encoder import EncoderWeights, encoder_hidden_batch
-from .tensor import Tensor, add, affine, cross_entropy_mean, gather_rows, scale
+from .tensor import Tensor, affine, cross_entropy_mean, gather_rows
 from .training import Adam, train_step
 
 PAD_ID = 0
@@ -233,6 +233,45 @@ def write_task_files(task: SyntheticTask, directory) -> dict[str, str]:
 # Backbone pretraining pretext
 # ---------------------------------------------------------------------------
 
+def _pretext_batch(rng, sequences: Sequence[tuple[int, ...]]) -> list:
+    """``PRETRAIN_BATCH_SIZE`` (tokens, mask) pairs drawn from ``sequences``;
+    each mask marks at least one position."""
+    batch = []
+    for i in rng.integers(0, len(sequences), size=PRETRAIN_BATCH_SIZE):
+        tokens = list(sequences[int(i)])
+        mask = rng.random(len(tokens)) < MASK_PROB
+        if not mask.any():
+            mask[int(rng.integers(0, len(tokens)))] = True
+        batch.append((tokens, mask))
+    return batch
+
+
+def _pretext_loss(weights: EncoderWeights, head_w: Tensor, head_b: Tensor,
+                  batch: list) -> Tensor:
+    """The batch's masked-token loss: the mean over examples of each
+    example's mean cross entropy over its masked positions.
+
+    It is one weighted ``cross_entropy_mean`` over every masked row, where
+    each of example b's n_b rows weighs ``(1.0 / PRETRAIN_BATCH_SIZE) / n_b``.
+    That is the factor the per-example chain (gather, mean, scale by 1/B, add)
+    hands each row in backward, so the gradients equal that chain's bit for
+    bit; only the rounding of the loss value differs.
+    """
+    hidden, _ = encoder_hidden_batch(
+        weights, [[MASK_ID if m else t for t, m in zip(tokens, mask)]
+                  for tokens, mask in batch])
+    logits = affine(hidden, head_w, head_b)
+    rows, targets, row_weights = [], [], []
+    for b, (tokens, mask) in enumerate(batch):
+        positions = np.flatnonzero(mask)
+        rows.append(b * len(tokens) + positions)
+        targets += [tokens[p] for p in positions]
+        row_weights.append(np.full(len(positions),
+                                   (1.0 / PRETRAIN_BATCH_SIZE) / len(positions)))
+    return cross_entropy_mean(gather_rows(logits, np.concatenate(rows)), targets,
+                              np.concatenate(row_weights))
+
+
 def pretrain_backbone(
     weights: EncoderWeights,
     task: SyntheticTask,
@@ -242,10 +281,16 @@ def pretrain_backbone(
 ) -> EncoderWeights:
     """Train every backbone parameter on token denoising, in place.
 
-    Random positions are replaced by the mask token and a throwaway
-    vocabulary head predicts the original ids at those positions. The task
-    head is untouched; the pretext head is discarded. The resulting weights
-    are the frozen starting point for adapter experiments.
+    Each Adam step draws ``PRETRAIN_BATCH_SIZE`` training sequences and
+    replaces each position by the mask token with probability ``MASK_PROB``
+    (at least one per sequence). A throwaway vocabulary head predicts the
+    original ids at the masked positions; the loss is the mean over the
+    sequences of each one's mean cross entropy, built as one weighted
+    ``cross_entropy_mean`` (see ``_pretext_loss``), so a step records the
+    same few ops whatever the batch holds. ``loss_hook`` receives each
+    step's loss value. The task head is untouched; the pretext head is
+    discarded. The resulting weights are the frozen starting point for
+    adapter experiments.
     """
     if steps == 0:
         return weights
@@ -262,34 +307,16 @@ def pretrain_backbone(
     optimizer = Adam(PRETRAIN_LEARNING_RATE)
     sequences = [ex.tokens for ex in task.train]
 
-    def pretext_loss():
-        batch = []
-        for i in rng.integers(0, len(sequences), size=PRETRAIN_BATCH_SIZE):
-            tokens = list(sequences[int(i)])
-            mask = rng.random(len(tokens)) < MASK_PROB
-            if not mask.any():
-                mask[int(rng.integers(0, len(tokens)))] = True
-            batch.append((tokens, mask))
-        hidden, _ = encoder_hidden_batch(
-            weights, [[MASK_ID if m else t for t, m in zip(tokens, mask)]
-                      for tokens, mask in batch])
-        logits = affine(hidden, pre_head_w, pre_head_b)
-        loss = None
-        for b, (tokens, mask) in enumerate(batch):
-            positions = np.flatnonzero(mask)
-            targets = [tokens[p] for p in positions]
-            part = scale(cross_entropy_mean(gather_rows(logits, b * len(tokens) + positions),
-                                            targets), 1.0 / PRETRAIN_BATCH_SIZE)
-            loss = part if loss is None else add(loss, part)
-        return (loss,)
-
     try:
         registry = build_registry(weights, finetune=True)
         registry.register("pretext.weight", pre_head_w, frozen=False, group="pretext")
         registry.register("pretext.bias", pre_head_b, frozen=False, group="pretext")
         trainable = registry.trainable_entries()
         for step in range(steps):
-            loss_val, = train_step(pretext_loss, trainable, optimizer, step + 1)
+            loss_val, = train_step(
+                lambda: (_pretext_loss(weights, pre_head_w, pre_head_b,
+                                       _pretext_batch(rng, sequences)),),
+                trainable, optimizer, step + 1)
             if loss_hook is not None:
                 loss_hook(loss_val)
     finally:

@@ -419,10 +419,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _record(Tensor(out), (x, gain, bias), bw)
 
 
-def cross_entropy_mean(logits: Tensor, labels: Sequence[int]) -> Tensor:
+def cross_entropy_mean(logits: Tensor, labels: Sequence[int],
+                       weights: Optional[Sequence[float]] = None) -> Tensor:
     """Mean cross entropy of row-wise logits against integer labels.
 
-    Log-softmax uses max subtraction, so arbitrarily large logits stay finite.
+    With ``weights`` (one per row) the loss is instead the weighted sum
+    ``sum_i weights[i] * ce_i``, and row i's gradient is scaled by
+    ``weights[i]`` where the mean scales every row by ``1/m``. Weights summing
+    to 1 give a weighted mean; equal weights ``1/m`` give the same gradient
+    as the mean. Log-softmax uses max subtraction, so arbitrarily large logits
+    stay finite.
     """
     if logits.data.ndim != 2:
         raise ShapeError(f"cross_entropy_mean needs 2-d logits, got {logits.data.shape}")
@@ -434,10 +440,15 @@ def cross_entropy_mean(logits: Tensor, labels: Sequence[int]) -> Tensor:
         raise ShapeError("cross_entropy_mean needs at least one row")
     if y.min() < 0 or y.max() >= c:
         raise ShapeError(f"label out of range [0, {c}): {labels}")
+    if weights is not None:
+        w = np.asarray(weights, dtype=np.float64)
+        if w.shape != (m,):
+            raise ShapeError(f"weights must have length {m}, got shape {w.shape}")
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))
     picked = shifted[np.arange(m), y]
-    out = Tensor(np.asarray((lse - picked).mean()))
+    per_row = lse - picked
+    out = Tensor(np.asarray(per_row.mean() if weights is None else per_row @ w))
 
     def bw(g):
         if not logits.needs_grad():
@@ -445,7 +456,10 @@ def cross_entropy_mean(logits: Tensor, labels: Sequence[int]) -> Tensor:
         p = np.exp(shifted)
         p /= p.sum(axis=1, keepdims=True)
         p[np.arange(m), y] -= 1.0
-        return (p * (float(g) / m),)
+        if weights is None:
+            return (p * (float(g) / m),)
+        p *= (float(g) * w)[:, None]
+        return (p,)
 
     return _record(out, (logits,), bw)
 

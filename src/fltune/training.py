@@ -151,36 +151,71 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
+        # The moments of the tensors in the layout (the ids of those that had a
+        # gradient on the last step) are views into the flat m and v; every
+        # other tensor's are its own arrays.
         self._state: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._layout: tuple[int, ...] = ()
+        self._m = self._v = np.zeros(0)
+
+    def _relayout(self, grads: list, layout: tuple[int, ...]) -> None:
+        """Build flat moments for a new set of live tensors. Each keeps its
+        moments (zeros on its first step); every other tensor keeps a copy of
+        its own, untouched until it is live again, so no old flat array stays
+        referenced."""
+        self._state = {key: (m.copy(), v.copy()) for key, (m, v) in self._state.items()}
+        total = sum(g.size for g in grads)
+        self._m, self._v = np.zeros(total), np.zeros(total)
+        lo = 0
+        for key, g in zip(layout, grads):
+            views = (self._m[lo:lo + g.size].reshape(g.shape),
+                     self._v[lo:lo + g.size].reshape(g.shape))
+            old = self._state.get(key)
+            if old is not None:
+                views[0][...] = old[0]
+                views[1][...] = old[1]
+            self._state[key] = views
+            lo += g.size
+        self._layout = layout
 
     def step(self, entries: Sequence[RegistryEntry]) -> None:
         """m = b1·m + (1-b1)·g and v = b2·v + (1-b2)·g², updated in place, then
         data -= lr · m̂ / (sqrt(v̂) + eps) with the bias-corrected m̂ and v̂.
-        Each tensor's step uses two temporaries."""
+
+        One pass over flat moments: the live gradients are concatenated once,
+        so the update costs the same dozen NumPy calls for any number of
+        tensors, and then each tensor subtracts its slice from its ``data`` in
+        place. Every operation is elementwise, so the result equals the
+        per-tensor update bit for bit. A tensor without a gradient is skipped
+        and its moments stay as they are."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for e in entries:
-            g = e.tensor.grad
-            if g is None:
-                continue
-            state = self._state.get(id(e.tensor))
-            if state is None:
-                state = self._state[id(e.tensor)] = (np.zeros_like(g), np.zeros_like(g))
-            m, v = state
-            tmp = np.multiply(g, 1 - b1)
-            m *= b1
-            m += tmp
-            np.multiply(g, g, out=tmp)
-            tmp *= 1 - b2
-            v *= b2
-            v += tmp
-            np.divide(m, 1 - b1 ** self.t, out=tmp)
-            tmp *= self.learning_rate
-            denom = np.divide(v, 1 - b2 ** self.t)
-            np.sqrt(denom, out=denom)
-            denom += self.eps
-            tmp /= denom
-            e.tensor.data -= tmp
+        live = [e.tensor for e in entries if e.tensor.grad is not None]
+        if not live:
+            return
+        grads = [t.grad for t in live]
+        layout = tuple(id(t) for t in live)
+        if layout != self._layout:
+            self._relayout(grads, layout)
+        m, v = self._m, self._v
+        g = np.concatenate(grads, axis=None)
+        tmp = np.multiply(g, 1 - b1)
+        m *= b1
+        m += tmp
+        np.multiply(g, g, out=tmp)
+        tmp *= 1 - b2
+        v *= b2
+        v += tmp
+        np.divide(m, 1 - b1 ** self.t, out=tmp)
+        tmp *= self.learning_rate
+        denom = np.divide(v, 1 - b2 ** self.t, out=g)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        tmp /= denom
+        lo = 0
+        for t, grad in zip(live, grads):
+            t.data -= tmp[lo:lo + grad.size].reshape(grad.shape)
+            lo += grad.size
 
 
 def make_optimizer(config: TrainConfig):

@@ -1,5 +1,8 @@
 """Checkpoint format: round trips, determinism, validation errors, sizes."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -188,3 +191,17 @@ def test_trainable_round_trip_restores_registry(tmp_path):
     for e, e2 in zip(registry.trainable_entries(), registry2.trainable_entries()):
         assert e.name == e2.name
         assert np.array_equal(e.tensor.data, e2.tensor.data)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+def test_checkpoint_mode_follows_the_umask_like_open(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        save_tensors(tmp_path / "t.flckpt", [("a", np.ones((2, 3)))], kind="trainable")
+        with open(tmp_path / "sibling.json", "w", encoding="utf-8") as fh:
+            fh.write("{}")
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE(os.stat(tmp_path / "t.flckpt").st_mode)
+    assert mode == stat.S_IMODE(os.stat(tmp_path / "sibling.json").st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sibling.json", "t.flckpt"]

@@ -223,3 +223,13 @@ def test_fewshot_bad_sizes_is_usage_error(tmp_path):
     path = desk_config(tmp_path)
     assert main(["fewshot", str(path), "--out", str(tmp_path / "fs"),
                  "--sizes", "a,b"]) == EXIT_USAGE
+
+
+def test_fewshot_duplicate_sizes_is_usage_error(tmp_path, capsys):
+    path = desk_config(tmp_path)
+    outdir = tmp_path / "fs"
+    assert main(["fewshot", str(path), "--out", str(outdir), "--sizes", "8,16,8",
+                 "--set", "train.max_steps=2"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "duplicate size" in err and "Traceback" not in err
+    assert not outdir.exists()

@@ -1,9 +1,12 @@
 """Property-based robustness: wrong-typed config values and corrupted
-checkpoint bytes fail with the package's own errors and nothing else, and
-every op's gradient matches finite differences over random shapes."""
+checkpoint bytes fail with the package's own errors and nothing else, a
+rejected or diverging ``train`` run leaves no output behind, and every op's
+gradient matches finite differences over random shapes."""
 
+import contextlib
 import dataclasses
 import inspect
+import io
 import json
 import typing
 
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 from fltune import tensor
 from fltune.checkpoint import CheckpointError, load_tensors, save_tensors
 from fltune.cli import (
+    EXIT_CHECK_FAILED,
     EXIT_USAGE,
     ConfigError,
     ExperimentConfig,
@@ -85,6 +89,43 @@ def test_any_wrong_typed_config_value_is_a_config_error(config_path, data):
                       label="value")
     with pytest.raises(ConfigError):
         load_experiment_config(config_path, overrides=[f"{key}={json.dumps(value)}"])
+
+
+@pytest.fixture(scope="module")
+def out_root(tmp_path_factory):
+    return tmp_path_factory.mktemp("runs")
+
+
+def train_leaves_nothing(config_path, out, assignments):
+    """Run ``train`` with ``--set`` assignments; the exit code and stderr.
+    The output directory must not exist afterwards."""
+    err = io.StringIO()
+    args = ["train", str(config_path), "--out", str(out)]
+    for assignment in assignments:
+        args += ["--set", assignment]
+    with contextlib.redirect_stderr(err):
+        code = main(args)
+    assert not out.exists()
+    assert "Traceback" not in err.getvalue()
+    return code, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_any_wrong_typed_train_value_exits_2_and_leaves_nothing(config_path, out_root, data):
+    key, hint = data.draw(st.sampled_from(FIELDS), label="field")
+    value = data.draw(JSON_VALUES.filter(lambda v: json_kind(v) not in allowed_kinds(hint)),
+                      label="value")
+    code, err = train_leaves_nothing(config_path, out_root / "out",
+                                     [f"{key}={json.dumps(value)}"])
+    assert code == EXIT_USAGE and err.startswith("config error:")
+
+
+def test_diverging_train_run_exits_1_and_leaves_nothing(config_path, tmp_path):
+    code, err = train_leaves_nothing(config_path, tmp_path / "out", [
+        "train.learning_rate=1e300", 'train.optimizer="sgd"', 'train.mode="finetune"'])
+    assert code == EXIT_CHECK_FAILED and err.startswith("run aborted:")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("assignment", [
