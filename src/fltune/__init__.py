@@ -10,7 +10,7 @@ from .adapters import (
     FLAdapter,
     FLLayerParams,
     MAAdapter,
-    MAHeadParams,
+    MALayerParams,
     ParamRegistry,
     PromptAdapter,
     VerifyReport,

@@ -77,55 +77,65 @@ class FLAdapter(AdapterHooks):
 
 @dataclass
 class PromptAdapter(AdapterHooks):
-    """Trainable prompts: input-level rows (pv1) or per-layer, per-head
-    key/value prefix rows (pv2)."""
+    """Trainable prompts: input-level rows (pv1) or per-layer key/value
+    prefix rows (pv2), one (e0, e1) pair per layer, packed by head like the
+    backbone's ``wk`` and ``wv``: head h owns column block h."""
 
-    prompt: Optional[Tensor] = None                                # pv1: l x d_m
-    prefixes: Optional[list[list[tuple[Tensor, Tensor]]]] = None   # pv2: [layer][head] = (e0, e1)
+    prompt: Optional[Tensor] = None                          # pv1: l x d_m
+    prefixes: Optional[list[tuple[Tensor, Tensor]]] = None   # pv2: [layer] = (e0, e1)
 
     def prompt_rows(self) -> Optional[Tensor]:
         return self.prompt
 
-    def kv_prefix(self, i: int) -> Optional[list[tuple[Tensor, Tensor]]]:
+    def kv_prefix(self, i: int) -> Optional[tuple[Tensor, Tensor]]:
         return None if self.prefixes is None else self.prefixes[i]
 
     def named_tensors(self) -> Iterator[tuple[str, Tensor]]:
         if self.prompt is not None:
             yield "adapter.prompt", self.prompt
-        for i, heads in enumerate(self.prefixes or ()):
-            for h, (e0, e1) in enumerate(heads):
-                yield f"adapter.layer{i:02d}.head{h}.e0", e0
-                yield f"adapter.layer{i:02d}.head{h}.e1", e1
+        for i, (e0, e1) in enumerate(self.prefixes or ()):
+            yield f"adapter.layer{i:02d}.e0", e0
+            yield f"adapter.layer{i:02d}.e1", e1
 
 
 @dataclass
-class MAHeadParams:
-    """Inner-dimension expansion of one attention head.
+class MALayerParams:
+    """Inner-dimension expansion of every head of one attention layer.
 
     dwq/dwk widen the score inner dimension, dwv/dwo widen the value inner
-    dimension; dwo maps the extra value columns back to model width.
+    dimension; dwo maps the extra value columns back to model width. Head h
+    owns column block h of dwq, dwk and dwv and row block h of dwo.
     """
 
-    dwq: Tensor  # d_m x d_a'
-    dwk: Tensor  # d_m x d_a'
-    dwv: Tensor  # d_m x d_a'
-    dwo: Tensor  # d_a' x d_m
+    dwq: Tensor  # d_m x n_heads·d_a'
+    dwk: Tensor  # d_m x n_heads·d_a'
+    dwv: Tensor  # d_m x n_heads·d_a'
+    dwo: Tensor  # n_heads·d_a' x d_m
 
 
 @dataclass
 class MAAdapter(AdapterHooks):
-    layers: list[list[MAHeadParams]]  # [layer][head]
+    """Attention-side expansion of every layer."""
 
-    def attn_expansion(self, i: int) -> list[MAHeadParams]:
+    layers: list[MALayerParams]
+
+    def attn_expansion(self, i: int) -> MALayerParams:
         return self.layers[i]
 
     def named_tensors(self) -> Iterator[tuple[str, Tensor]]:
-        for i, heads in enumerate(self.layers):
-            for h, p in enumerate(heads):
-                yield f"adapter.layer{i:02d}.head{h}.dwq", p.dwq
-                yield f"adapter.layer{i:02d}.head{h}.dwk", p.dwk
-                yield f"adapter.layer{i:02d}.head{h}.dwv", p.dwv
-                yield f"adapter.layer{i:02d}.head{h}.dwo", p.dwo
+        for i, p in enumerate(self.layers):
+            yield f"adapter.layer{i:02d}.dwq", p.dwq
+            yield f"adapter.layer{i:02d}.dwk", p.dwk
+            yield f"adapter.layer{i:02d}.dwv", p.dwv
+            yield f"adapter.layer{i:02d}.dwo", p.dwo
+
+
+def _packed(per_head: Sequence[tuple[np.ndarray, ...]],
+            axes: Sequence[int]) -> tuple[Tensor, ...]:
+    """One trainable tensor per family from per-head blocks (one tuple per
+    head, in head order): head h is block h along the family's axis."""
+    return tuple(Tensor(np.concatenate(blocks, axis=axis), requires_grad=True)
+                 for blocks, axis in zip(zip(*per_head), axes))
 
 
 def init_fl_adapter(
@@ -168,14 +178,13 @@ def init_pv1_adapter(config: EncoderConfig, prompt_len: int = 160, seed: int = 0
 
 
 def init_pv2_adapter(config: EncoderConfig, prompt_len: int = 160, seed: int = 0) -> PromptAdapter:
-    """Per-layer, per-head trainable key/value prefix rows."""
+    """Per-layer trainable key/value prefix rows, drawn head by head."""
     if prompt_len < 1:
         raise ValueError(f"prompt_len must be positive, got {prompt_len}")
     rng = np.random.default_rng(seed)
+    draw = lambda cols: rng.normal(0.0, INIT_STD, (prompt_len, cols))
     prefixes = [
-        [(Tensor(rng.normal(0.0, INIT_STD, (prompt_len, config.d_k)), requires_grad=True),
-          Tensor(rng.normal(0.0, INIT_STD, (prompt_len, config.d_v)), requires_grad=True))
-         for _ in range(config.n_heads)]
+        _packed([(draw(config.d_k), draw(config.d_v)) for _ in range(config.n_heads)], (1, 1))
         for _ in range(config.n_layers)
     ]
     return PromptAdapter(prefixes=prefixes)
@@ -191,13 +200,11 @@ def init_ma_adapter(config: EncoderConfig, d_a_prime: int = 160, seed: int = 0) 
     if d_a_prime < 0:
         raise ValueError(f"d_a_prime must be nonnegative, got {d_a_prime}")
     rng = np.random.default_rng(seed)
+    shape = (config.d_m, d_a_prime)
+    head = lambda: (rng.normal(0.0, INIT_STD, shape), np.zeros(shape),
+                    rng.normal(0.0, INIT_STD, shape), np.zeros(shape[::-1]))
     layers = [
-        [MAHeadParams(
-            dwq=Tensor(rng.normal(0.0, INIT_STD, (config.d_m, d_a_prime)), requires_grad=True),
-            dwk=Tensor(np.zeros((config.d_m, d_a_prime)), requires_grad=True),
-            dwv=Tensor(rng.normal(0.0, INIT_STD, (config.d_m, d_a_prime)), requires_grad=True),
-            dwo=Tensor(np.zeros((d_a_prime, config.d_m)), requires_grad=True),
-        ) for _ in range(config.n_heads)]
+        MALayerParams(*_packed([head() for _ in range(config.n_heads)], (1, 1, 1, 0)))
         for _ in range(config.n_layers)
     ]
     return MAAdapter(layers=layers)
@@ -279,34 +286,35 @@ def ffn_fl_concat(
 # Attention expansion: split path and concatenation oracle
 # ---------------------------------------------------------------------------
 
-def ma_forward(layer: AttentionLayer, params: Sequence[MAHeadParams], x: Tensor) -> Tensor:
+def ma_forward(layer: AttentionLayer, params: MALayerParams, x: Tensor) -> Tensor:
     """Attention with expanded score and value inner dimensions, the
     additive-split analog of the FFN expansion (see ``attention_forward``)."""
     return attention_forward(layer, x, expansion=params)
 
 
-def ma_concat_reference(layer: AttentionLayer, params: Sequence[MAHeadParams], x) -> np.ndarray:
+def ma_concat_reference(layer: AttentionLayer, params: MALayerParams, x) -> np.ndarray:
     """Materialized-concatenation oracle for the attention expansion.
 
-    Builds [q : q'], [k : k'], [v : v'] and the per-head stacked output
-    projection explicitly, then sums head contributions. Plain arrays only.
+    Slices each head's blocks out of the packed matrices, builds
+    [q : q'], [k : k'], [v : v'] and the stacked output projection of that
+    head explicitly, then sums head contributions. Plain arrays only.
     """
     X = _as_array(x)
-    n_heads = len(layer.wq)
-    d_k = layer.wq[0].shape[1]
-    d_v = layer.wv[0].shape[1]
-    out_proj = _as_array(layer.out_proj)
+    n_heads = layer.n_heads
+    d_k = layer.wq.shape[1] // n_heads
     out = _as_array(layer.out_bias).copy()
-    for h in range(n_heads):
-        p = params[h]
-        qx = np.concatenate([X @ _as_array(layer.wq[h]), X @ _as_array(p.dwq)], axis=1)
-        kx = np.concatenate([X @ _as_array(layer.wk[h]), X @ _as_array(p.dwk)], axis=1)
+    heads = lambda t, axis=1: np.split(_as_array(t), n_heads, axis=axis)
+    for wq, wk, wv, wo, dwq, dwk, dwv, dwo in zip(
+            heads(layer.wq), heads(layer.wk), heads(layer.wv), heads(layer.out_proj, 0),
+            heads(params.dwq), heads(params.dwk), heads(params.dwv), heads(params.dwo, 0)):
+        qx = np.concatenate([X @ wq, X @ dwq], axis=1)
+        kx = np.concatenate([X @ wk, X @ dwk], axis=1)
         scores = (qx @ kx.T) / np.sqrt(d_k)
         scores -= scores.max(axis=1, keepdims=True)
         e = np.exp(scores)
         a = e / e.sum(axis=1, keepdims=True)
-        vx = np.concatenate([X @ _as_array(layer.wv[h]), X @ _as_array(p.dwv)], axis=1)
-        w_out = np.concatenate([out_proj[h * d_v:(h + 1) * d_v], _as_array(p.dwo)], axis=0)
+        vx = np.concatenate([X @ wv, X @ dwv], axis=1)
+        w_out = np.concatenate([wo, dwo], axis=0)
         out = out + (a @ vx) @ w_out
     return out
 
@@ -368,13 +376,16 @@ def _random_ffn_instance(rng: np.random.Generator):
 
 def _random_attention(rng: np.random.Generator, d_m: int, d_k: int, d_v: int,
                       n_heads: int) -> AttentionLayer:
-    u = lambda *shape: Tensor(rng.uniform(-1.0, 1.0, shape))
+    u = lambda *shape: rng.uniform(-1.0, 1.0, shape)
+    # one d_m x d draw per head, in head order, packed side by side
+    heads = lambda d: Tensor(u(n_heads, d_m, d).transpose(1, 0, 2).reshape(d_m, -1))
     return AttentionLayer(
-        wq=[u(d_m, d_k) for _ in range(n_heads)],
-        wk=[u(d_m, d_k) for _ in range(n_heads)],
-        wv=[u(d_m, d_v) for _ in range(n_heads)],
-        out_proj=u(n_heads * d_v, d_m),
-        out_bias=u(1, d_m),
+        n_heads=n_heads,
+        wq=heads(d_k),
+        wk=heads(d_k),
+        wv=heads(d_v),
+        out_proj=Tensor(u(n_heads * d_v, d_m)),
+        out_bias=Tensor(u(1, d_m)),
     )
 
 
@@ -441,10 +452,11 @@ def verify_ma_equivalence(trials: int = 100, tolerance: float = 1e-12,
         n_heads = int(rng.integers(1, 3))
         seq = int(rng.integers(1, 8))
         layer = _random_attention(rng, d_m, d_k, d_v, n_heads)
-        u = lambda *shape: Tensor(rng.uniform(-1.0, 1.0, shape))
-        params = [MAHeadParams(dwq=u(d_m, d_a), dwk=u(d_m, d_a), dwv=u(d_m, d_a), dwo=u(d_a, d_m))
-                  for _ in range(n_heads)]
-        x = u(seq, d_m)
+        u = lambda *shape: rng.uniform(-1.0, 1.0, shape)
+        params = MALayerParams(*_packed(
+            [(u(d_m, d_a), u(d_m, d_a), u(d_m, d_a), u(d_a, d_m)) for _ in range(n_heads)],
+            (1, 1, 1, 0)))
+        x = Tensor(u(seq, d_m))
         split = ma_forward(layer, params, x).data
         conc = ma_concat_reference(layer, params, x)
         return float(np.max(np.abs(split - conc))), "deviation"
@@ -465,9 +477,10 @@ def verify_prefix_attention_rows(trials: int = 50, tolerance: float = 1e-12,
         seq = int(rng.integers(1, 8))
         l = int(rng.integers(0, 9)) if t else 4
         layer = _random_attention(rng, d_m, d_k, d_v, n_heads)
-        u = lambda *shape: Tensor(rng.uniform(-1.0, 1.0, shape))
-        prefix = [(u(l, d_k), u(l, d_v)) for _ in range(n_heads)]
-        _, weights = attention_forward(layer, u(seq, d_m), kv_prefix=prefix, return_weights=True)
+        u = lambda *shape: rng.uniform(-1.0, 1.0, shape)
+        prefix = _packed([(u(l, d_k), u(l, d_v)) for _ in range(n_heads)], (1, 1))
+        _, weights = attention_forward(layer, Tensor(u(seq, d_m)), kv_prefix=prefix,
+                                       return_weights=True)
         dev = 0.0
         for a in weights:
             if a.shape != (seq, seq + l):

@@ -80,17 +80,18 @@ class EncoderConfig:
 
 @dataclass
 class AttentionLayer:
-    """Per-head projection matrices plus the multi-head output projection.
+    """Packed multi-head projections plus the output projection.
 
-    The output projection maps the concatenated head values (n_heads * d_v)
-    back to model width; it is part of the frozen backbone.
+    Head h owns column block h of ``wq``, ``wk`` and ``wv`` and row block h
+    of ``out_proj``, which maps the heads' values back to model width.
     """
 
-    wq: list[Tensor]
-    wk: list[Tensor]
-    wv: list[Tensor]
-    out_proj: Tensor
-    out_bias: Tensor
+    n_heads: int
+    wq: Tensor        # d_m x n_heads·d_k
+    wk: Tensor        # d_m x n_heads·d_k
+    wv: Tensor        # d_m x n_heads·d_v
+    out_proj: Tensor  # n_heads·d_v x d_m
+    out_bias: Tensor  # 1 x d_m
 
 
 @dataclass
@@ -133,10 +134,9 @@ class EncoderWeights:
         yield "embedding.position", self.pos_emb, "embedding"
         for i, layer in enumerate(self.layers):
             p = f"layer{i:02d}"
-            for h in range(len(layer.attn.wq)):
-                yield f"{p}.attn.q{h}", layer.attn.wq[h], "block"
-                yield f"{p}.attn.k{h}", layer.attn.wk[h], "block"
-                yield f"{p}.attn.v{h}", layer.attn.wv[h], "block"
+            yield f"{p}.attn.q", layer.attn.wq, "block"
+            yield f"{p}.attn.k", layer.attn.wk, "block"
+            yield f"{p}.attn.v", layer.attn.wv, "block"
             yield f"{p}.attn.out_proj", layer.attn.out_proj, "block"
             yield f"{p}.attn.out_bias", layer.attn.out_bias, "block"
             yield f"{p}.norm1.gain", layer.norm1.gain, "block"
@@ -154,19 +154,20 @@ class EncoderWeights:
 class AdapterHooks:
     """How a tuning method plugs into ``encoder_hidden``: ``prompt_rows()``
     gives rows prepended to the embedded input; for layer ``i``,
-    ``kv_prefix(i)`` gives per-head (e0, e1) key/value prefix rows,
-    ``attn_expansion(i)`` per-head attention expansions (dwq, dwk, dwv, dwo)
-    and ``ffn_units(i)`` added FFN hidden units (w1, b1, w2). A hook returns
-    None where the method adds nothing, so this base class is the transparent
-    adapter; adapters override only the hooks they use."""
+    ``kv_prefix(i)`` gives one (e0, e1) pair of key/value prefix rows,
+    ``attn_expansion(i)`` one attention expansion (dwq, dwk, dwv, dwo), both
+    packed by head like ``AttentionLayer``, and ``ffn_units(i)`` added FFN
+    hidden units (w1, b1, w2). A hook returns None where the method adds
+    nothing, so this base class is the transparent adapter; adapters override
+    only the hooks they use."""
 
     def prompt_rows(self) -> Optional[Tensor]:
         return None
 
-    def kv_prefix(self, i: int) -> Optional[Sequence[tuple[Tensor, Tensor]]]:
+    def kv_prefix(self, i: int) -> Optional[tuple[Tensor, Tensor]]:
         return None
 
-    def attn_expansion(self, i: int) -> Optional[Sequence]:
+    def attn_expansion(self, i: int):
         return None
 
     def ffn_units(self, i: int):
@@ -179,15 +180,18 @@ def init_encoder(config: EncoderConfig, seed: int = 0) -> EncoderWeights:
     scope; the tasks module can further pre-train these on a pretext task."""
     rng = np.random.default_rng(seed)
 
-    def mat(rows, cols):
-        return Tensor(rng.normal(0.0, INIT_STD, (rows, cols)))
+    def mat(rows, cols, heads=1):
+        # one rows x cols draw per head, in head order, packed side by side
+        draw = rng.normal(0.0, INIT_STD, (heads, rows, cols))
+        return Tensor(draw.transpose(1, 0, 2).reshape(rows, heads * cols))
 
     layers = []
     for _ in range(config.n_layers):
         attn = AttentionLayer(
-            wq=[mat(config.d_m, config.d_k) for _ in range(config.n_heads)],
-            wk=[mat(config.d_m, config.d_k) for _ in range(config.n_heads)],
-            wv=[mat(config.d_m, config.d_v) for _ in range(config.n_heads)],
+            n_heads=config.n_heads,
+            wq=mat(config.d_m, config.d_k, config.n_heads),
+            wk=mat(config.d_m, config.d_k, config.n_heads),
+            wv=mat(config.d_m, config.d_v, config.n_heads),
             out_proj=mat(config.n_heads * config.d_v, config.d_m),
             out_bias=Tensor(np.zeros((1, config.d_m))),
         )
@@ -211,14 +215,6 @@ def init_encoder(config: EncoderConfig, seed: int = 0) -> EncoderWeights:
     )
 
 
-def _join(parts: Sequence[Tensor], axis: str) -> Tensor:
-    """Per-head tensors side by side (``"cols"``) or stacked (``"rows"``)."""
-    out = parts[0]
-    for t in parts[1:]:
-        out = concat(out, t, axis)
-    return out
-
-
 def _prepend_rows(head: Tensor, body: Tensor, batch: int) -> Tensor:
     """``head``'s rows placed before each of the ``batch`` examples packed in ``body``."""
     n, per = head.shape[0], body.shape[0] // batch
@@ -230,9 +226,9 @@ def _prepend_rows(head: Tensor, body: Tensor, batch: int) -> Tensor:
 def attention_forward(
     layer: AttentionLayer,
     x: Tensor,
-    kv_prefix: Optional[Sequence[tuple[Tensor, Tensor]]] = None,
+    kv_prefix: Optional[tuple[Tensor, Tensor]] = None,
     return_weights: bool = False,
-    expansion: Optional[Sequence] = None,
+    expansion=None,
     queries: Optional[Tensor] = None,
     batch: int = 1,
 ):
@@ -244,50 +240,39 @@ def attention_forward(
     way; keys and values always come from every row of ``x``, and the output
     has one row per query row.
 
-    ``kv_prefix`` optionally supplies per-head trainable rows (e0, e1) that
-    are prepended to every example's keys and values of that head, so every
-    attention row becomes a distribution over seq + prefix_len keys.
+    ``kv_prefix`` optionally supplies trainable rows (e0, e1), packed like
+    ``wk`` and ``wv``, that are prepended to every example's keys and values,
+    so every attention row becomes a distribution over seq + prefix_len keys.
     ``expansion`` optionally widens each head's inner dimensions: scores
     become q·k + (x·dwq)(x·dwk)ᵀ under the frozen 1/sqrt(d_k) scaling, and
     the extra value columns, mapped to model width by dwo, are summed in after
-    the frozen output projection; its dwq side takes the query rows. With
+    the frozen output projection; its dwq side takes the query rows. dwq, dwk
+    and dwv are packed like ``wq`` and dwo like ``out_proj``. With
     ``return_weights`` the softmax matrices are returned as well, one
     (Tq, Tk) matrix per example and head, example-major.
     """
-    n_heads = len(layer.wq)
-    d_k = layer.wq[0].shape[1]
-    if kv_prefix is not None:
-        if len(kv_prefix) != n_heads:
-            raise ShapeError(f"kv_prefix must cover all {n_heads} heads, got {len(kv_prefix)}")
-        for e0, e1 in kv_prefix:
-            if e0.shape[0] != e1.shape[0]:
-                raise ShapeError(
-                    f"kv_prefix row counts disagree: {e0.shape} vs {e1.shape}")
-    if expansion is not None:
-        if len(expansion) != n_heads:
-            raise ShapeError(
-                f"expansion params must cover all {n_heads} heads, got {len(expansion)}")
-        if len({(p.dwq.shape[1], p.dwv.shape[1]) for p in expansion}) > 1:
-            raise ShapeError("expansion params must have the same widths in every head")
-
+    n_heads = layer.n_heads
+    d_k = layer.wq.shape[1] // n_heads
     if queries is None:
         queries = x
-    q = matmul(queries, _join(layer.wq, "cols"))
-    k = matmul(x, _join(layer.wk, "cols"))
-    v = matmul(x, _join(layer.wv, "cols"))
+    q = matmul(queries, layer.wq)
+    k = matmul(x, layer.wk)
+    v = matmul(x, layer.wv)
     if kv_prefix is not None:
-        k = _prepend_rows(_join([e0 for e0, _ in kv_prefix], "cols"), k, batch)
-        v = _prepend_rows(_join([e1 for _, e1 in kv_prefix], "cols"), v, batch)
+        e0, e1 = kv_prefix
+        if e0.shape[0] != e1.shape[0]:
+            raise ShapeError(f"kv_prefix row counts disagree: {e0.shape} vs {e1.shape}")
+        k = _prepend_rows(e0, k, batch)
+        v = _prepend_rows(e1, v, batch)
     qx = kx = None
-    if expansion is not None and expansion[0].dwq.shape[1]:
-        qx = matmul(queries, _join([p.dwq for p in expansion], "cols"))
-        kx = matmul(x, _join([p.dwk for p in expansion], "cols"))
+    if expansion is not None:
+        qx = matmul(queries, expansion.dwq)
+        kx = matmul(x, expansion.dwk)
     a = attention_weights(q, k, batch, n_heads, 1.0 / np.sqrt(d_k), qx, kx)
     out = affine(attention_values(a, v, batch, n_heads), layer.out_proj, layer.out_bias)
-    if expansion is not None and expansion[0].dwv.shape[1]:
-        xv = matmul(x, _join([p.dwv for p in expansion], "cols"))
-        out = add(out, matmul(attention_values(a, xv, batch, n_heads),
-                              _join([p.dwo for p in expansion], "rows")))
+    if expansion is not None:
+        xv = matmul(x, expansion.dwv)
+        out = add(out, matmul(attention_values(a, xv, batch, n_heads), expansion.dwo))
     if return_weights:
         tq = queries.shape[0] // batch
         return out, [row_slice(a, i * tq, (i + 1) * tq) for i in range(batch * n_heads)]

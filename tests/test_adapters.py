@@ -6,7 +6,7 @@ import pytest
 
 from fltune.adapters import (
     FLLayerParams,
-    MAHeadParams,
+    MALayerParams,
     ParamRegistry,
     build_registry,
     count_parameters,
@@ -218,21 +218,31 @@ def test_fl_gradients_pass_finite_differences():
 def random_attention(rng, d_m=6, d_k=3, d_v=4, n_heads=2):
     from fltune.encoder import AttentionLayer
     u = lambda *s: rng.uniform(-1, 1, s)
+    # one d_m x d draw per head, in head order, packed side by side
+    packed = lambda d: Tensor(np.concatenate([u(d_m, d) for _ in range(n_heads)], axis=1))
     return AttentionLayer(
-        wq=[Tensor(u(d_m, d_k)) for _ in range(n_heads)],
-        wk=[Tensor(u(d_m, d_k)) for _ in range(n_heads)],
-        wv=[Tensor(u(d_m, d_v)) for _ in range(n_heads)],
+        n_heads=n_heads,
+        wq=packed(d_k),
+        wk=packed(d_k),
+        wv=packed(d_v),
         out_proj=Tensor(u(n_heads * d_v, d_m)),
         out_bias=Tensor(u(1, d_m)),
     )
 
 
+def ma_params(per_head):
+    """One MALayerParams from per-head (dwq, dwk, dwv, dwo) arrays: head h is
+    column block h of dwq, dwk and dwv and row block h of dwo."""
+    dwq, dwk, dwv, dwo = zip(*per_head)
+    return MALayerParams(dwq=Tensor(np.hstack(dwq)), dwk=Tensor(np.hstack(dwk)),
+                         dwv=Tensor(np.hstack(dwv)), dwo=Tensor(np.vstack(dwo)))
+
+
 def test_ma_zero_width_equals_plain_attention():
     rng = np.random.default_rng(10)
     layer = random_attention(rng)
-    params = [MAHeadParams(dwq=Tensor(np.zeros((6, 0))), dwk=Tensor(np.zeros((6, 0))),
-                           dwv=Tensor(np.zeros((6, 0))), dwo=Tensor(np.zeros((0, 6))))
-              for _ in range(2)]
+    params = ma_params([(np.zeros((6, 0)), np.zeros((6, 0)), np.zeros((6, 0)), np.zeros((0, 6)))
+                        for _ in range(2)])
     x = Tensor(rng.uniform(-1, 1, (4, 6)))
     assert np.array_equal(ma_forward(layer, params, x).data,
                           attention_forward(layer, x).data)
@@ -241,11 +251,9 @@ def test_ma_zero_width_equals_plain_attention():
 def test_ma_zeroed_expansion_is_transparent():
     rng = np.random.default_rng(11)
     layer = random_attention(rng)
-    params = [MAHeadParams(dwq=Tensor(np.zeros((6, 3))),
-                           dwk=Tensor(rng.uniform(-1, 1, (6, 3))),
-                           dwv=Tensor(rng.uniform(-1, 1, (6, 3))),
-                           dwo=Tensor(np.zeros((3, 6))))
-              for _ in range(2)]
+    params = ma_params([(np.zeros((6, 3)), rng.uniform(-1, 1, (6, 3)),
+                         rng.uniform(-1, 1, (6, 3)), np.zeros((3, 6)))
+                        for _ in range(2)])
     x = Tensor(rng.uniform(-1, 1, (4, 6)))
     assert np.array_equal(ma_forward(layer, params, x).data,
                           attention_forward(layer, x).data)
@@ -254,11 +262,9 @@ def test_ma_zeroed_expansion_is_transparent():
 def test_ma_split_matches_concat_reference():
     rng = np.random.default_rng(12)
     layer = random_attention(rng)
-    params = [MAHeadParams(dwq=Tensor(rng.uniform(-1, 1, (6, 4))),
-                           dwk=Tensor(rng.uniform(-1, 1, (6, 4))),
-                           dwv=Tensor(rng.uniform(-1, 1, (6, 4))),
-                           dwo=Tensor(rng.uniform(-1, 1, (4, 6))))
-              for _ in range(2)]
+    params = ma_params([(rng.uniform(-1, 1, (6, 4)), rng.uniform(-1, 1, (6, 4)),
+                         rng.uniform(-1, 1, (6, 4)), rng.uniform(-1, 1, (4, 6)))
+                        for _ in range(2)])
     x = Tensor(rng.uniform(-1, 1, (5, 6)))
     split = ma_forward(layer, params, x).data
     conc = ma_concat_reference(layer, params, x)
@@ -341,12 +347,10 @@ def test_pv2_encoder_gradients_for_prefix_tensors():
         return cross_entropy_mean(encoder_forward(weights, tokens, adapter=adapter), [2])
 
     rng = np.random.default_rng(32)
-    e0, e1 = adapter.prefixes[0][0]
-    assert check_gradients(loss_fn, e0, rng=rng) < 1e-4
-    assert check_gradients(loss_fn, e1, rng=rng) < 1e-4
-    e0_last, e1_last = adapter.prefixes[1][1]
-    assert check_gradients(loss_fn, e0_last, rng=rng) < 1e-4
-    assert check_gradients(loss_fn, e1_last, rng=rng) < 1e-4
+    # every coordinate of both layers' packed prefixes, so every head's block
+    for e0, e1 in adapter.prefixes:
+        assert check_gradients(loss_fn, e0, max_coords=e0.size, rng=rng) < 1e-4
+        assert check_gradients(loss_fn, e1, max_coords=e1.size, rng=rng) < 1e-4
 
 
 def test_frozen_backbone_gets_no_grad_buffers_in_fl_mode():
@@ -440,7 +444,8 @@ def test_every_tensor_registered_exactly_once():
     registry = build_registry(weights, adapter)
     names = [e.name for e in registry.entries]
     assert len(names) == len(set(names))
-    # embeddings + per-layer (3*heads + 2 attn out + 2*2 norms + 4 ffn) + head + adapter
-    per_layer = 3 * config.n_heads + 2 + 4 + 4
-    expected = 2 + config.n_layers * per_layer + 2 + config.n_layers * config.n_heads * 2
+    # embeddings + per-layer (packed q, k, v + 2 attn out + 2*2 norms + 4 ffn) + head
+    # + adapter (packed e0, e1 per layer)
+    per_layer = 3 + 2 + 4 + 4
+    expected = 2 + config.n_layers * per_layer + 2 + config.n_layers * 2
     assert len(names) == expected

@@ -26,23 +26,33 @@ def small_config(**overrides):
 
 def random_attention_layer(rng, d_m=6, d_k=3, d_v=4, n_heads=2):
     u = lambda *s: rng.uniform(-1, 1, s)
+    # one d_m x d draw per head, in head order, packed side by side
+    packed = lambda d: Tensor(np.concatenate([u(d_m, d) for _ in range(n_heads)], axis=1))
     return AttentionLayer(
-        wq=[Tensor(u(d_m, d_k)) for _ in range(n_heads)],
-        wk=[Tensor(u(d_m, d_k)) for _ in range(n_heads)],
-        wv=[Tensor(u(d_m, d_v)) for _ in range(n_heads)],
+        n_heads=n_heads,
+        wq=packed(d_k),
+        wk=packed(d_k),
+        wv=packed(d_v),
         out_proj=Tensor(u(n_heads * d_v, d_m)),
         out_bias=Tensor(u(1, d_m)),
     )
 
 
+def head_block(t, h, n_heads):
+    """Head h's columns of a packed per-head matrix."""
+    d = t.data.shape[1] // n_heads
+    return t.data[:, h * d:(h + 1) * d]
+
+
 def attention_reference(layer, x):
     """Plain scaled dot-product attention, straight from the formula."""
-    d_k = layer.wq[0].data.shape[1]
+    n = layer.n_heads
+    d_k = layer.wq.data.shape[1] // n
     heads = []
-    for h in range(len(layer.wq)):
-        q = x @ layer.wq[h].data
-        k = x @ layer.wk[h].data
-        v = x @ layer.wv[h].data
+    for h in range(n):
+        q = x @ head_block(layer.wq, h, n)
+        k = x @ head_block(layer.wk, h, n)
+        v = x @ head_block(layer.wv, h, n)
         s = (q @ k.T) / np.sqrt(d_k)
         e = np.exp(s - s.max(axis=1, keepdims=True))
         a = e / e.sum(axis=1, keepdims=True)
@@ -82,7 +92,7 @@ def test_attention_empty_prefix_bitwise_equal():
     rng = np.random.default_rng(1)
     layer = random_attention_layer(rng)
     x = Tensor(rng.uniform(-1, 1, (4, 6)))
-    empty = [(Tensor(np.zeros((0, 3))), Tensor(np.zeros((0, 4)))) for _ in range(2)]
+    empty = (Tensor(np.zeros((0, 2 * 3))), Tensor(np.zeros((0, 2 * 4))))
     plain = attention_forward(layer, x)
     with_empty = attention_forward(layer, x, kv_prefix=empty)
     assert np.array_equal(plain.data, with_empty.data)
@@ -92,8 +102,8 @@ def test_attention_prefix_rows_normalized():
     rng = np.random.default_rng(2)
     layer = random_attention_layer(rng)
     x = Tensor(rng.uniform(-1, 1, (5, 6)))
-    prefix = [(Tensor(rng.uniform(-1, 1, (4, 3))), Tensor(rng.uniform(-1, 1, (4, 4))))
-              for _ in range(2)]
+    heads = [(rng.uniform(-1, 1, (4, 3)), rng.uniform(-1, 1, (4, 4))) for _ in range(2)]
+    prefix = tuple(Tensor(np.concatenate(blocks, axis=1)) for blocks in zip(*heads))
     _, weights = attention_forward(layer, x, kv_prefix=prefix, return_weights=True)
     for a in weights:
         assert a.shape == (5, 9)
@@ -103,7 +113,7 @@ def test_attention_prefix_rows_normalized():
 def test_attention_prefix_length_mismatch_raises():
     rng = np.random.default_rng(3)
     layer = random_attention_layer(rng)
-    bad = [(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4)))) for _ in range(2)]
+    bad = (Tensor(np.zeros((2, 2 * 3))), Tensor(np.zeros((3, 2 * 4))))
     with pytest.raises(ShapeError, match="row counts"):
         attention_forward(layer, Tensor(rng.uniform(-1, 1, (4, 6))), kv_prefix=bad)
 
@@ -197,14 +207,15 @@ def test_encoder_gradients_match_finite_differences():
 
     rng = np.random.default_rng(17)
     probes = {
-        "head.weight": weights.head_w,
-        "layer0.ffn.w1": weights.layers[0].ffn.w1,
-        "layer1.attn.q0": weights.layers[1].attn.wq[0],
-        "layer0.norm1.gain": weights.layers[0].norm1.gain,
-        "embedding.token": weights.tok_emb,
+        "head.weight": (weights.head_w, 20),
+        "layer0.ffn.w1": (weights.layers[0].ffn.w1, 20),
+        # 20 coordinates per head, as many as one head's own matrix had
+        "layer1.attn.q": (weights.layers[1].attn.wq, 20 * config.n_heads),
+        "layer0.norm1.gain": (weights.layers[0].norm1.gain, 20),
+        "embedding.token": (weights.tok_emb, 20),
     }
-    for name, tensor in probes.items():
-        err = check_gradients(loss_fn, tensor, rng=rng)
+    for name, (tensor, coords) in probes.items():
+        err = check_gradients(loss_fn, tensor, max_coords=coords, rng=rng)
         assert err < 1e-4, f"{name}: relative error {err}"
 
 

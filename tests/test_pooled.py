@@ -86,7 +86,7 @@ def test_pooled_gradients_match_all_rows(mode, kind):
     ("fl", "classification", lambda a: a.layers[1].w1),
     ("fl", "pair", lambda a: a.layers[1].w2),
     ("fl", "classification", lambda a: a.layers[1].b1),
-    ("ma", "pair", lambda a: a.layers[1][0].dwq),
+    ("ma", "pair", lambda a: a.layers[1].dwq),
 ], ids=["fl-w1", "fl-w2", "fl-b1", "ma-dwq"])
 def test_pruned_path_passes_finite_differences(mode, kind, pick):
     weights, adapter, _registry, task = build(mode, kind)
@@ -99,7 +99,9 @@ def test_pruned_path_passes_finite_differences(mode, kind, pick):
             loss = part if loss is None else add(loss, part)
         return loss
 
-    err = check_gradients(loss_fn, pick(adapter), eps=1e-6, rng=np.random.default_rng(3))
+    tensor = pick(adapter)  # every coordinate; for ma-dwq, every head's block
+    err = check_gradients(loss_fn, tensor, eps=1e-6, max_coords=tensor.size,
+                          rng=np.random.default_rng(3))
     assert err < 1e-6
 
 

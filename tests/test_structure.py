@@ -87,9 +87,9 @@ def test_ma_forward_is_attention_with_expansion():
     weights = init_encoder(config, seed=5)
     ma = init_ma_adapter(config, d_a_prime=3, seed=6)
     rng = np.random.default_rng(7)
-    for p in ma.layers[0]:
-        p.dwk.data = rng.normal(0.0, 0.5, p.dwk.shape)
-        p.dwo.data = rng.normal(0.0, 0.5, p.dwo.shape)
+    p = ma.layers[0]
+    p.dwk.data = rng.normal(0.0, 0.5, p.dwk.shape)
+    p.dwo.data = rng.normal(0.0, 0.5, p.dwo.shape)
     x = Tensor(rng.normal(size=(5, config.d_m)))
     attn = weights.layers[0].attn
     assert np.array_equal(ma_forward(attn, ma.layers[0], x).data,
@@ -106,6 +106,23 @@ def test_adapters_hold_only_their_tensors():
     assert field_names(PromptAdapter) == ["prompt", "prefixes"]
     assert field_names(MAAdapter) == ["layers"]
     assert not {"position", "infix_index"} & set(field_names(TrainConfig))
+
+
+def test_attention_joins_no_weights_per_forward():
+    # every per-head family is one packed matrix, so attention_forward
+    # concatenates no weights and there is no helper to join them
+    tree = encoder_tree()
+    attn = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "attention_forward")
+    for node in ast.walk(attn):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            assert name != "concat", f"encoder.py:{node.lineno}: concat(...)"
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                for t in node.targets if isinstance(t, ast.Name)}
+    assert "_join" not in defined
 
 
 def test_biased_projections_use_the_fused_affine_op():
