@@ -47,8 +47,6 @@ from .data import (
     SyntheticTask,
     generate_task,
     pretrain_backbone,
-    write_split_file,
-    write_task_files,
 )
 from .encoder import (
     AttentionLayer,

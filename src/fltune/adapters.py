@@ -138,13 +138,8 @@ def _packed(per_head: Sequence[tuple[np.ndarray, ...]],
                  for blocks, axis in zip(zip(*per_head), axes))
 
 
-def init_fl_adapter(
-    config: EncoderConfig,
-    d_a: int = 160,
-    layer_subset: Optional[Sequence[int]] = None,
-    seed: int = 0,
-) -> FLAdapter:
-    """Fresh expansion units for each selected layer.
+def init_fl_adapter(config: EncoderConfig, d_a: int = 160, seed: int = 0) -> FLAdapter:
+    """Fresh expansion units for the FFN of every layer.
 
     w1 is Gaussian, b1 and w2 start at zero, so the adapter is transparent:
     the first forward pass reproduces the frozen backbone exactly.
@@ -152,17 +147,14 @@ def init_fl_adapter(
     if d_a < 0:
         raise ValueError(f"d_a must be nonnegative, got {d_a}")
     rng = np.random.default_rng(seed)
-    subset = range(config.n_layers) if layer_subset is None else sorted(set(layer_subset))
-    layers = {}
-    for i in subset:
-        if not (0 <= i < config.n_layers):
-            raise ValueError(f"layer index {i} out of range for {config.n_layers} layers")
-        layers[i] = FLLayerParams(
+    return FLAdapter(layers={
+        i: FLLayerParams(
             w1=Tensor(rng.normal(0.0, INIT_STD, (config.d_m, d_a)), requires_grad=True),
             b1=Tensor(np.zeros((1, d_a)), requires_grad=True),
             w2=Tensor(np.zeros((d_a, config.d_m)), requires_grad=True),
         )
-    return FLAdapter(layers=layers)
+        for i in range(config.n_layers)
+    })
 
 
 def init_pv1_adapter(config: EncoderConfig, prompt_len: int = 160, seed: int = 0) -> PromptAdapter:
@@ -499,7 +491,7 @@ def tensor_content_hash(t: Tensor) -> str:
     """Byte-exact identity of a tensor's contents (shape included)."""
     h = hashlib.sha256()
     h.update(repr(t.data.shape).encode())
-    h.update(t.data.tobytes())
+    h.update(np.ascontiguousarray(t.data))  # hashes in place unless data is a strided view
     return h.hexdigest()
 
 

@@ -30,11 +30,19 @@ from .encoder import EncoderConfig, EncoderWeights, init_encoder
 MAGIC = b"fltune checkpoint"
 SENTINEL = b"===BINARY==="
 FORMAT_VERSION = 1
-FILE_EXTENSION = ".flckpt"
 
 
 class CheckpointError(ValueError):
     """Malformed, truncated, or mismatched checkpoint."""
+
+
+def temp_sibling(path) -> str:
+    """Create an empty file under a fresh name beside ``path`` and return that
+    name. It is created like open() creates a file: mode 0o666 less the umask
+    (mkstemp would make it 0600). O_EXCL never reuses an existing name."""
+    tmp = os.path.join(os.path.dirname(os.fspath(path)) or ".", f"tmp{secrets.token_hex(8)}.tmp")
+    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    return tmp
 
 
 def save_tensors(path, named: Sequence[tuple[str, np.ndarray]], kind: str,
@@ -59,15 +67,9 @@ def save_tensors(path, named: Sequence[tuple[str, np.ndarray]], kind: str,
             + json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8")
             + b"\n" + SENTINEL + b"\n" + b"".join(chunks))
 
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    # Created like open() creates a file: mode 0o666 less the umask (mkstemp
-    # would make every checkpoint 0600). O_EXCL never reuses an existing name.
-    tmp = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0),
-                 0o666)
+    tmp = temp_sibling(path)
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with open(tmp, "wb") as fh:
             fh.write(body)
         os.replace(tmp, path)
     except BaseException:

@@ -32,7 +32,7 @@ from .adapters import (
     verify_theorem1,
     verify_theorem2,
 )
-from .checkpoint import load_trainable, save_trainable
+from .checkpoint import load_trainable, save_trainable, temp_sibling
 from .data import generate_task, pretrain_backbone
 from .encoder import EncoderConfig, ffn_parameter_share, init_encoder
 from .tensor import check_gradients
@@ -105,8 +105,6 @@ def _fits(value, hint) -> bool:
     """Whether a JSON value fits type ``hint``: a bool is not an int, an int fits float."""
     if typing.get_origin(hint) is Union:
         return any(_fits(value, arg) for arg in typing.get_args(hint))
-    if typing.get_origin(hint) is list:
-        return isinstance(value, list) and all(_fits(v, typing.get_args(hint)[0]) for v in value)
     if isinstance(value, bool):
         return hint is bool
     return isinstance(value, (int, float) if hint is float else hint)
@@ -210,7 +208,7 @@ def _resolve_outdir(args, config: Optional[ExperimentConfig], command: str) -> s
     return os.path.join(root, command)
 
 
-def _write_json(path, payload: dict) -> None:
+def _write_json(payload: dict, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -343,17 +341,29 @@ def _new_file(path, created: list) -> str:
     return path
 
 
+def _stage(path, write, data, created: list) -> tuple[str, str]:
+    """``write(data, tmp)`` into a new temp file beside ``path``, recorded for
+    removal on error; ``os.replace`` of the returned pair installs it as ``path``."""
+    tmp = temp_sibling(path)
+    created.append(tmp)
+    write(data, tmp)
+    return tmp, _new_file(path, created)
+
+
 def _run_one_training(config: ExperimentConfig, task, weights, adapter, registry, outdir,
                       created: list):
     """Train and write the run's files into ``outdir``, recording in ``created``
-    every directory and file that did not exist before."""
+    every directory and file that did not exist before. The metrics and summary
+    replace older ones only after the checkpoint is saved, so a failed rerun keeps them."""
     _make_dirs(outdir, created)
     metrics = train(weights, adapter, task, config.train, registry=registry)
-    write_metrics_csv(metrics, _new_file(os.path.join(outdir, "metrics.csv"), created))
     summary = run_summary(metrics, registry, config.train, task.kind, len(task.train))
-    _write_json(_new_file(os.path.join(outdir, "summary.json"), created), summary)
+    staged = [_stage(os.path.join(outdir, "metrics.csv"), write_metrics_csv, metrics, created),
+              _stage(os.path.join(outdir, "summary.json"), _write_json, summary, created)]
     save_trainable(registry, _new_file(os.path.join(outdir, "trainable.flckpt"), created),
                    config_echo=config.encoder.to_dict())
+    for tmp, path in staged:
+        os.replace(tmp, path)
     return summary
 
 
@@ -401,8 +411,8 @@ def cmd_fewshot(args) -> int:
                                         created)
             summaries.append(summary)
             print(f"size {size}: dev accuracy {summary['final_dev_accuracy']}")
-        _write_json(_new_file(os.path.join(outdir, "fewshot_summary.json"), created),
-                    {"sizes": sizes, "runs": summaries})
+        os.replace(*_stage(os.path.join(outdir, "fewshot_summary.json"), _write_json,
+                           {"sizes": sizes, "runs": summaries}, created))
     print(f"wrote {outdir}/fewshot_summary.json")
     return EXIT_OK
 

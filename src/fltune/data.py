@@ -207,28 +207,6 @@ def generate_task(
         seed=seed, train=examples[:a], dev=examples[a:a + b], test=examples[a + b:])
 
 
-def write_split_file(examples: Sequence[Example], path) -> None:
-    """One example per line: space-separated token ids, a tab, the label(s)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for ex in examples:
-            label = (" ".join(str(v) for v in ex.label)
-                     if isinstance(ex.label, tuple) else str(ex.label))
-            fh.write(f"{' '.join(str(t) for t in ex.tokens)}\t{label}\n")
-
-
-def write_task_files(task: SyntheticTask, directory) -> dict[str, str]:
-    """Serialize each split to <directory>/<split>.txt; returns the paths."""
-    import os
-
-    os.makedirs(directory, exist_ok=True)
-    paths = {}
-    for split_name, examples in task.splits().items():
-        path = os.path.join(os.fspath(directory), f"{split_name}.txt")
-        write_split_file(examples, path)
-        paths[split_name] = path
-    return paths
-
-
 # ---------------------------------------------------------------------------
 # Backbone pretraining pretext
 # ---------------------------------------------------------------------------

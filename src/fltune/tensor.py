@@ -117,6 +117,9 @@ class Tape:
     and saved arrays only it holds) as soon as the record's gradient has been
     propagated, so afterwards ``len(tape) == 0``, and a second ``backward`` on
     the same tape raises ``RuntimeError``.
+
+    Tapes nest; exiting one that is not the active tape raises ``RuntimeError``
+    and leaves the active tape as it was.
     """
 
     def __init__(self):
@@ -129,19 +132,17 @@ class Tape:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        assert _ACTIVE_TAPE.get() is self, "tapes must be exited in LIFO order"
+        if _ACTIVE_TAPE.get() is not self:
+            raise RuntimeError("tapes must be exited in the reverse order of entry")
         _ACTIVE_TAPE.reset(self._tokens.pop())
         return False
 
     def __len__(self) -> int:
         return len(self._records)
 
-    def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
+    def backward(self, loss: Tensor) -> None:
         """Populate ``grad`` on every trainable tensor reachable from ``loss``.
-
-        Returns the map of trainable tensors to their gradients. Frozen
-        tensors receive no grad buffer at all.
-        """
+        Frozen tensors receive no grad buffer at all."""
         if self._consumed:
             raise RuntimeError("this tape's backward has already run; record a new tape")
         if loss.data.size != 1:
@@ -166,12 +167,9 @@ class Tape:
                 acc[id(t)] = gi if prev is None else prev + gi
                 if t.requires_grad:
                     leaves[id(t)] = t
-        grad_map: dict[Tensor, np.ndarray] = {}
         for key, t in leaves.items():
             g = acc[key]
             t.grad = g if t.grad is None else t.grad + g
-            grad_map[t] = t.grad
-        return grad_map
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], bw: Callable) -> Tensor:

@@ -34,6 +34,8 @@ MODES = ("fl", "pv1", "pv2", "ma", "finetune")
 
 METRICS_HEADER = "step,loss,smoothed_loss,accuracy,wallclock_ms"
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's b1, b2 and eps
+
 
 class DivergenceError(RuntimeError):
     """Training loss or a gradient became non-finite."""
@@ -57,7 +59,6 @@ class TrainConfig:
     d_a: int = 160
     prompt_len: int = 160
     d_a_prime: int = 160
-    layer_subset: Optional[list[int]] = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -144,12 +145,8 @@ class SGD:
 
 
 class Adam:
-    def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         # The moments of the tensors in the layout (the ids of those that had a
         # gradient on the last step) are views into the flat m and v; every
@@ -189,7 +186,7 @@ class Adam:
         per-tensor update bit for bit. A tensor without a gradient is skipped
         and its moments stay as they are."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         live = [e.tensor for e in entries if e.tensor.grad is not None]
         if not live:
             return
@@ -210,7 +207,7 @@ class Adam:
         tmp *= self.learning_rate
         denom = np.divide(v, 1 - b2 ** self.t, out=g)
         np.sqrt(denom, out=denom)
-        denom += self.eps
+        denom += ADAM_EPS
         tmp /= denom
         lo = 0
         for t, grad in zip(live, grads):
@@ -230,8 +227,7 @@ def make_adapter(encoder_config: EncoderConfig, config: TrainConfig):
     if config.mode == "finetune":
         return None
     if config.mode == "fl":
-        return init_fl_adapter(encoder_config, d_a=config.d_a,
-                               layer_subset=config.layer_subset, seed=seed)
+        return init_fl_adapter(encoder_config, d_a=config.d_a, seed=seed)
     if config.mode == "pv1":
         return init_pv1_adapter(encoder_config, prompt_len=config.prompt_len, seed=seed)
     if config.mode == "pv2":

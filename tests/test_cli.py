@@ -1,9 +1,21 @@
 """CLI contract: subcommands, exit codes, config validation, file outputs."""
 
 import json
+import re
+import typing
+from pathlib import Path
 
-from fltune.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, load_experiment_config, main
-from fltune.training import read_metrics_csv
+from fltune.cli import (
+    EXIT_CHECK_FAILED,
+    EXIT_OK,
+    EXIT_USAGE,
+    ExperimentConfig,
+    TaskSpec,
+    load_experiment_config,
+    main,
+)
+from fltune.encoder import EncoderConfig
+from fltune.training import TrainConfig, read_metrics_csv
 
 
 def desk_config(tmp_path, **train_overrides):
@@ -60,6 +72,36 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     }), encoding="utf-8")
     assert main(["params", str(path)]) == EXIT_USAGE
     assert "learnig_rate" in capsys.readouterr().err
+
+
+def test_fl_layer_subset_is_not_a_config_key(tmp_path, capsys):
+    # FL adds units to the FFN of every layer
+    path = desk_config(tmp_path, layer_subset=[0])
+    out = tmp_path / "out"
+    assert main(["train", str(path), "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "config error: unknown key(s): train.layer_subset\n"
+    assert not out.exists()
+
+
+def readme_config_keys() -> dict[str, set]:
+    """Section prefix -> keys, from the ``jsonc`` block under "Config file keys"."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"### Config file keys\s*```jsonc\n(.*?)```", text, re.S).group(1)
+    block = re.sub(r"//[^\n]*", "", block)
+    section = r'"(\w+)":\s*\{([^{}]*)\}'
+    sections = dict(re.findall(section, block))
+    scalars = re.findall(r'"(\w+)"\s*:', re.sub(section, "", block))
+    keys = {"": set(sections) | set(scalars)}
+    keys.update((name + ".", set(re.findall(r'"(\w+)"', body)))
+                for name, body in sections.items())
+    return keys
+
+
+def test_readme_config_keys_match_the_schema():
+    schema = {"": ExperimentConfig, "encoder.": EncoderConfig, "task.": TaskSpec,
+              "train.": TrainConfig}
+    assert readme_config_keys() == {prefix: set(typing.get_type_hints(cls))
+                                    for prefix, cls in schema.items()}
 
 
 def test_parse_error_reports_line_and_column(tmp_path, capsys):

@@ -2,6 +2,8 @@
 leaves no trace, and checkpoint tensor-table validation."""
 
 import json
+import os
+import subprocess
 import sys
 import threading
 
@@ -16,6 +18,7 @@ from fltune.checkpoint import (
     load_checkpoint,
     save_tensors,
 )
+import fltune
 from fltune import cli
 from fltune.cli import EXIT_USAGE, main
 from fltune.tensor import Tape, Tensor, check_gradients, matmul, sum_all
@@ -114,6 +117,40 @@ def test_nested_tapes_record_on_the_innermost():
         matmul(w, w)
         matmul(w, w)
     assert (len(outer), len(inner)) == (2, 1)
+
+
+TAPE_ORDER_SCRIPT = """
+import numpy as np
+from fltune.tensor import Tape, Tensor, matmul
+w = Tensor(np.ones((1, 1)), requires_grad=True)
+a, b = Tape(), Tape()
+a.__enter__()
+b.__enter__()
+try:
+    a.__exit__(None, None, None)
+    raised = False
+except RuntimeError:
+    raised = True
+matmul(w, w)
+recorded_in_b = len(b)
+b.__exit__(None, None, None)
+a.__exit__(None, None, None)
+matmul(w, w)
+print(__debug__, raised, recorded_in_b, len(a), len(b))
+"""
+
+
+def test_exiting_tapes_out_of_order_raises_under_python_o():
+    # -O strips assert statements; the order check must hold there too
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fltune.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-O", "-c", TAPE_ORDER_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    # a stays unrecorded, b keeps the op made while it was active, and no
+    # tape records once both are exited
+    assert done.stdout.split() == ["False", "True", "1", "0", "1"]
 
 
 def test_check_gradients_restores_input_when_f_raises():
@@ -397,6 +434,24 @@ def test_train_failing_to_write_leaves_what_existed_alone(run_config, tmp_path, 
     usage_error(capsys, ["train", run_config, "--out", str(out)])
     assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "summary.json"]
     assert (out / "notes.txt").read_text(encoding="utf-8") == "mine"
+
+
+def test_train_rerun_failing_to_write_leaves_the_finished_run_whole(run_config, tmp_path,
+                                                                  capsys, monkeypatch):
+    out = tmp_path / "out"
+    assert main(["train", run_config, "--out", str(out)]) == 0
+    names = ["metrics.csv", "summary.json", "trainable.flckpt"]
+    before = {name: (out / name).read_bytes() for name in names}
+
+    def save(_registry, path, config_echo=None):
+        # save_trainable writes through a temp file, so a failed save leaves
+        # the file at ``path`` as it was
+        raise OSError(f"cannot write {path}")
+
+    monkeypatch.setattr(cli, "save_trainable", save)
+    usage_error(capsys, ["train", run_config, "--out", str(out), "--seed", "7"])
+    assert sorted(p.name for p in out.iterdir()) == names
+    assert {name: (out / name).read_bytes() for name in names} == before
 
 
 def diverging_on_second_call(monkeypatch):

@@ -35,7 +35,7 @@ BASE_CONFIG = {
                 "max_seq_len": 16, "n_classes": 2},
     "task": {"kind": "classification", "train_size": 20, "dev_size": 8,
              "test_size": 8, "seq_len": 8, "seed": 1},
-    "train": {"mode": "fl", "d_a": 2, "max_steps": 2, "layer_subset": [0]},
+    "train": {"mode": "fl", "d_a": 2, "max_steps": 2},
     "pretrain_steps": 0,
 }
 
@@ -78,7 +78,7 @@ def config_path(tmp_path_factory):
 
 
 def test_base_config_loads(config_path):
-    assert load_experiment_config(config_path).train.layer_subset == [0]
+    assert load_experiment_config(config_path).train.max_steps == 2
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -130,7 +130,7 @@ def test_diverging_train_run_exits_1_and_leaves_nothing(config_path, tmp_path):
 
 @pytest.mark.parametrize("assignment", [
     "pretrain_steps=null", "pretrain_steps=[1]", "pretrain_steps=2.7",
-    "train.batch_size=2.5", 'train.max_steps="5"', "train.layer_subset=1",
+    "train.batch_size=2.5", 'train.max_steps="5"',
     "encoder.d_m=16.5", "task.train_size=16.0",
 ])
 def test_wrong_typed_value_exits_2_with_config_error(config_path, capsys, assignment):

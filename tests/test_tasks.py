@@ -16,7 +16,6 @@ from fltune.data import (
     label_pair,
     label_tagging,
     pretrain_backbone,
-    write_task_files,
 )
 from fltune.encoder import EncoderConfig, init_encoder
 from fltune.adapters import tensor_content_hash
@@ -125,23 +124,6 @@ def test_linear_probe_on_marker_embeddings_solves_classification():
     y_dev = np.array([ex.label for ex in task.dev])
     acc = float(((x_dev @ w + b).argmax(axis=1) == y_dev).mean())
     assert acc > 0.9
-
-
-def test_write_task_files(tmp_path):
-    task = generate_task("tagging", sizes=(5, 2, 2), seed=6, n_classes=3)
-    paths = write_task_files(task, tmp_path / "task")
-    assert sorted(paths) == ["dev", "test", "train"]
-    lines = (tmp_path / "task" / "train.txt").read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 5
-    tokens, labels = lines[0].split("\t")
-    assert len(tokens.split()) == task.seq_len
-    assert len(labels.split()) == task.seq_len
-    # classification labels are a single field
-    clf = generate_task("classification", sizes=(4, 2, 2), seed=7)
-    paths = write_task_files(clf, tmp_path / "clf")
-    line = open(paths["train"], encoding="utf-8").readline().rstrip("\n")
-    tokens, label = line.split("\t")
-    assert label in ("0", "1")
 
 
 # ---------------------------------------------------------------------------
