@@ -350,21 +350,23 @@ def _stage(path, write, data, created: list) -> tuple[str, str]:
     return tmp, _new_file(path, created)
 
 
-def _run_one_training(config: ExperimentConfig, task, weights, adapter, registry, outdir,
-                      created: list):
-    """Train and write the run's files into ``outdir``, recording in ``created``
-    every directory and file that did not exist before. The metrics and summary
-    replace older ones only after the checkpoint is saved, so a failed rerun keeps them."""
+def _train_and_stage(config: ExperimentConfig, task, weights, adapter, registry, outdir,
+                     created: list):
+    """Train, then stage the run's metrics and summary beside their places in
+    ``outdir``, recording in ``created`` every directory and file that did not
+    exist before. Returns the summary and the staged (temp, path) pairs; the
+    caller installs them once everything else the run writes is saved."""
     _make_dirs(outdir, created)
     metrics = train(weights, adapter, task, config.train, registry=registry)
     summary = run_summary(metrics, registry, config.train, task.kind, len(task.train))
     staged = [_stage(os.path.join(outdir, "metrics.csv"), write_metrics_csv, metrics, created),
               _stage(os.path.join(outdir, "summary.json"), _write_json, summary, created)]
-    save_trainable(registry, _new_file(os.path.join(outdir, "trainable.flckpt"), created),
-                   config_echo=config.encoder.to_dict())
+    return summary, staged
+
+
+def _install(staged) -> None:
     for tmp, path in staged:
         os.replace(tmp, path)
-    return summary
 
 
 def cmd_train(args) -> int:
@@ -372,7 +374,13 @@ def cmd_train(args) -> int:
     outdir = _resolve_outdir(args, config, "train")
     task, weights, adapter, registry = build_experiment(config)
     with _removed_on_error() as created:
-        summary = _run_one_training(config, task, weights, adapter, registry, outdir, created)
+        summary, staged = _train_and_stage(config, task, weights, adapter, registry, outdir,
+                                           created)
+        # the metrics and summary replace older ones only after the checkpoint
+        # is saved, so a failed rerun keeps them
+        save_trainable(registry, _new_file(os.path.join(outdir, "trainable.flckpt"), created),
+                       config_echo=config.encoder.to_dict())
+        _install(staged)
     print(f"wrote {outdir}/metrics.csv, summary.json, trainable.flckpt")
     print(f"final train accuracy {summary['final_train_accuracy']}, "
           f"dev accuracy {summary['final_dev_accuracy']}")
@@ -397,8 +405,11 @@ def cmd_fewshot(args) -> int:
     task, weights, _adapter, _registry = build_experiment(config)
     subsets = fewshot_subsample(task, sizes, seed=config.task.seed)
     snapshot = [(name, t.data.copy()) for name, t, _g in weights.named_tensors()]
+    save = lambda registry, path: save_trainable(registry, path,
+                                                 config_echo=config.encoder.to_dict())
 
     summaries = []
+    staged = []
     with _removed_on_error() as created:
         for size, subset in zip(sizes, subsets):
             for (_, t, _g), (_, saved) in zip(weights.named_tensors(), snapshot):
@@ -407,12 +418,18 @@ def cmd_fewshot(args) -> int:
             registry = build_registry(weights, adapter,
                                       finetune=(config.train.mode == "finetune"))
             run_dir = os.path.join(outdir, f"size_{size:04d}")
-            summary = _run_one_training(config, subset, weights, adapter, registry, run_dir,
-                                        created)
+            summary, run_staged = _train_and_stage(config, subset, weights, adapter, registry,
+                                                   run_dir, created)
+            staged += run_staged
+            staged.append(_stage(os.path.join(run_dir, "trainable.flckpt"), save, registry,
+                                 created))
             summaries.append(summary)
             print(f"size {size}: dev accuracy {summary['final_dev_accuracy']}")
-        os.replace(*_stage(os.path.join(outdir, "fewshot_summary.json"), _write_json,
-                           {"sizes": sizes, "runs": summaries}, created))
+        staged.append(_stage(os.path.join(outdir, "fewshot_summary.json"), _write_json,
+                             {"sizes": sizes, "runs": summaries}, created))
+        # every size is saved: only now does the sweep replace an older one,
+        # so a size that fails leaves a finished sweep's files as they were
+        _install(staged)
     print(f"wrote {outdir}/fewshot_summary.json")
     return EXIT_OK
 

@@ -1,9 +1,10 @@
 """A pretrained-shaped transformer encoder used as the frozen backbone.
 
 Multi-head self-attention, position-wise feed-forward sublayers, residual
-connections with post-norm layout (layer norm applied after each residual
-add), token plus position embeddings, and a linear task head pooled at the
-first token position. Tuning methods plug in through ``AdapterHooks``.
+connections with post-norm layout (each residual sum is formed and normalized
+by one ``layer_norm`` op), token plus position embeddings, and a linear task
+head pooled at the first token position. Tuning methods plug in through
+``AdapterHooks``.
 
 A batch of equal-length sequences runs as one packed stack of rows, example
 after example; the single-sequence functions are a batch of one. Every step
@@ -358,10 +359,10 @@ def encoder_hidden_batch(
         attn_out = attention_forward(layer.attn, x, kv_prefix=hooks.kv_prefix(i),
                                      expansion=hooks.attn_expansion(i), queries=rows,
                                      batch=batch)
-        x = layer_norm(add(rows, attn_out), layer.norm1.gain, layer.norm1.bias)
+        x = layer_norm(rows, layer.norm1.gain, layer.norm1.bias, residual=attn_out)
         units = hooks.ffn_units(i)
         ffn_out = ffn_forward(layer.ffn, x) if units is None else ffn_fl_split(layer.ffn, units, x)
-        x = layer_norm(add(x, ffn_out), layer.norm2.gain, layer.norm2.bias)
+        x = layer_norm(x, layer.norm2.gain, layer.norm2.bias, residual=ffn_out)
     return x, prompt_len
 
 

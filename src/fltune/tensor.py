@@ -7,6 +7,15 @@ ops treat their rows as ``batch`` packed examples split into ``heads`` column
 blocks. ``check_gradients`` is the central finite-difference oracle used to
 validate every backward formula in the package.
 
+The row kernels keep NumPy's per-call overhead down without changing a bit.
+``layer_norm`` takes an optional ``residual`` operand, so a post-norm
+residual step (``layer_norm(add(x, r))``) is one op and one record. Row
+reductions call ``np.add.reduce`` and divide in place by the count, as
+``ndarray.mean`` does behind its Python wrappers. ``gather_rows``' backward
+scatter-adds with one ``np.bincount`` over flat element positions, which adds
+each element's rows in id order onto +0.0 exactly as ``np.add.at`` into
+zeros would.
+
 Importing this module (and so ``fltune``) tunes the C allocator of the whole
 process, on Linux with glibc only and with no setting to turn it off: the
 mmap threshold is fixed at 32 MiB and the trim threshold at 1 GiB. A training
@@ -357,6 +366,8 @@ def row_slice(x: Tensor, start: int, stop: int) -> Tensor:
 
 def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
     """Select rows of an embedding table; backward scatter-adds into the table."""
+    if table.data.ndim != 2:
+        raise ShapeError(f"gather_rows needs a 2-d table, got {table.data.shape}")
     idx = np.asarray(ids, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError(f"gather_rows needs a flat id sequence, got shape {idx.shape}")
@@ -368,30 +379,45 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
     def bw(g):
         if not table.needs_grad():
             return (None,)
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, idx, g)
-        return (gt,)
+        # element (i, j) is bin i·d + j (see the module docstring)
+        n, d = table.data.shape
+        bins = (idx[:, None] * d + np.arange(d)).ravel()
+        return (np.bincount(bins, weights=g.ravel(), minlength=n * d).reshape(n, d),)
 
     return _record(out, (table,), bw)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5, *,
+               residual: Optional[Tensor] = None) -> Tensor:
     """Per-row normalization followed by a learned affine map.
 
+    With ``residual`` the rows normalized are ``x + residual``, the post-norm
+    residual step in one op: the sum is formed first, in one fresh buffer, so
+    the values equal ``layer_norm(add(x, residual), ...)`` bit for bit, and
+    backward hands ``x`` and ``residual`` the same gradient, as ``add`` does.
     ``eps`` keeps the variance denominator away from zero on constant rows.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"layer_norm needs a 2-d tensor, got {x.data.shape}")
+    if residual is not None and residual.data.shape != x.data.shape:
+        raise ShapeError(
+            f"layer_norm residual must match x {x.data.shape}, got {residual.data.shape}")
     n = x.data.shape[1]
     if gain.data.shape != (1, n) or bias.data.shape != (1, n):
         raise ShapeError(
             f"layer_norm gain/bias must be (1, {n}), got {gain.data.shape} and {bias.data.shape}")
     # in place on two buffers, in the order of the textbook formulas:
     # xhat = (x - mu) / sqrt(var + eps), out = gain * xhat + bias
-    mu = x.data.mean(axis=1, keepdims=True)
-    xhat = x.data - mu
+    rows = x.data if residual is None else x.data + residual.data
+    mu = np.add.reduce(rows, axis=1, keepdims=True)
+    mu /= n
+    # a residual sum is this op's own buffer, so it turns into xhat in place
+    xhat = rows - mu if residual is None else np.subtract(rows, mu, out=rows)
     out = np.square(xhat)
-    std = np.sqrt(out.mean(axis=1, keepdims=True) + eps)
+    std = np.add.reduce(out, axis=1, keepdims=True)
+    std /= n
+    std += eps
+    np.sqrt(std, out=std)
     xhat /= std
     np.multiply(gain.data, xhat, out=out)
     out += bias.data
@@ -399,22 +425,28 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     def bw(g):
         gx = gg = gb = None
         if gain.needs_grad():
-            gg = (g * xhat).sum(axis=0, keepdims=True)
+            gg = np.add.reduce(g * xhat, axis=0, keepdims=True)
         if bias.needs_grad():
-            gb = g.sum(axis=0, keepdims=True)
-        if x.needs_grad():
+            gb = np.add.reduce(g, axis=0, keepdims=True)
+        if x.needs_grad() or (residual is not None and residual.needs_grad()):
             # (dxhat - m1 - xhat * m2) / std with dxhat = g * gain, on two buffers
             gx = g * gain.data
-            m1 = gx.mean(axis=1, keepdims=True)
+            m1 = np.add.reduce(gx, axis=1, keepdims=True)
+            m1 /= n
             tmp = gx * xhat
-            m2 = tmp.mean(axis=1, keepdims=True)
+            m2 = np.add.reduce(tmp, axis=1, keepdims=True)
+            m2 /= n
             np.multiply(xhat, m2, out=tmp)
             gx -= m1
             gx -= tmp
             gx /= std
-        return gx, gg, gb
+        if residual is None:
+            return gx, gg, gb
+        return (gx if x.needs_grad() else None, gg, gb,
+                gx if residual.needs_grad() else None)
 
-    return _record(Tensor(out), (x, gain, bias), bw)
+    inputs = (x, gain, bias) if residual is None else (x, gain, bias, residual)
+    return _record(Tensor(out), inputs, bw)
 
 
 def cross_entropy_mean(logits: Tensor, labels: Sequence[int],
@@ -442,17 +474,17 @@ def cross_entropy_mean(logits: Tensor, labels: Sequence[int],
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != (m,):
             raise ShapeError(f"weights must have length {m}, got shape {w.shape}")
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
+    shifted = logits.data - np.maximum.reduce(logits.data, axis=1, keepdims=True)
+    lse = np.log(np.add.reduce(np.exp(shifted), axis=1))
     picked = shifted[np.arange(m), y]
     per_row = lse - picked
-    out = Tensor(np.asarray(per_row.mean() if weights is None else per_row @ w))
+    out = Tensor(np.asarray(np.add.reduce(per_row) / m if weights is None else per_row @ w))
 
     def bw(g):
         if not logits.needs_grad():
             return (None,)
         p = np.exp(shifted)
-        p /= p.sum(axis=1, keepdims=True)
+        p /= np.add.reduce(p, axis=1, keepdims=True)
         p[np.arange(m), y] -= 1.0
         if weights is None:
             return (p * (float(g) / m),)

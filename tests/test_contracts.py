@@ -487,3 +487,19 @@ def test_fewshot_failing_on_a_later_size_leaves_what_existed_alone(run_config, t
     assert "run aborted" in capsys.readouterr().err
     assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "size_0008"]
     assert not any((out / "size_0008").iterdir())
+
+
+def test_fewshot_rerun_failing_on_a_later_size_leaves_the_finished_sweep_whole(
+        run_config, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    assert main(["fewshot", run_config, "--out", str(out), "--sizes", "4,8"]) == 0
+    before = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert len(before) == 7  # three files per size and fewshot_summary.json
+    diverging_on_second_call(monkeypatch)
+    argv = ["fewshot", run_config, "--out", str(out), "--sizes", "4,8", "--seed", "7"]
+    assert main(argv) == 1
+    assert "run aborted" in capsys.readouterr().err
+    # every size's files, and the summary, still come from the first sweep,
+    # and no staged temp file is left behind
+    after = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert after == before

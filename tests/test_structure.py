@@ -139,3 +139,15 @@ def test_biased_projections_use_the_fused_affine_op():
                     f"{path.name}:{node.lineno}: add(matmul(...), ...)"
             if name == "relu":
                 assert path.name == "tensor.py", f"{path.name}:{node.lineno}: relu(...)"
+
+
+def test_tensor_ops_skip_the_slow_numpy_paths():
+    # np.add.at dispatches per row and ndarray.mean goes through NumPy's
+    # Python wrappers; the ops use np.bincount and np.add.reduce instead
+    path = Path(encoder_module.__file__).with_name("tensor.py")
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            func = node.func
+            assert func.attr != "mean", f"tensor.py:{node.lineno}: .mean(...)"
+            assert not (func.attr == "at" and getattr(func.value, "attr", None) == "add"), \
+                f"tensor.py:{node.lineno}: np.add.at(...)"

@@ -296,6 +296,17 @@ def test_gather_rows_rejects_bad_id():
         gather_rows(Tensor(np.zeros((4, 3))), [0, 4])
 
 
+def test_gather_rows_rejects_a_table_that_is_not_2d():
+    with pytest.raises(ShapeError, match="2-d table"):
+        gather_rows(Tensor(np.zeros(4)), [0, 1])
+
+
+def test_layer_norm_rejects_a_residual_of_another_shape():
+    x, ones, zeros = Tensor(np.zeros((2, 3))), Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 3)))
+    with pytest.raises(ShapeError, match="residual"):
+        layer_norm(x, ones, zeros, residual=Tensor(np.zeros((1, 3))))
+
+
 @pytest.mark.parametrize(
     "name,builder",
     [
