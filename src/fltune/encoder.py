@@ -301,6 +301,31 @@ def ffn_fl_split(layer: FFNLayer, params, x: Tensor) -> Tensor:
     return add(backbone, matmul(hidden, params.w2))
 
 
+def _batch_ids(config: EncoderConfig, sequences: Sequence[Sequence[int]],
+               prompt_len: int) -> tuple[Sequence[int], int]:
+    """Flat token ids of an equal-length batch, example after example, and
+    the sequence length.
+
+    A batch that converts to one 2-d integer array with every id in range and
+    room for the prompt rows is checked as a whole; any other batch goes
+    through ``_validate_tokens`` token by token, which raises the
+    ``ShapeError`` that names the fault.
+    """
+    try:
+        arr = np.asarray(sequences)
+    except ValueError:  # a ragged batch: the per-token check names the fault
+        arr = None
+    if (arr is not None and arr.ndim == 2 and arr.shape[1] and arr.dtype.kind in "iu"
+            and arr.shape[1] + prompt_len <= config.max_seq_len
+            and arr.min() >= 0 and arr.max() < config.vocab_size):
+        return arr.ravel(), arr.shape[1]
+    ids = [_validate_tokens(config, tokens, prompt_len) for tokens in sequences]
+    lengths = sorted({len(s) for s in ids})
+    if len(lengths) > 1:
+        raise ShapeError(f"batch sequences differ in length: {lengths}")
+    return [t for s in ids for t in s], lengths[0]
+
+
 def _validate_tokens(config: EncoderConfig, tokens: Sequence[int], prompt_len: int) -> list[int]:
     ids = [int(t) for t in tokens]
     if not ids:
@@ -341,13 +366,10 @@ def encoder_hidden_batch(
     batch = len(sequences)
     if not batch:
         raise ShapeError("batch has no sequences")
-    ids = [_validate_tokens(config, tokens, prompt_len) for tokens in sequences]
-    lengths = sorted({len(s) for s in ids})
-    if len(lengths) > 1:
-        raise ShapeError(f"batch sequences differ in length: {lengths}")
-    total = prompt_len + lengths[0]
+    ids, seq_len = _batch_ids(config, sequences, prompt_len)
+    total = prompt_len + seq_len
 
-    x = gather_rows(weights.tok_emb, [t for s in ids for t in s])
+    x = gather_rows(weights.tok_emb, ids)
     if prompt_len:
         x = _prepend_rows(prompt, x, batch)
     x = add(x, gather_rows(weights.pos_emb, np.tile(np.arange(total), batch)))

@@ -7,6 +7,20 @@ ops treat their rows as ``batch`` packed examples split into ``heads`` column
 blocks. ``check_gradients`` is the central finite-difference oracle used to
 validate every backward formula in the package.
 
+A record holds gradient keys and the arrays its backward formula reads, never
+the op's output or input tensors. When it records, an op fixes which inputs
+need a gradient and keeps only what those gradients read: ``matmul`` and
+``affine`` the other operand of each such input (``affine`` with ReLU, and
+``relu``, also a bool mask of the positive entries), ``layer_norm`` ``xhat``,
+the row std and the gain, the attention ops the head blocks each gradient
+reads (``attention_weights`` also its probabilities, as ``softmax_rows``
+keeps its output), ``cross_entropy_mean`` its shifted logits, and the
+shape-only ops (``gather_rows``, ``row_slice``, ``sum_all``) and flag-only
+ops (``add``, ``concat``, ``transpose``, ``scale``) no array at all. Any
+other array is freed during the forward pass as soon as the caller drops it.
+An op that does not record (no active tape, or no input needing a gradient)
+builds no backward closure or mask.
+
 The row kernels keep NumPy's per-call overhead down without changing a bit.
 ``layer_norm`` takes an optional ``residual`` operand, so a post-norm
 residual step (``layer_norm(add(x, r))``) is one op and one record. Row
@@ -75,13 +89,14 @@ class Tensor:
     """A dense row-major float64 array, optionally tracked for gradients.
 
     ``requires_grad`` marks trainable leaves. Tensors produced by ops while a
-    tape is active become tracked whenever any input is tracked or trainable,
-    so frozen leaves never have gradients computed or buffers allocated.
-    Zero-size dimensions are legal (the degenerate zero-unit adapter relies
-    on them).
+    tape is active become tracked whenever any input is tracked or trainable:
+    they get a gradient key, under which ``backward`` accumulates their
+    gradient. Frozen leaves never have gradients computed or buffers
+    allocated. Zero-size dimensions are legal (the degenerate zero-unit
+    adapter relies on them).
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_tracked")
+    __slots__ = ("data", "requires_grad", "grad", "_key")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -92,7 +107,10 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        self._tracked = False
+        # set when an op records this tensor: a fresh object, equal only to
+        # itself, so unlike an id() it can never be reused by a tensor made
+        # after another was freed, on any tape
+        self._key: Optional[object] = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -103,7 +121,7 @@ class Tensor:
         return self.data.size
 
     def needs_grad(self) -> bool:
-        return self.requires_grad or self._tracked
+        return self.requires_grad or self._key is not None
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -122,8 +140,16 @@ class Tape:
     ``backward(loss)``. Using a fresh tape per training step guarantees no
     gradient state leaks across steps. A tape must stay on one thread.
 
-    ``backward`` consumes the tape: it releases each record (with the output
-    and saved arrays only it holds) as soon as the record's gradient has been
+    A record is ``(out_key, input_slots, bw)``: the gradient key of the op's
+    output; one slot per input, holding the input's key, the input itself when
+    it is a ``requires_grad`` leaf (so ``backward`` can set its ``grad``), or
+    None when it needs no gradient; and the backward closure, which holds only
+    the arrays its formula reads. Which inputs get a gradient is fixed when
+    the op records: setting ``requires_grad`` on an input afterwards gives it
+    no gradient from that record.
+
+    ``backward`` consumes the tape: it releases each record (with the saved
+    arrays only it holds) as soon as the record's gradient has been
     propagated, so afterwards ``len(tape) == 0``, and a second ``backward`` on
     the same tape raises ``RuntimeError``.
 
@@ -132,7 +158,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        self._records: list[tuple[object, tuple[Optional[object], ...], Callable]] = []
         self._tokens = []
         self._consumed = False
 
@@ -157,35 +183,42 @@ class Tape:
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
         self._consumed = True
-        # id() keys are safe although records are released on the way: an
-        # input was made before the record reading it, so it stays alive in an
-        # earlier, not yet released record (or in ``leaves``), and no tensor
-        # is created during this call that could reuse a freed id.
-        acc: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        leaves: dict[int, Tensor] = {}
+        # keyed by gradient key, or by the tensor itself for a leaf
+        acc: dict = {loss._key: np.ones_like(loss.data)}
         records = self._records
         while records:
-            out, inputs, bw = records.pop()
-            g = acc.pop(id(out), None)
+            key, slots, bw = records.pop()
+            g = acc.pop(key, None)
             if g is None:
                 continue
-            for t, gi in zip(inputs, bw(g)):
-                if gi is None:
+            for slot, gi in zip(slots, bw(g)):
+                if slot is None:
                     continue
-                prev = acc.get(id(t))
-                acc[id(t)] = gi if prev is None else prev + gi
-                if t.requires_grad:
-                    leaves[id(t)] = t
-        for key, t in leaves.items():
-            g = acc[key]
-            t.grad = g if t.grad is None else t.grad + g
+                prev = acc.get(slot)
+                acc[slot] = gi if prev is None else prev + gi
+        for slot, g in acc.items():
+            if isinstance(slot, Tensor):
+                slot.grad = g if slot.grad is None else slot.grad + g
 
 
-def _record(out: Tensor, inputs: tuple[Tensor, ...], bw: Callable) -> Tensor:
-    tape = _ACTIVE_TAPE.get()
-    if tape is not None and any(t.needs_grad() for t in inputs):
-        out._tracked = True
-        tape._records.append((out, inputs, bw))
+def _needs(*inputs: Tensor) -> Optional[tuple[bool, ...]]:
+    """Which ``inputs`` need a gradient, or None when the op records nothing:
+    no tape is active or no input needs one."""
+    if _ACTIVE_TAPE.get() is None:
+        return None
+    needs = tuple(t.needs_grad() for t in inputs)
+    return needs if any(needs) else None
+
+
+def _record(out: Tensor, inputs: tuple[Tensor, ...], needs: tuple[bool, ...],
+            bw: Callable) -> Tensor:
+    """Track ``out`` and append its record to the active tape; ``needs`` is
+    what ``_needs(*inputs)`` returned and ``bw`` returns one gradient per
+    input, None where ``needs`` is False."""
+    out._key = object()
+    slots = tuple(None if not need else t if t.requires_grad else t._key
+                  for t, need in zip(inputs, needs))
+    _ACTIVE_TAPE.get()._records.append((out._key, slots, bw))
     return out
 
 
@@ -200,13 +233,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}")
     out = Tensor(a.data @ b.data)
+    needs = _needs(a, b)
+    if needs is None:
+        return out
+    need_a, need_b = needs
+    ad = a.data if need_b else None
+    bd = b.data if need_a else None
 
     def bw(g):
-        ga = g @ b.data.T if a.needs_grad() else None
-        gb = a.data.T @ g if b.needs_grad() else None
-        return ga, gb
+        return (g @ bd.T if need_a else None,
+                ad.T @ g if need_b else None)
 
-    return _record(out, (a, b), bw)
+    return _record(out, (a, b), needs, bw)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
@@ -215,7 +253,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     One output buffer: the bias is added and the clamp applied in place, so
     the values equal ``add(matmul(x, w), b)`` (and ``relu`` of it) bit for
     bit. The ReLU mask comes from the output, since out > 0 exactly where
-    the pre-activation is > 0.
+    the pre-activation is > 0; a recording op keeps that bool mask, not the
+    output.
     """
     if x.data.ndim != 2 or w.data.ndim != 2:
         raise ShapeError(f"affine needs 2-d operands, got {x.data.shape} and {w.data.shape}")
@@ -227,27 +266,37 @@ def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     y += b.data
     if relu:
         np.maximum(y, 0.0, out=y)
+    out = Tensor(y)
+    needs = _needs(x, w, b)
+    if needs is None:
+        return out
+    need_x, need_w, need_b = needs
+    xd = x.data if need_w else None
+    wd = w.data if need_x else None
+    mask = y > 0.0 if relu else None
 
     def bw(g):
-        if relu:
-            g = g * (y > 0.0)
-        gx = g @ w.data.T if x.needs_grad() else None
-        gw = x.data.T @ g if w.needs_grad() else None
-        gb = g.sum(axis=0, keepdims=True) if b.needs_grad() else None
-        return gx, gw, gb
+        if mask is not None:
+            g = g * mask
+        return (g @ wd.T if need_x else None,
+                xd.T @ g if need_w else None,
+                g.sum(axis=0, keepdims=True) if need_b else None)
 
-    return _record(Tensor(y), (x, w, b), bw)
+    return _record(out, (x, w, b), needs, bw)
 
 
 def transpose(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeError(f"transpose needs a 2-d tensor, got {x.data.shape}")
     out = Tensor(x.data.T)
+    needs = _needs(x)
+    if needs is None:
+        return out
 
     def bw(g):
-        return (g.T if x.needs_grad() else None,)
+        return (g.T,)
 
-    return _record(out, (x,), bw)
+    return _record(out, (x,), needs, bw)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -263,28 +312,34 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     else:
         raise ShapeError(f"add shapes incompatible: {a.data.shape} + {b.data.shape}")
     out = Tensor(a.data + b.data)
+    needs = _needs(a, b)
+    if needs is None:
+        return out
+    need_a, need_b = needs
 
     def bw(g):
-        ga = g if a.needs_grad() else None
-        if not b.needs_grad():
+        if not need_b:
             gb = None
         elif row_bias:
             gb = g.sum(axis=0, keepdims=True)
         else:
             gb = g
-        return ga, gb
+        return (g if need_a else None), gb
 
-    return _record(out, (a, b), bw)
+    return _record(out, (a, b), needs, bw)
 
 
 def scale(x: Tensor, s: float) -> Tensor:
     s = float(s)
     out = Tensor(x.data * s)
+    needs = _needs(x)
+    if needs is None:
+        return out
 
     def bw(g):
-        return (g * s if x.needs_grad() else None,)
+        return (g * s,)
 
-    return _record(out, (x,), bw)
+    return _record(out, (x,), needs, bw)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -294,11 +349,15 @@ def relu(x: Tensor) -> Tensor:
     do that with probability one.
     """
     out = Tensor(np.maximum(x.data, 0.0))
+    needs = _needs(x)
+    if needs is None:
+        return out
+    mask = x.data > 0.0
 
     def bw(g):
-        return (g * (x.data > 0.0) if x.needs_grad() else None,)
+        return (g * mask,)
 
-    return _record(out, (x,), bw)
+    return _record(out, (x,), needs, bw)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -309,14 +368,15 @@ def softmax_rows(x: Tensor) -> Tensor:
     e = np.exp(shifted)
     p = e / e.sum(axis=1, keepdims=True)
     out = Tensor(p)
+    needs = _needs(x)
+    if needs is None:
+        return out
 
     def bw(g):
-        if not x.needs_grad():
-            return (None,)
         dot = (g * p).sum(axis=1, keepdims=True)
         return (p * (g - dot),)
 
-    return _record(out, (x,), bw)
+    return _record(out, (x,), needs, bw)
 
 
 def concat(a: Tensor, b: Tensor, axis: str) -> Tensor:
@@ -334,6 +394,10 @@ def concat(a: Tensor, b: Tensor, axis: str) -> Tensor:
         raise ShapeError(
             f"concat along {axis}: non-concat dimension disagrees: {a.data.shape} vs {b.data.shape}")
     out = Tensor(np.concatenate([a.data, b.data], axis=ax))
+    needs = _needs(a, b)
+    if needs is None:
+        return out
+    need_a, need_b = needs
     split = a.data.shape[ax]
 
     def bw(g):
@@ -341,10 +405,10 @@ def concat(a: Tensor, b: Tensor, axis: str) -> Tensor:
             ga, gb = g[:split], g[split:]
         else:
             ga, gb = g[:, :split], g[:, split:]
-        return (ga if a.needs_grad() else None,
-                gb if b.needs_grad() else None)
+        return (ga if need_a else None,
+                gb if need_b else None)
 
-    return _record(out, (a, b), bw)
+    return _record(out, (a, b), needs, bw)
 
 
 def row_slice(x: Tensor, start: int, stop: int) -> Tensor:
@@ -353,15 +417,17 @@ def row_slice(x: Tensor, start: int, stop: int) -> Tensor:
     if not (0 <= start <= stop <= x.data.shape[0]):
         raise ShapeError(f"row_slice [{start}:{stop}] out of range for shape {x.data.shape}")
     out = Tensor(x.data[start:stop].copy())
+    needs = _needs(x)
+    if needs is None:
+        return out
+    shape = x.data.shape
 
     def bw(g):
-        if not x.needs_grad():
-            return (None,)
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape)
         gx[start:stop] = g
         return (gx,)
 
-    return _record(out, (x,), bw)
+    return _record(out, (x,), needs, bw)
 
 
 def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
@@ -375,16 +441,17 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
         raise ShapeError(
             f"gather_rows id out of range [0, {table.data.shape[0]}): {ids}")
     out = Tensor(table.data[idx])
+    needs = _needs(table)
+    if needs is None:
+        return out
+    n, d = table.data.shape
 
     def bw(g):
-        if not table.needs_grad():
-            return (None,)
         # element (i, j) is bin i·d + j (see the module docstring)
-        n, d = table.data.shape
         bins = (idx[:, None] * d + np.arange(d)).ravel()
         return (np.bincount(bins, weights=g.ravel(), minlength=n * d).reshape(n, d),)
 
-    return _record(out, (table,), bw)
+    return _record(out, (table,), needs, bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5, *,
@@ -421,16 +488,24 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5, *,
     xhat /= std
     np.multiply(gain.data, xhat, out=out)
     out += bias.data
+    inputs = (x, gain, bias) if residual is None else (x, gain, bias, residual)
+    needs = _needs(*inputs)
+    if needs is None:
+        return Tensor(out)
+    need_x, need_gain, need_bias = needs[:3]
+    folded = residual is not None
+    need_residual = folded and needs[3]
+    gain_data = gain.data
 
     def bw(g):
         gx = gg = gb = None
-        if gain.needs_grad():
+        if need_gain:
             gg = np.add.reduce(g * xhat, axis=0, keepdims=True)
-        if bias.needs_grad():
+        if need_bias:
             gb = np.add.reduce(g, axis=0, keepdims=True)
-        if x.needs_grad() or (residual is not None and residual.needs_grad()):
+        if need_x or need_residual:
             # (dxhat - m1 - xhat * m2) / std with dxhat = g * gain, on two buffers
-            gx = g * gain.data
+            gx = g * gain_data
             m1 = np.add.reduce(gx, axis=1, keepdims=True)
             m1 /= n
             tmp = gx * xhat
@@ -440,15 +515,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5, *,
             gx -= m1
             gx -= tmp
             gx /= std
-        if residual is None:
+        if not folded:
             return gx, gg, gb
-        return (gx if x.needs_grad() else None, gg, gb,
-                gx if residual.needs_grad() else None)
+        return (gx if need_x else None, gg, gb,
+                gx if need_residual else None)
 
-    inputs = (x, gain, bias) if residual is None else (x, gain, bias, residual)
-    return _record(Tensor(out), inputs, bw)
-
-
+    return _record(Tensor(out), inputs, needs, bw)
 def cross_entropy_mean(logits: Tensor, labels: Sequence[int],
                        weights: Optional[Sequence[float]] = None) -> Tensor:
     """Mean cross entropy of row-wise logits against integer labels.
@@ -470,38 +542,45 @@ def cross_entropy_mean(logits: Tensor, labels: Sequence[int],
         raise ShapeError("cross_entropy_mean needs at least one row")
     if y.min() < 0 or y.max() >= c:
         raise ShapeError(f"label out of range [0, {c}): {labels}")
+    row_weights = None
     if weights is not None:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (m,):
-            raise ShapeError(f"weights must have length {m}, got shape {w.shape}")
+        row_weights = np.asarray(weights, dtype=np.float64)
+        if row_weights.shape != (m,):
+            raise ShapeError(f"weights must have length {m}, got shape {row_weights.shape}")
     shifted = logits.data - np.maximum.reduce(logits.data, axis=1, keepdims=True)
     lse = np.log(np.add.reduce(np.exp(shifted), axis=1))
     picked = shifted[np.arange(m), y]
     per_row = lse - picked
-    out = Tensor(np.asarray(np.add.reduce(per_row) / m if weights is None else per_row @ w))
+    out = Tensor(np.asarray(np.add.reduce(per_row) / m if row_weights is None
+                            else per_row @ row_weights))
+    needs = _needs(logits)
+    if needs is None:
+        return out
 
     def bw(g):
-        if not logits.needs_grad():
-            return (None,)
         p = np.exp(shifted)
         p /= np.add.reduce(p, axis=1, keepdims=True)
         p[np.arange(m), y] -= 1.0
-        if weights is None:
+        if row_weights is None:
             return (p * (float(g) / m),)
-        p *= (float(g) * w)[:, None]
+        p *= (float(g) * row_weights)[:, None]
         return (p,)
 
-    return _record(out, (logits,), bw)
+    return _record(out, (logits,), needs, bw)
 
 
 def sum_all(x: Tensor) -> Tensor:
     """Sum of every element, as a scalar tensor."""
     out = Tensor(np.asarray(x.data.sum()))
+    needs = _needs(x)
+    if needs is None:
+        return out
+    shape = x.data.shape
 
     def bw(g):
-        return (np.full_like(x.data, float(g)) if x.needs_grad() else None,)
+        return (np.full(shape, float(g)),)
 
-    return _record(out, (x,), bw)
+    return _record(out, (x,), needs, bw)
 
 
 def _split_heads(x: Tensor, batch: int, heads: int, what: str) -> np.ndarray:
@@ -540,6 +619,7 @@ def attention_weights(q: Tensor, k: Tensor, batch: int, heads: int, scale: float
     if qb.shape[3] != kb.shape[3]:
         raise ShapeError(f"attention_weights q {q.data.shape} and k {k.data.shape} disagree")
     inputs = (q, k)
+    blocks = [qb, kb]
     scores = qb @ kb.transpose(0, 1, 3, 2)
     if (qx is None) != (kx is None):
         raise ShapeError("attention_weights needs both qx and kx, or neither")
@@ -551,6 +631,7 @@ def attention_weights(q: Tensor, k: Tensor, batch: int, heads: int, scale: float
                 f"attention_weights expansion rows qx {qx.data.shape} and kx "
                 f"{kx.data.shape} do not match q {q.data.shape} and k {k.data.shape}")
         inputs = (q, k, qx, kx)
+        blocks += [qxb, kxb]
         scores += qxb @ kxb.transpose(0, 1, 3, 2)
     # in place from here: scores become the probabilities p
     scores *= scale
@@ -558,20 +639,24 @@ def attention_weights(q: Tensor, k: Tensor, batch: int, heads: int, scale: float
     p = np.exp(scores, out=scores)
     p /= p.sum(axis=3, keepdims=True)
     out = Tensor(p.reshape(-1, p.shape[3]))
+    needs = _needs(*inputs)
+    if needs is None:
+        return out
+    # each gradient reads its partner's blocks: q's the keys, k's the queries
+    # (and qx's kx, kx's qx)
+    reads = [blocks[i ^ 1] if need else None for i, need in enumerate(needs)]
 
     def bw(g):
         g = g.reshape(p.shape)
         gs = g - (g * p).sum(axis=3, keepdims=True)
         gs *= p
         gs *= scale
-        grads = [_merge_heads(gs @ kb) if q.needs_grad() else None,
-                 _merge_heads(gs.transpose(0, 1, 3, 2) @ qb) if k.needs_grad() else None]
-        if qx is not None:
-            grads += [_merge_heads(gs @ kxb) if qx.needs_grad() else None,
-                      _merge_heads(gs.transpose(0, 1, 3, 2) @ qxb) if kx.needs_grad() else None]
-        return grads
+        gs_t = gs.transpose(0, 1, 3, 2)
+        # score gradient gs for the query side, its transpose for the key side
+        return [None if r is None else _merge_heads((gs_t if i % 2 else gs) @ r)
+                for i, r in enumerate(reads)]
 
-    return _record(out, inputs, bw)
+    return _record(out, inputs, needs, bw)
 
 
 def attention_values(a: Tensor, v: Tensor, batch: int, heads: int) -> Tensor:
@@ -590,14 +675,20 @@ def attention_values(a: Tensor, v: Tensor, batch: int, heads: int) -> Tensor:
     rows, tk = a.data.shape
     ab = a.data.reshape(batch, heads, rows // (batch * heads), tk)
     out = Tensor(_merge_heads(ab @ vb))
+    needs = _needs(a, v)
+    if needs is None:
+        return out
+    need_a, need_v = needs
+    tq, dv = ab.shape[2], vb.shape[3]
+    vb_t = vb.transpose(0, 1, 3, 2) if need_a else None
+    ab_t = ab.transpose(0, 1, 3, 2) if need_v else None
 
     def bw(g):
-        gb = g.reshape(batch, ab.shape[2], heads, vb.shape[3]).transpose(0, 2, 1, 3)
-        ga = (gb @ vb.transpose(0, 1, 3, 2)).reshape(rows, tk) if a.needs_grad() else None
-        gv = _merge_heads(ab.transpose(0, 1, 3, 2) @ gb) if v.needs_grad() else None
-        return ga, gv
+        gb = g.reshape(batch, tq, heads, dv).transpose(0, 2, 1, 3)
+        return ((gb @ vb_t).reshape(rows, tk) if need_a else None,
+                _merge_heads(ab_t @ gb) if need_v else None)
 
-    return _record(out, (a, v), bw)
+    return _record(out, (a, v), needs, bw)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
 """Backbone tests: attention, FFN, full encoder, parameter-share claim."""
 
+import re
+
 import numpy as np
 import pytest
 
+from fltune.adapters import init_pv1_adapter
 from fltune.encoder import (
     AttentionLayer,
     EncoderConfig,
     FFNLayer,
     attention_forward,
     encoder_forward,
+    encoder_forward_batch,
     ffn_forward,
     ffn_parameter_share,
     init_encoder,
@@ -176,6 +180,37 @@ def test_encoder_rejects_overlong_sequence():
     weights = init_encoder(small_config(), seed=7)
     with pytest.raises(ShapeError, match="too long"):
         encoder_forward(weights, list(range(13)))
+
+
+@pytest.mark.parametrize("sequences, prompt_len, message", [
+    ([[]], 0, "token sequence is empty"),
+    ([[3, 4], []], 0, "token sequence is empty"),
+    ([[3, -1]], 0, "unknown token id -1 for vocab size 16"),
+    ([[3, 4], [np.int64(5), np.int64(16)]], 0, "unknown token id 16 for vocab size 16"),
+    ([np.array([3, 4]), np.array([2, 99])], 0, "unknown token id 99 for vocab size 16"),
+    ([list(range(13))], 0, "sequence too long: 13 tokens + 0 prompt rows > max_seq_len 12"),
+    ([[1] * 10, [2] * 10], 3, "sequence too long: 10 tokens + 3 prompt rows > max_seq_len 12"),
+    ([[1, 2, 3], [4, 5]], 0, "batch sequences differ in length: [2, 3]"),
+    ([[1, 2], [4, 5, 99]], 0, "unknown token id 99 for vocab size 16"),
+], ids=["empty", "empty-second", "negative", "numpy-int", "numpy-row", "too-long",
+        "too-long-with-prompt", "lengths", "unknown-before-lengths"])
+def test_malformed_batches_raise_the_per_token_message(sequences, prompt_len, message):
+    config = small_config()
+    weights = init_encoder(config, seed=7)
+    adapter = init_pv1_adapter(config, prompt_len=prompt_len, seed=1) if prompt_len else None
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        encoder_forward_batch(weights, sequences, adapter)
+
+
+def test_batch_forms_of_the_same_tokens_give_the_same_logits_bitwise():
+    # an integer batch is checked as one array, anything else token by token
+    weights = init_encoder(small_config(), seed=7)
+    tokens = [[3, 1, 4, 1], [5, 9, 2, 6]]
+    want = encoder_forward_batch(weights, tokens, per_position=True).data
+    for form in ([tuple(t) for t in tokens], np.array(tokens), np.array(tokens, dtype=np.uint8),
+                 [np.array(t) for t in tokens], np.array(tokens, dtype=np.float64)):
+        got = encoder_forward_batch(weights, form, per_position=True).data
+        assert got.tobytes() == want.tobytes()
 
 
 def test_encoder_per_position_logits_shape():

@@ -2,6 +2,8 @@
 
 import ast
 import dataclasses
+import inspect
+import types
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from fltune.encoder import (
     encoder_forward,
     init_encoder,
 )
+import fltune.tensor as tensor_module
 from fltune.tensor import Tensor
 from fltune.training import TrainConfig
 
@@ -151,3 +154,26 @@ def test_tensor_ops_skip_the_slow_numpy_paths():
             assert func.attr != "mean", f"tensor.py:{node.lineno}: .mean(...)"
             assert not (func.attr == "at" and getattr(func.value, "attr", None) == "add"), \
                 f"tensor.py:{node.lineno}: np.add.at(...)"
+
+
+TENSOR_PARAMETERS = {"a", "b", "x", "w", "table", "gain", "bias", "residual", "logits",
+                     "q", "k", "qx", "kx", "v"}
+
+
+def test_backward_closures_capture_no_tensors():
+    # a record keeps only the arrays its formula reads; a closure over a whole
+    # input Tensor would keep that Tensor's data alive until backward
+    recording = {}
+    for name, fn in vars(tensor_module).items():
+        if inspect.isfunction(fn) and fn.__module__ == tensor_module.__name__:
+            bw = [c for c in fn.__code__.co_consts
+                  if isinstance(c, types.CodeType) and c.co_name == "bw"]
+            if bw:
+                recording[name] = bw
+    assert set(recording) == {
+        "matmul", "affine", "transpose", "add", "scale", "relu", "softmax_rows", "concat",
+        "row_slice", "gather_rows", "layer_norm", "cross_entropy_mean", "sum_all",
+        "attention_weights", "attention_values"}
+    for name, (bw,) in recording.items():
+        captured = set(bw.co_freevars) & TENSOR_PARAMETERS
+        assert not captured, f"tensor.{name}'s bw captures {sorted(captured)}"
