@@ -241,7 +241,8 @@ def make_adapter(encoder_config: EncoderConfig, config: TrainConfig):
 # Evaluation
 # ---------------------------------------------------------------------------
 
-EVAL_CHUNK = 16  # examples per packed forward pass in evaluate
+EVAL_CHUNK = 16   # fewest examples per packed forward pass in evaluate
+EVAL_ROWS = 512   # rows a pass packs when EVAL_CHUNK examples hold fewer
 
 
 def _batch_forward(weights, adapter, examples, per_position: bool):
@@ -279,9 +280,17 @@ def tag_spans(labels: Sequence[int]) -> set[tuple[int, int]]:
 
 
 def span_f1(true_seqs: Sequence[Sequence[int]], pred_seqs: Sequence[Sequence[int]]) -> float:
-    """Micro-averaged exact span match F1 over a dataset."""
+    """Micro-averaged exact span match F1 over a dataset.
+
+    The two lists pair up sequence by sequence; lists or pairs of different
+    lengths raise ValueError."""
+    if len(true_seqs) != len(pred_seqs):
+        raise ValueError(f"{len(true_seqs)} true sequences but {len(pred_seqs)} predicted")
     tp = fp = fn = 0
-    for true_labels, pred_labels in zip(true_seqs, pred_seqs):
+    for i, (true_labels, pred_labels) in enumerate(zip(true_seqs, pred_seqs)):
+        if len(true_labels) != len(pred_labels):
+            raise ValueError(f"sequence {i}: {len(true_labels)} true labels but "
+                             f"{len(pred_labels)} predicted")
         t = tag_spans(true_labels)
         p = tag_spans(pred_labels)
         tp += len(t & p)
@@ -311,7 +320,11 @@ def batch_loss(weights, adapter, examples, kind: str) -> tuple[Tensor, int, int]
 def evaluate(weights, adapter, examples, kind: str) -> EvalResult:
     """Accuracy (token-level for tagging) and mean loss; span F1 for tagging.
 
-    Runs packed passes of ``EVAL_CHUNK`` examples.
+    Runs packed passes of ``max(EVAL_CHUNK, EVAL_ROWS // rows)`` examples,
+    where ``rows`` is the sequence length plus the adapter's prompt rows.
+    Packed examples never mix, so the pass plan leaves accuracy and F1 as one
+    pass per example gives them; ``mean_loss`` adds up per-pass means, so its
+    last bits depend on the plan.
     """
     if not examples:
         raise ValueError("cannot evaluate an empty example list")
@@ -319,11 +332,14 @@ def evaluate(weights, adapter, examples, kind: str) -> EvalResult:
     total_correct = total_labels = 0
     loss_sum = 0.0
     true_seqs, pred_seqs = [], []
+    prompt = None if adapter is None else adapter.prompt_rows()
+    rows = len(examples[0].tokens) + (0 if prompt is None else prompt.shape[0])
+    chunk_size = max(EVAL_CHUNK, EVAL_ROWS // max(rows, 1))
     # As in train_step: weights that overflowed are reported once, as the
     # next step's DivergenceError, not as floating-point warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, len(examples), EVAL_CHUNK):
-            chunk = examples[lo:lo + EVAL_CHUNK]
+        for lo in range(0, len(examples), chunk_size):
+            chunk = examples[lo:lo + chunk_size]
             loss, correct, n, pred = _batch_forward(weights, adapter, chunk, per_position)
             loss_sum += loss.item() * len(chunk)
             total_correct += correct

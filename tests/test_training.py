@@ -96,6 +96,16 @@ def test_span_f1_exact_match_and_mismatch():
     assert span_f1([[0, 0]], [[0, 0]]) == 1.0
 
 
+@pytest.mark.parametrize("true_seqs, pred_seqs, message", [
+    ([[1, 0]], [], "1 true sequences but 0 predicted"),
+    ([], [[1, 0]], "0 true sequences but 1 predicted"),
+    ([[0, 0], [1, 0]], [[0, 0], [1]], "sequence 1: 2 true labels but 1 predicted"),
+])
+def test_span_f1_rejects_unpaired_labels(true_seqs, pred_seqs, message):
+    with pytest.raises(ValueError, match=message):
+        span_f1(true_seqs, pred_seqs)
+
+
 # ---------------------------------------------------------------------------
 # train loop basics
 # ---------------------------------------------------------------------------
