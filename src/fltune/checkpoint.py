@@ -49,28 +49,30 @@ def save_tensors(path, named: Sequence[tuple[str, np.ndarray]], kind: str,
                  config_echo: Optional[dict] = None) -> None:
     """Write tensors in the given order; byte-identical for identical state."""
     table = []
-    chunks = []
+    arrays = []
     offset = 0
     for name, arr in named:
-        arr = np.asarray(arr, dtype=np.float64)
-        raw = arr.astype("<f8").tobytes(order="C")
+        # a view of the caller's array unless it is not C-ordered little-endian float64
+        arr = np.asarray(arr, dtype="<f8", order="C")
         table.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        chunks.append(raw)
-        offset += len(raw)
+        arrays.append(arr)
+        offset += arr.nbytes
     manifest = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
         "config": config_echo or {},
         "tensors": table,
     }
-    body = (MAGIC + b"\n"
-            + json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8")
-            + b"\n" + SENTINEL + b"\n" + b"".join(chunks))
+    header = (MAGIC + b"\n"
+              + json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8")
+              + b"\n" + SENTINEL + b"\n")
 
     tmp = temp_sibling(path)
     try:
         with open(tmp, "wb") as fh:
-            fh.write(body)
+            fh.write(header)
+            for arr in arrays:
+                fh.write(arr)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -163,14 +165,10 @@ def load_tensors(path, expected: dict[str, tuple[int, ...]],
         if got != tuple(shape):
             raise CheckpointError(
                 f"{path}: shape mismatch for {name}: file has {got}, expected {tuple(shape)}")
-    out = {}
-    for name, shape in expected.items():
-        row = table[name]
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        start = row["offset"]
-        arr = np.frombuffer(payload[start:start + 8 * n], dtype="<f8").reshape(shape)
-        out[name] = arr.astype(np.float64).copy()
-    return out
+    # astype copies: each array is native float64, writable and owns its memory
+    return {name: np.frombuffer(payload, "<f8", count=math.prod(shape),
+                                offset=table[name]["offset"]).reshape(shape).astype(np.float64)
+            for name, shape in expected.items()}
 
 
 # ---------------------------------------------------------------------------

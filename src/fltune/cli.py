@@ -102,15 +102,21 @@ class ExperimentConfig:
 
 
 def _fits(value, hint) -> bool:
-    """Whether a JSON value fits type ``hint``: a bool is not an int, an int fits float."""
+    """Whether a JSON value fits type ``hint``: a bool is not an int, and an int
+    or float fits float only when it is a finite float (``json`` reads NaN,
+    Infinity and 1e999, and an int can exceed the largest float)."""
     if typing.get_origin(hint) is Union:
         return any(_fits(value, arg) for arg in typing.get_args(hint))
     if isinstance(value, bool):
         return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
+    if hint is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, hint)
 
 
 def _type_name(hint) -> str:
+    if hint is float:
+        return "a finite float"
     return hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
 
 

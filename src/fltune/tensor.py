@@ -30,17 +30,19 @@ scatter-adds with one ``np.bincount`` over flat element positions, which adds
 each element's rows in id order onto +0.0 exactly as ``np.add.at`` into
 zeros would.
 
-Importing this module (and so ``fltune``) tunes the C allocator of the whole
-process, on Linux with glibc only and with no setting to turn it off: the
-mmap threshold is fixed at 32 MiB and the trim threshold at 1 GiB. A training
-step frees most of its memory as ``backward`` releases records, and glibc's
-defaults (a 128 KiB trim threshold, and large blocks served by ``mmap``) would
-hand it back to the kernel after every step, so the next step, evaluation
-pass or model build page-faults it in again. With both set, freed memory stays
-mapped and is reused, and the resident size stays at its high-water mark
-between steps. The mmap threshold has to be set as well because fixing the
-trim threshold alone switches off glibc's dynamic mmap threshold, which makes
-the large blocks fault on every allocation. Outside glibc nothing is set.
+Importing this module tunes the C allocator of the whole process, on Linux
+with glibc only and with no setting to turn it off. Every other fltune module
+imports this one, so importing any of them tunes it; a bare ``import fltune``
+does not. The mmap threshold is fixed at 32 MiB and the trim threshold at
+1 GiB. A training step frees most of its memory as ``backward`` releases
+records, and glibc's defaults (a 128 KiB trim threshold, and large blocks
+served by ``mmap``) would hand it back to the kernel after every step, so the
+next step, evaluation pass or model build page-faults it in again. With both
+set, freed memory stays mapped and is reused, and the resident size stays at
+its high-water mark between steps. The mmap threshold has to be set as well
+because fixing the trim threshold alone switches off glibc's dynamic mmap
+threshold, which makes the large blocks fault on every allocation. Outside
+glibc nothing is set.
 """
 
 from __future__ import annotations

@@ -42,6 +42,30 @@ def test_save_load_round_trip_bitwise(tmp_path):
         assert loaded[name].dtype == np.float64
 
 
+def test_loaded_arrays_are_writable_native_and_own_their_memory(tmp_path):
+    path = tmp_path / "t.flckpt"
+    save_tensors(path, [("a", np.arange(6.0).reshape(2, 3)), ("s", np.asarray(7.0)),
+                        ("empty", np.zeros((0, 2)))], kind="trainable")
+    expected = {"a": (2, 3), "s": (), "empty": (0, 2)}
+    first = load_tensors(path, expected)
+    for arr in first.values():
+        assert arr.dtype == np.dtype(np.float64) and arr.dtype.isnative
+        assert arr.flags.writeable and arr.flags.owndata and arr.flags.c_contiguous
+    first["a"][0, 0] = -1.0
+    first["s"][()] = -1.0
+    second = load_tensors(path, expected)
+    assert np.array_equal(second["a"], np.arange(6.0).reshape(2, 3)) and second["s"] == 7.0
+
+
+def test_any_layout_or_dtype_writes_the_c_ordered_float64_bytes(tmp_path):
+    base = np.arange(12.0).reshape(3, 4) - 5.5
+    p1, p2 = tmp_path / "a.flckpt", tmp_path / "b.flckpt"
+    save_tensors(p1, [("t", base.T.copy()), ("be", base), ("i", np.arange(4.0))], kind="adapter")
+    save_tensors(p2, [("t", base.T), ("be", base.astype(">f8")), ("i", np.arange(4))],
+                 kind="adapter")
+    assert p1.read_bytes() == p2.read_bytes()
+
+
 def test_identical_state_gives_identical_bytes(tmp_path):
     rng = np.random.default_rng(1)
     named = [("w", rng.uniform(-1, 1, (5, 5)))]

@@ -179,6 +179,23 @@ def test_rejected_run_exits_2_and_writes_nothing(config_path, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("via", ["set", "file"])
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999",
+                                  pytest.param("1" + "0" * 400, id="10**400")])
+@pytest.mark.parametrize("key", ["learning_rate", "smoothing_alpha", "loss_threshold"])
+def test_non_finite_float_exits_2_and_leaves_nothing(config_path, tmp_path, key, text, via):
+    # json reads NaN and Infinity, 1e999 as inf, and an int beyond the largest float
+    if via == "set":
+        path, assignments = config_path, [f"train.{key}={text}"]
+    else:
+        config = {**BASE_CONFIG, "train": {**BASE_CONFIG["train"], key: "VALUE"}}
+        path, assignments = tmp_path / "config.json", []
+        path.write_text(json.dumps(config).replace('"VALUE"', text), encoding="utf-8")
+    code, err = train_leaves_nothing(path, tmp_path / "out", assignments)
+    assert code == EXIT_USAGE
+    assert err.startswith(f"config error: train.{key} must be a finite float, got ")
+
+
 def op_case(name, draw, rng):
     """Values of op ``name``'s differentiable operands, then its other
     arguments; every dimension is drawn from 1-6."""

@@ -3,11 +3,16 @@
 import ast
 import dataclasses
 import inspect
+import os
+import pkgutil
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import numpy as np
 
+import fltune
 import fltune.encoder as encoder_module
 from fltune.adapters import (
     FLAdapter,
@@ -177,3 +182,36 @@ def test_backward_closures_capture_no_tensors():
     for name, (bw,) in recording.items():
         captured = set(bw.co_freevars) & TENSOR_PARAMETERS
         assert not captured, f"tensor.{name}'s bw captures {sorted(captured)}"
+
+
+def run_python(script: str) -> str:
+    """Run ``script`` in a fresh interpreter that imports fltune from this
+    tree; its stdout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fltune.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_the_package_binds_no_public_name():
+    # each public name is bound once, in the module that defines it, and a
+    # bare import loads no module (so it leaves the allocator untouched)
+    out = run_python("import sys, fltune\n"
+                     "print(sorted(n for n in vars(fltune) if not n.startswith('__')),\n"
+                     "      fltune.__version__, sorted(m for m in sys.modules if 'fltune' in m))")
+    assert out.split() == ["[]", fltune.__version__, "['fltune']"]
+
+
+def test_each_module_imports_on_its_own():
+    # an import cycle breaks whichever module of it a caller imports first,
+    # so each module is imported into an interpreter holding no fltune module
+    modules = sorted(f"fltune.{m.name}" for m in pkgutil.iter_modules(fltune.__path__))
+    assert len(modules) == 7
+    run_python("import importlib, sys\n"
+               f"for name in {modules!r}:\n"
+               "    for key in [k for k in sys.modules if k.split('.')[0] == 'fltune']:\n"
+               "        del sys.modules[key]\n"
+               "    importlib.import_module(name)\n")
