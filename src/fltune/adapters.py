@@ -343,12 +343,15 @@ def _run_trials(name: str, trials: int, tolerance: float, seed: int,
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if not 0 <= tolerance < np.inf:
+        raise ValueError(f"tolerance must be a finite float >= 0, got {tolerance}")
     rng = np.random.default_rng(seed)
     report = VerifyReport(name, trials, tolerance, 0.0)
     for t in range(trials):
         dev, label = trial(rng, t, lambda msg: report.failures.append(f"trial {t}: {msg}"))
-        report.max_deviation = max(report.max_deviation, dev)
-        if dev > tolerance:
+        # NaN-sticky, unlike max(); a NaN deviation is a failure
+        report.max_deviation = float(np.maximum(report.max_deviation, dev))
+        if not dev <= tolerance:
             report.failures.append(f"trial {t}: {label} {dev:.3e} > {tolerance:g}")
     return report
 

@@ -1,4 +1,7 @@
-"""Deterministic checkpoint files for backbones and adapter-only deltas.
+"""Deterministic checkpoint files for a run's trainable tensors.
+
+A checkpoint holds only what a run trains; the frozen backbone is rebuilt
+from the config. Every file is of kind ``trainable``; others are refused.
 
 Layout of a ``.flckpt`` file:
 
@@ -25,11 +28,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .adapters import ParamRegistry
-from .encoder import EncoderConfig, EncoderWeights, init_encoder
 
 MAGIC = b"fltune checkpoint"
 SENTINEL = b"===BINARY==="
 FORMAT_VERSION = 1
+KIND = "trainable"
 
 
 class CheckpointError(ValueError):
@@ -45,7 +48,7 @@ def temp_sibling(path) -> str:
     return tmp
 
 
-def save_tensors(path, named: Sequence[tuple[str, np.ndarray]], kind: str,
+def save_tensors(path, named: Sequence[tuple[str, np.ndarray]],
                  config_echo: Optional[dict] = None) -> None:
     """Write tensors in the given order; byte-identical for identical state."""
     table = []
@@ -59,7 +62,7 @@ def save_tensors(path, named: Sequence[tuple[str, np.ndarray]], kind: str,
         offset += arr.nbytes
     manifest = {
         "format_version": FORMAT_VERSION,
-        "kind": kind,
+        "kind": KIND,
         "config": config_echo or {},
         "tensors": table,
     }
@@ -141,18 +144,17 @@ def _validate_table(path, table) -> int:
     return end
 
 
-def load_tensors(path, expected: dict[str, tuple[int, ...]],
-                 kind: Optional[str] = None) -> dict[str, np.ndarray]:
+def load_tensors(path, expected: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
     """Load and validate against expected name -> shape before returning.
 
-    Every expected tensor must be present with the exact shape, and the file
-    may not contain extras; errors name the offending tensor. Nothing is
-    installed anywhere by this function.
+    The file must be of kind ``trainable``. Every expected tensor must be
+    present with the exact shape, and the file may not contain extras; errors
+    name the offending tensor. Nothing is installed anywhere by this function.
     """
     manifest, payload = load_checkpoint(path)
-    if kind is not None and manifest.get("kind") != kind:
+    if manifest.get("kind") != KIND:
         raise CheckpointError(
-            f"{path}: checkpoint kind {manifest.get('kind')!r}, expected {kind!r}")
+            f"{path}: checkpoint kind {manifest.get('kind')!r}, expected {KIND!r}")
     table = {row["name"]: row for row in manifest["tensors"]}
     missing = sorted(set(expected) - set(table))
     if missing:
@@ -171,51 +173,16 @@ def load_tensors(path, expected: dict[str, tuple[int, ...]],
             for name, shape in expected.items()}
 
 
-# ---------------------------------------------------------------------------
-# Backbone and adapter convenience wrappers
-# ---------------------------------------------------------------------------
-
-def save_backbone(weights: EncoderWeights, path) -> None:
-    named = [(name, t.data) for name, t, _group in weights.named_tensors()]
-    save_tensors(path, named, kind="backbone", config_echo=weights.config.to_dict())
-
-
-def load_backbone(path, config: EncoderConfig) -> EncoderWeights:
-    """Rebuild a full backbone; shapes are validated against the config
-    before any tensor is installed."""
-    weights = init_encoder(config, seed=0)
-    expected = {name: t.shape for name, t, _group in weights.named_tensors()}
-    loaded = load_tensors(path, expected, kind="backbone")
-    for name, t, _group in weights.named_tensors():
-        t.data = loaded[name]
-    return weights
-
-
-def save_adapter(adapter, path, config_echo: Optional[dict] = None) -> None:
-    """Adapter-only delta: contains exclusively the adapter's trainable
-    tensors, nothing from the frozen backbone."""
-    named = [(name, t.data) for name, t in adapter.named_tensors()]
-    save_tensors(path, named, kind="adapter", config_echo=config_echo)
-
-
-def load_adapter(path, adapter) -> None:
-    """Install saved tensors into a freshly built adapter of the same shape."""
-    expected = {name: t.shape for name, t in adapter.named_tensors()}
-    loaded = load_tensors(path, expected, kind="adapter")
-    for name, t in adapter.named_tensors():
-        t.data = loaded[name]
-
-
 def save_trainable(registry: ParamRegistry, path,
                    config_echo: Optional[dict] = None) -> None:
     """Everything the current mode trains (adapter tensors plus task head,
     or the whole model under full fine-tuning)."""
     named = [(e.name, e.tensor.data) for e in registry.trainable_entries()]
-    save_tensors(path, named, kind="trainable", config_echo=config_echo)
+    save_tensors(path, named, config_echo=config_echo)
 
 
 def load_trainable(path, registry: ParamRegistry) -> None:
     expected = {e.name: e.tensor.shape for e in registry.trainable_entries()}
-    loaded = load_tensors(path, expected, kind="trainable")
+    loaded = load_tensors(path, expected)
     for e in registry.trainable_entries():
         e.tensor.data = loaded[e.name]

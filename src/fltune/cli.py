@@ -251,6 +251,8 @@ def cmd_gradcheck(args) -> int:
         return EXIT_USAGE
     if args.examples < 1:
         raise ValueError(f"--examples must be at least 1, got {args.examples}")
+    if not 0 < args.threshold < np.inf:
+        raise ValueError(f"--threshold must be a finite float > 0, got {args.threshold}")
     task, weights, adapter, registry = build_experiment(config)
     loss_fn = _gradcheck_loss_fn(weights, adapter, task.train[:args.examples], task.kind)
     rng = np.random.default_rng([config.train.seed, 5])
@@ -258,10 +260,10 @@ def cmd_gradcheck(args) -> int:
     failed = False
     for entry in registry.trainable_entries():
         err = check_gradients(loss_fn, entry.tensor, eps=args.eps, rng=rng)
-        worst = max(worst, err)
-        status = "ok" if err < args.threshold else "FAIL"
-        print(f"{entry.name}: max relative error {err:.3e} [{status}]")
-        failed = failed or err >= args.threshold
+        worst = float(np.maximum(worst, err))  # NaN-sticky, unlike max()
+        ok = err < args.threshold  # False for NaN
+        print(f"{entry.name}: max relative error {err:.3e} [{'ok' if ok else 'FAIL'}]")
+        failed = failed or not ok
     print(f"worst over {len(registry.trainable_entries())} trainable tensors: {worst:.3e} "
           f"(threshold {args.threshold:g})")
     return EXIT_CHECK_FAILED if failed else EXIT_OK

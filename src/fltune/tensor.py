@@ -704,15 +704,16 @@ def check_gradients(
     max_coords: int = 20,
     rng: Optional[np.random.Generator] = None,
 ) -> float:
-    """Max relative error between analytic and central-difference gradients.
+    """Max relative error between analytic and central-difference gradients,
+    NaN if any probed coordinate's error is NaN.
 
     ``f`` must map ``x`` to a scalar tensor and must read ``x.data`` live on
     every call (it is fine for ``f`` to close over a larger model that shares
     ``x``). For tensors larger than ``max_coords`` elements, that many
     coordinates are sampled at random instead of probing every one.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be a finite float > 0, got {eps}")
     rng = np.random.default_rng(0) if rng is None else rng
 
     saved_flag, saved_grad = x.requires_grad, x.grad
@@ -749,5 +750,5 @@ def check_gradients(
             flat[i] = orig
         numeric = (f_plus - f_minus) / (2.0 * eps)
         err = abs(flat_analytic[i] - numeric) / max(1.0, abs(numeric))
-        worst = max(worst, err)
+        worst = float(np.maximum(worst, err))  # NaN-sticky, unlike max()
     return worst

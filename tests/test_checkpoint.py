@@ -9,12 +9,8 @@ import pytest
 from fltune.adapters import build_registry, init_fl_adapter
 from fltune.checkpoint import (
     CheckpointError,
-    load_adapter,
-    load_backbone,
     load_checkpoint,
     load_tensors,
-    save_adapter,
-    save_backbone,
     save_tensors,
     save_trainable,
     load_trainable,
@@ -35,8 +31,8 @@ def test_save_load_round_trip_bitwise(tmp_path):
              ("b", rng.uniform(-1, 1, (1, 7))),
              ("empty", np.zeros((2, 0)))]
     path = tmp_path / "t.flckpt"
-    save_tensors(path, named, kind="trainable")
-    loaded = load_tensors(path, {n: a.shape for n, a in named}, kind="trainable")
+    save_tensors(path, named)
+    loaded = load_tensors(path, {n: a.shape for n, a in named})
     for name, arr in named:
         assert np.array_equal(loaded[name], arr)
         assert loaded[name].dtype == np.float64
@@ -45,7 +41,7 @@ def test_save_load_round_trip_bitwise(tmp_path):
 def test_loaded_arrays_are_writable_native_and_own_their_memory(tmp_path):
     path = tmp_path / "t.flckpt"
     save_tensors(path, [("a", np.arange(6.0).reshape(2, 3)), ("s", np.asarray(7.0)),
-                        ("empty", np.zeros((0, 2)))], kind="trainable")
+                        ("empty", np.zeros((0, 2)))])
     expected = {"a": (2, 3), "s": (), "empty": (0, 2)}
     first = load_tensors(path, expected)
     for arr in first.values():
@@ -60,9 +56,8 @@ def test_loaded_arrays_are_writable_native_and_own_their_memory(tmp_path):
 def test_any_layout_or_dtype_writes_the_c_ordered_float64_bytes(tmp_path):
     base = np.arange(12.0).reshape(3, 4) - 5.5
     p1, p2 = tmp_path / "a.flckpt", tmp_path / "b.flckpt"
-    save_tensors(p1, [("t", base.T.copy()), ("be", base), ("i", np.arange(4.0))], kind="adapter")
-    save_tensors(p2, [("t", base.T), ("be", base.astype(">f8")), ("i", np.arange(4))],
-                 kind="adapter")
+    save_tensors(p1, [("t", base.T.copy()), ("be", base), ("i", np.arange(4.0))])
+    save_tensors(p2, [("t", base.T), ("be", base.astype(">f8")), ("i", np.arange(4))])
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -70,28 +65,28 @@ def test_identical_state_gives_identical_bytes(tmp_path):
     rng = np.random.default_rng(1)
     named = [("w", rng.uniform(-1, 1, (5, 5)))]
     p1, p2 = tmp_path / "a.flckpt", tmp_path / "b.flckpt"
-    save_tensors(p1, named, kind="adapter", config_echo={"d_a": 4})
-    save_tensors(p2, named, kind="adapter", config_echo={"d_a": 4})
+    save_tensors(p1, named, config_echo={"d_a": 4})
+    save_tensors(p2, named, config_echo={"d_a": 4})
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_manifest_is_readable_and_payload_sized(tmp_path):
     named = [("w", np.ones((2, 3))), ("v", np.zeros((4,)))]
     path = tmp_path / "t.flckpt"
-    save_tensors(path, named, kind="backbone", config_echo={"note": 1})
+    save_tensors(path, named, config_echo={"note": 1})
     manifest, payload = load_checkpoint(path)
     assert manifest["format_version"] == 1
-    assert manifest["kind"] == "backbone"
+    assert manifest["kind"] == "trainable"
     assert [row["name"] for row in manifest["tensors"]] == ["w", "v"]
     assert len(payload) == 8 * (6 + 4)
     # manifest text is plain JSON between magic and sentinel
     text = path.read_bytes().split(b"===BINARY===")[0].decode("utf-8")
-    assert '"kind": "backbone"' in text
+    assert '"kind": "trainable"' in text
 
 
 def test_version_mismatch_rejected(tmp_path):
     path = tmp_path / "t.flckpt"
-    save_tensors(path, [("w", np.ones((1, 1)))], kind="adapter")
+    save_tensors(path, [("w", np.ones((1, 1)))])
     raw = path.read_bytes().replace(b'"format_version": 1', b'"format_version": 9')
     path.write_bytes(raw)
     with pytest.raises(CheckpointError, match="version"):
@@ -100,7 +95,7 @@ def test_version_mismatch_rejected(tmp_path):
 
 def test_truncated_payload_rejected(tmp_path):
     path = tmp_path / "t.flckpt"
-    save_tensors(path, [("w", np.ones((4, 4)))], kind="adapter")
+    save_tensors(path, [("w", np.ones((4, 4)))])
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
     with pytest.raises(CheckpointError, match="truncated"):
@@ -116,46 +111,40 @@ def test_not_a_checkpoint_rejected(tmp_path):
 
 def test_shape_mismatch_names_offending_tensor(tmp_path):
     config = small_config()
-    adapter = init_fl_adapter(config, d_a=4, seed=2)
-    path = tmp_path / "adapter.flckpt"
-    save_adapter(adapter, path)
-    other = init_fl_adapter(config, d_a=6, seed=3)
-    with pytest.raises(CheckpointError, match=r"adapter\.layer00\.w1"):
-        load_adapter(path, other)
+    weights = init_encoder(config, seed=1)
+    path = tmp_path / "trainable.flckpt"
+    save_trainable(build_registry(weights, init_fl_adapter(config, d_a=4, seed=2)), path)
+    other = build_registry(weights, init_fl_adapter(config, d_a=6, seed=3))
+    with pytest.raises(CheckpointError, match=r"shape mismatch for adapter\.layer00\.w1"):
+        load_trainable(path, other)
 
 
 def test_kind_mismatch_rejected(tmp_path):
     path = tmp_path / "t.flckpt"
-    save_tensors(path, [("w", np.ones((1, 1)))], kind="backbone")
-    with pytest.raises(CheckpointError, match="kind"):
-        load_tensors(path, {"w": (1, 1)}, kind="adapter")
+    save_tensors(path, [("w", np.ones((1, 1)))])
+    good = path.read_bytes()
+    # the kinds that once held a whole backbone or a bare adapter
+    for kind in ("backbone", "adapter"):
+        path.write_bytes(good.replace(b'"kind": "trainable"', f'"kind": "{kind}"'.encode()))
+        with pytest.raises(CheckpointError,
+                           match=f"checkpoint kind '{kind}', expected 'trainable'"):
+            load_tensors(path, {"w": (1, 1)})
 
 
 def test_missing_and_extra_tensors_rejected(tmp_path):
     path = tmp_path / "t.flckpt"
-    save_tensors(path, [("w", np.ones((1, 1)))], kind="adapter")
+    save_tensors(path, [("w", np.ones((1, 1)))])
     with pytest.raises(CheckpointError, match="missing tensors: v"):
         load_tensors(path, {"w": (1, 1), "v": (1, 1)})
     with pytest.raises(CheckpointError, match="unexpected tensors: w"):
         load_tensors(path, {})
 
 
-def test_backbone_round_trip_preserves_forward_bitwise(tmp_path):
-    config = small_config()
-    weights = init_encoder(config, seed=4)
-    tokens = [3, 1, 4, 1, 5]
-    logits_before = encoder_forward(weights, tokens).data
-    path = tmp_path / "backbone.flckpt"
-    save_backbone(weights, path)
-    restored = load_backbone(path, config)
-    logits_after = encoder_forward(restored, tokens).data
-    assert np.array_equal(logits_before, logits_after)
-
-
 def test_adapter_round_trip_on_fresh_backbone_bitwise(tmp_path):
     config = small_config()
     weights = init_encoder(config, seed=5)
     adapter = init_fl_adapter(config, d_a=4, seed=6)
+    registry = build_registry(weights, adapter)
     # give the adapter nonzero w2 so it actually shapes the output
     rng = np.random.default_rng(7)
     for params in adapter.layers.values():
@@ -163,23 +152,27 @@ def test_adapter_round_trip_on_fresh_backbone_bitwise(tmp_path):
     tokens = [9, 2, 7, 1]
     logits_before = encoder_forward(weights, tokens, adapter=adapter).data
 
-    path = tmp_path / "adapter.flckpt"
-    save_adapter(adapter, path, config_echo={"d_a": 4})
+    path = tmp_path / "trainable.flckpt"
+    save_trainable(registry, path, config_echo={"d_a": 4})
+    rebuilt = init_encoder(config, seed=5)
     fresh = init_fl_adapter(config, d_a=4, seed=99)
-    load_adapter(path, fresh)
-    logits_after = encoder_forward(weights, tokens, adapter=fresh).data
+    load_trainable(path, build_registry(rebuilt, fresh))
+    logits_after = encoder_forward(rebuilt, tokens, adapter=fresh).data
     assert np.array_equal(logits_before, logits_after)
 
 
 def test_empty_adapter_round_trips(tmp_path):
     config = small_config()
-    adapter = init_fl_adapter(config, d_a=0, seed=8)
+    weights = init_encoder(config, seed=8)
+    registry = build_registry(weights, init_fl_adapter(config, d_a=0, seed=8))
     path = tmp_path / "empty.flckpt"
-    save_adapter(adapter, path)
-    fresh = init_fl_adapter(config, d_a=0, seed=9)
-    load_adapter(path, fresh)
-    for (_, a), (_, b) in zip(adapter.named_tensors(), fresh.named_tensors()):
-        assert np.array_equal(a.data, b.data)
+    save_trainable(registry, path)
+    fresh = build_registry(init_encoder(config, seed=8), init_fl_adapter(config, d_a=0, seed=9))
+    load_trainable(path, fresh)
+    pairs = list(zip(registry.trainable_entries(), fresh.trainable_entries()))
+    assert any(e.tensor.size == 0 for e, _ in pairs)
+    for e, e2 in pairs:
+        assert e.name == e2.name and np.array_equal(e.tensor.data, e2.tensor.data)
 
 
 def test_adapter_payload_is_eight_bytes_per_trainable_value(tmp_path):
@@ -221,7 +214,7 @@ def test_trainable_round_trip_restores_registry(tmp_path):
 def test_checkpoint_mode_follows_the_umask_like_open(tmp_path, umask):
     old = os.umask(umask)
     try:
-        save_tensors(tmp_path / "t.flckpt", [("a", np.ones((2, 3)))], kind="trainable")
+        save_tensors(tmp_path / "t.flckpt", [("a", np.ones((2, 3)))])
         with open(tmp_path / "sibling.json", "w", encoding="utf-8") as fh:
             fh.write("{}")
     finally:

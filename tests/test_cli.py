@@ -230,11 +230,22 @@ def test_eval_reloads_checkpoint(tmp_path, capsys):
 
 
 def test_train_respects_output_root_env(tmp_path, monkeypatch):
-    path = desk_config(tmp_path)
+    # the run directory is --out, else the config's output_dir, else
+    # $FLTUNE_OUTPUT_ROOT/<command>; each run adds only its own directory
+    plain = desk_config(tmp_path)
+    with_dir = tmp_path / "with_dir.json"
+    config = json.loads(plain.read_text(encoding="utf-8"))
+    with_dir.write_text(json.dumps({**config, "output_dir": str(tmp_path / "from_config")}),
+                        encoding="utf-8")
     monkeypatch.setenv("FLTUNE_OUTPUT_ROOT", str(tmp_path / "root"))
     monkeypatch.chdir(tmp_path)
-    assert main(["train", str(path)]) == EXIT_OK
-    assert (tmp_path / "root" / "train" / "metrics.csv").exists()
+    for argv, written in [([str(with_dir), "--out", str(tmp_path / "from_flag")], "from_flag"),
+                          ([str(with_dir)], "from_config"),
+                          ([str(plain)], "root/train")]:
+        before = {p.name for p in tmp_path.iterdir()}
+        assert main(["train", *argv]) == EXIT_OK
+        assert (tmp_path / written / "metrics.csv").exists()
+        assert {p.name for p in tmp_path.iterdir()} == before | {written.split("/")[0]}
 
 
 # ---------------------------------------------------------------------------

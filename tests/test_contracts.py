@@ -10,7 +10,12 @@ import threading
 import numpy as np
 import pytest
 
-from fltune.adapters import ParamRegistry, tensor_content_hash
+from fltune.adapters import (
+    ParamRegistry,
+    _random_ffn_instance,
+    tensor_content_hash,
+    verify_theorem1,
+)
 from fltune.checkpoint import (
     MAGIC,
     SENTINEL,
@@ -20,8 +25,8 @@ from fltune.checkpoint import (
 )
 import fltune
 from fltune import cli
-from fltune.cli import EXIT_USAGE, main
-from fltune.tensor import Tape, Tensor, check_gradients, matmul, sum_all
+from fltune.cli import EXIT_CHECK_FAILED, EXIT_USAGE, main
+from fltune.tensor import Tape, Tensor, _needs, _record, check_gradients, matmul, sum_all
 from fltune.training import SGD, Adam, DivergenceError, batch_loss, train_step
 
 
@@ -180,7 +185,7 @@ def write_raw(path, manifest, payload: bytes):
 
 
 def manifest_with(tensors):
-    manifest = {"format_version": 1, "kind": "adapter", "config": {}}
+    manifest = {"format_version": 1, "kind": "trainable", "config": {}}
     if tensors is not None:
         manifest["tensors"] = tensors
     return manifest
@@ -254,7 +259,7 @@ def test_offsets_must_be_ordered_and_contiguous(tmp_path, offsets):
 
 def test_payload_longer_than_table_rejected(tmp_path):
     path = tmp_path / "t.flckpt"
-    save_tensors(path, [("w", np.ones((2, 2)))], kind="adapter")
+    save_tensors(path, [("w", np.ones((2, 2)))])
     path.write_bytes(path.read_bytes() + bytes(8))
     with pytest.raises(CheckpointError, match="40 bytes, expected 32"):
         load_checkpoint(path)
@@ -263,7 +268,7 @@ def test_payload_longer_than_table_rejected(tmp_path):
 def test_valid_table_still_loads(tmp_path):
     path = tmp_path / "t.flckpt"
     save_tensors(path, [("a", np.ones((2, 3))), ("empty", np.ones((0, 4))),
-                        ("s", np.float64(2.0))], kind="adapter")
+                        ("s", np.float64(2.0))])
     manifest, payload = load_checkpoint(path)
     assert [row["offset"] for row in manifest["tensors"]] == [0, 48, 48]
     assert len(payload) == 56
@@ -330,6 +335,58 @@ def test_gradcheck_rejects_examples_below_one(run_config, capsys, examples):
     assert f"error: --examples must be at least 1, got {examples}" in err
 
 
+FLOAT_FLAG_RULES = {
+    "--eps": ("gradcheck", "eps must be a finite float > 0"),
+    "--threshold": ("gradcheck", "--threshold must be a finite float > 0"),
+    "--tolerance": ("verify", "tolerance must be a finite float >= 0"),
+}
+
+
+@pytest.mark.parametrize("flag, value, shown", [
+    ("--eps", "nan", "nan"), ("--eps", "inf", "inf"), ("--eps", "0", "0.0"),
+    ("--threshold", "nan", "nan"), ("--threshold", "inf", "inf"), ("--threshold", "0", "0.0"),
+    ("--tolerance", "nan", "nan"), ("--tolerance", "inf", "inf"), ("--tolerance", "-1", "-1.0"),
+])
+def test_out_of_range_float_flags_are_usage_errors(run_config, capsys, flag, value, shown):
+    command, rule = FLOAT_FLAG_RULES[flag]
+    argv = [command, run_config] if command == "gradcheck" else [command]
+    assert main([*argv, flag, value]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {rule}, got {shown}"]
+
+
+def test_check_gradients_reports_a_nan_backward():
+    def nan_backward(x):
+        out = Tensor(x.data.copy())
+        needs = _needs(x)
+        return out if needs is None else _record(out, (x,), needs,
+                                                 lambda g: (np.full_like(g, np.nan),))
+
+    err = check_gradients(lambda x: sum_all(nan_backward(x)), Tensor(np.ones((2, 3))))
+    assert np.isnan(err)
+
+
+def test_verify_counts_a_nan_deviation_as_a_failure():
+    def nan_input(rng):
+        layer, params, x = _random_ffn_instance(rng)
+        x.data[0, 0] = np.nan
+        return layer, params, x
+
+    report = verify_theorem1(trials=3, draw=nan_input)
+    assert np.isnan(report.max_deviation) and len(report.failures) == 3
+    assert not report.passed and report.summary().endswith("FAIL")
+
+
+def test_gradcheck_exits_1_on_a_nan_error(run_config, capsys, monkeypatch):
+    errors = iter([1e-9, float("nan")])
+    monkeypatch.setattr(cli, "check_gradients", lambda *a, **k: next(errors, 1e-9))
+    assert main(["gradcheck", run_config]) == EXIT_CHECK_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].endswith("max relative error nan [FAIL]")
+    assert lines[-1].startswith(f"worst over {len(lines) - 1} trainable tensors: nan ")
+
+
 def test_batch_loss_of_an_empty_batch_raises_value_error():
     with pytest.raises(ValueError, match="empty batch"):
         batch_loss(None, None, [], "classification")
@@ -344,6 +401,18 @@ def test_cli_eval_reports_missing_checkpoint_as_usage_error(run_config, tmp_path
     missing = str(tmp_path / "missing.flckpt")
     err = usage_error(capsys, ["eval", run_config, "--checkpoint", missing])
     assert err.startswith(f"error: cannot read checkpoint {missing}")
+
+
+@pytest.mark.parametrize("kind", ["backbone", "adapter"])
+def test_cli_eval_refuses_a_checkpoint_of_another_kind(run_config, tmp_path, capsys, kind):
+    out = tmp_path / "run"
+    assert main(["train", run_config, "--out", str(out)]) == 0
+    ckpt = out / "trainable.flckpt"
+    ckpt.write_bytes(ckpt.read_bytes().replace(b'"kind": "trainable"',
+                                               f'"kind": "{kind}"'.encode()))
+    capsys.readouterr()
+    err = usage_error(capsys, ["eval", run_config, "--checkpoint", str(ckpt)])
+    assert err == f"error: {ckpt}: checkpoint kind '{kind}', expected 'trainable'\n"
 
 
 @pytest.mark.parametrize("command", ["train", "fewshot"])

@@ -157,8 +157,7 @@ def test_per_head_checkpoint_is_refused_and_installs_nothing(tmp_path, mode, mis
     weights = init_encoder(c, seed=9)
     registry = build_registry(weights, make_adapter(c, train), finetune=(mode == "finetune"))
     path = tmp_path / "old.flckpt"
-    save_tensors(path, [(name, arr + 1.0) for name, arr in per_head_layout(registry, 2)],
-                 kind="trainable")
+    save_tensors(path, [(name, arr + 1.0) for name, arr in per_head_layout(registry, 2)])
     before = {e.name: e.tensor.data.tobytes() for e in registry.entries}
     with pytest.raises(CheckpointError, match=f"missing tensors: .*{re.escape(missing)}(,|$)"):
         load_trainable(path, registry)
@@ -177,7 +176,7 @@ def test_eval_of_a_per_head_checkpoint_is_a_usage_error(tmp_path, capsys):
     cfg.write_text(json.dumps(config), encoding="utf-8")
     *_, registry = build_experiment(load_experiment_config(cfg))
     ckpt = tmp_path / "old.flckpt"
-    save_tensors(ckpt, per_head_layout(registry, 2), kind="trainable")
+    save_tensors(ckpt, per_head_layout(registry, 2))
     assert main(["eval", str(cfg), "--checkpoint", str(ckpt)]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -285,7 +285,7 @@ def checkpoint_bytes(tmp_path_factory):
     rng = np.random.default_rng(0)
     path = tmp_path_factory.mktemp("ckpt") / "good.flckpt"
     save_tensors(path, [(name, rng.normal(size=shape))
-                        for name, shape in CHECKPOINT_TENSORS.items()], kind="adapter")
+                        for name, shape in CHECKPOINT_TENSORS.items()])
     return path, path.read_bytes()
 
 

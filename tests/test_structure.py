@@ -215,3 +215,41 @@ def test_each_module_imports_on_its_own():
                "    for key in [k for k in sys.modules if k.split('.')[0] == 'fltune']:\n"
                "        del sys.modules[key]\n"
                "    importlib.import_module(name)\n")
+
+
+# fltune writes metrics.csv but never reads it back; the tests keep this
+# reader because it is their one parser for that file
+USED_ONLY_BY_TESTS = {"read_metrics_csv"}
+
+
+def referenced_names(node: ast.AST) -> set[str]:
+    """Every name, attribute and string constant under ``node``."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            found.add(n.value)
+    return found
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # a public function or class that only tests call is code kept for tests
+    repo = Path(__file__).resolve().parents[1]
+    package = repo / "src" / "fltune"
+    harness = [p for p in sorted((repo / "perfbench").glob("*.py"))
+               if not p.name.startswith("test_")]
+    defined, used = {}, set()
+    for path in sorted(package.glob("*.py")) + harness:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = referenced_names(stmt)
+            if (path.parent == package and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and not stmt.name.startswith("_")):
+                defined[stmt.name] = path.name
+                names.discard(stmt.name)
+            used |= names
+    assert USED_ONLY_BY_TESTS <= set(defined)
+    unused = sorted(f"{defined[n]}:{n}" for n in set(defined) - used - USED_ONLY_BY_TESTS)
+    assert not unused, f"public names no code outside the tests references: {unused}"
