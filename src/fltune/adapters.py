@@ -523,25 +523,22 @@ class ParamRegistry:
 
     def __init__(self):
         self.entries: list[RegistryEntry] = []
-        self._by_name: dict[str, RegistryEntry] = {}
+        self._names: set[str] = set()
         self._seen_ids: set[int] = set()
 
     def register(self, name: str, tensor: Tensor, frozen: bool, group: str) -> None:
-        if name in self._by_name:
+        if name in self._names:
             raise ValueError(f"duplicate registry name: {name}")
         if id(tensor) in self._seen_ids:
             raise ValueError(f"tensor registered twice (second name: {name})")
         tensor.requires_grad = not frozen
         entry = RegistryEntry(name, tensor, frozen, group, tensor_content_hash(tensor))
         self.entries.append(entry)
-        self._by_name[name] = entry
+        self._names.add(name)
         self._seen_ids.add(id(tensor))
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def get(self, name: str) -> RegistryEntry:
-        return self._by_name[name]
 
     def trainable_entries(self) -> list[RegistryEntry]:
         return [e for e in self.entries if not e.frozen]

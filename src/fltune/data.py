@@ -14,7 +14,7 @@ Generators are pure functions of their seed and safe to call from anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -52,12 +52,6 @@ class SyntheticTask:
     train: list[Example]
     dev: list[Example]
     test: list[Example]
-
-    def label_fn(self) -> Callable:
-        return LABEL_FNS[self.kind]
-
-    def splits(self) -> dict[str, list[Example]]:
-        return {"train": self.train, "dev": self.dev, "test": self.test}
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +249,6 @@ def pretrain_backbone(
     task: SyntheticTask,
     steps: int,
     seed: int = 0,
-    loss_hook: Optional[Callable[[float], None]] = None,
 ) -> EncoderWeights:
     """Train every backbone parameter on token denoising, in place.
 
@@ -265,10 +258,9 @@ def pretrain_backbone(
     original ids at the masked positions; the loss is the mean over the
     sequences of each one's mean cross entropy, built as one weighted
     ``cross_entropy_mean`` (see ``_pretext_loss``), so a step records the
-    same few ops whatever the batch holds. ``loss_hook`` receives each
-    step's loss value. The task head is untouched; the pretext head is
-    discarded. The resulting weights are the frozen starting point for
-    adapter experiments.
+    same few ops whatever the batch holds. The task head is untouched; the
+    pretext head is discarded. The resulting weights are the frozen starting
+    point for adapter experiments.
     """
     if steps == 0:
         return weights
@@ -291,12 +283,9 @@ def pretrain_backbone(
         registry.register("pretext.bias", pre_head_b, frozen=False, group="pretext")
         trainable = registry.trainable_entries()
         for step in range(steps):
-            loss_val, = train_step(
-                lambda: (_pretext_loss(weights, pre_head_w, pre_head_b,
-                                       _pretext_batch(rng, sequences)),),
-                trainable, optimizer, step + 1)
-            if loss_hook is not None:
-                loss_hook(loss_val)
+            train_step(lambda: (_pretext_loss(weights, pre_head_w, pre_head_b,
+                                              _pretext_batch(rng, sequences)),),
+                       trainable, optimizer, step + 1)
     finally:
         for t, flag in saved_flags:
             t.requires_grad = flag

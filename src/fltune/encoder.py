@@ -221,7 +221,7 @@ def _prepend_rows(head: Tensor, body: Tensor, batch: int) -> Tensor:
     n, per = head.shape[0], body.shape[0] // batch
     ids = np.concatenate([np.broadcast_to(np.arange(n), (batch, n)),
                           n + per * np.arange(batch)[:, None] + np.arange(per)], axis=1)
-    return gather_rows(concat(head, body, "rows"), ids.ravel())
+    return gather_rows(concat(head, body), ids.ravel())
 
 
 def attention_forward(
@@ -327,12 +327,19 @@ def _batch_ids(config: EncoderConfig, sequences: Sequence[Sequence[int]],
 
 
 def _validate_tokens(config: EncoderConfig, tokens: Sequence[int], prompt_len: int) -> list[int]:
-    ids = [int(t) for t in tokens]
+    ids = []
+    for t in tokens:  # an integral float such as 3.0 is an id; 3.7 or '3' is not
+        try:
+            i = int(t)
+        except (TypeError, ValueError, OverflowError):
+            i = None
+        if i is None or i != t:
+            raise ShapeError(f"token {t!r} is not an integer")
+        if not 0 <= i < config.vocab_size:
+            raise ShapeError(f"unknown token id {i} for vocab size {config.vocab_size}")
+        ids.append(i)
     if not ids:
         raise ShapeError("token sequence is empty")
-    for t in ids:
-        if t < 0 or t >= config.vocab_size:
-            raise ShapeError(f"unknown token id {t} for vocab size {config.vocab_size}")
     if len(ids) + prompt_len > config.max_seq_len:
         raise ShapeError(
             f"sequence too long: {len(ids)} tokens + {prompt_len} prompt rows "

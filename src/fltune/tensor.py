@@ -22,8 +22,8 @@ An op that does not record (no active tape, or no input needing a gradient)
 builds no backward closure or mask.
 
 The row kernels keep NumPy's per-call overhead down without changing a bit.
-``layer_norm`` takes an optional ``residual`` operand, so a post-norm
-residual step (``layer_norm(add(x, r))``) is one op and one record. Row
+``layer_norm`` normalizes the sum of ``x`` and its keyword operand
+``residual``, so a post-norm residual step is one op and one record. Row
 reductions call ``np.add.reduce`` and divide in place by the count, as
 ``ndarray.mean`` does behind its Python wrappers. ``gather_rows``' backward
 scatter-adds with one ``np.bincount`` over flat element positions, which adds
@@ -253,10 +253,10 @@ def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     """``x @ w`` plus the 1xN row bias ``b``, then max(0, ·) when ``relu``.
 
     One output buffer: the bias is added and the clamp applied in place, so
-    the values equal ``add(matmul(x, w), b)`` (and ``relu`` of it) bit for
-    bit. The ReLU mask comes from the output, since out > 0 exactly where
-    the pre-activation is > 0; a recording op keeps that bool mask, not the
-    output.
+    the values equal NumPy's ``x @ w + b`` (and ``np.maximum`` of it and 0)
+    bit for bit. The ReLU mask comes from the output, since out > 0 exactly
+    where the pre-activation is > 0; a recording op keeps that bool mask, not
+    the output.
     """
     if x.data.ndim != 2 or w.data.ndim != 2:
         raise ShapeError(f"affine needs 2-d operands, got {x.data.shape} and {w.data.shape}")
@@ -302,17 +302,9 @@ def transpose(x: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts a 1xN row bias against an MxN left operand.
-
-    That row-vector case is the only broadcasting supported anywhere.
-    """
-    if a.data.shape == b.data.shape:
-        row_bias = False
-    elif (a.data.ndim == 2 and b.data.ndim == 2
-          and b.data.shape == (1, a.data.shape[1])):
-        row_bias = True
-    else:
-        raise ShapeError(f"add shapes incompatible: {a.data.shape} + {b.data.shape}")
+    """Elementwise sum of two tensors of one shape; ``add`` never broadcasts."""
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"add shapes differ: {a.data.shape} + {b.data.shape}")
     out = Tensor(a.data + b.data)
     needs = _needs(a, b)
     if needs is None:
@@ -320,13 +312,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     need_a, need_b = needs
 
     def bw(g):
-        if not need_b:
-            gb = None
-        elif row_bias:
-            gb = g.sum(axis=0, keepdims=True)
-        else:
-            gb = g
-        return (g if need_a else None), gb
+        return (g if need_a else None), (g if need_b else None)
 
     return _record(out, (a, b), needs, bw)
 
@@ -381,34 +367,23 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _record(out, (x,), needs, bw)
 
 
-def concat(a: Tensor, b: Tensor, axis: str) -> Tensor:
-    """Block concatenation along ``"rows"`` or ``"cols"``.
-
-    The backward pass splits the incoming gradient back to the two blocks.
-    """
-    if axis not in ("rows", "cols"):
-        raise ShapeError(f"concat axis must be 'rows' or 'cols', got {axis!r}")
+def concat(a: Tensor, b: Tensor) -> Tensor:
+    """``a``'s rows, then ``b``'s; backward splits the gradient back by rows."""
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"concat needs 2-d tensors, got {a.data.shape} and {b.data.shape}")
-    ax = 0 if axis == "rows" else 1
-    other = 1 - ax
-    if a.data.shape[other] != b.data.shape[other]:
+    if a.data.shape[1] != b.data.shape[1]:
         raise ShapeError(
-            f"concat along {axis}: non-concat dimension disagrees: {a.data.shape} vs {b.data.shape}")
-    out = Tensor(np.concatenate([a.data, b.data], axis=ax))
+            f"concat: non-concat dimension disagrees: {a.data.shape} vs {b.data.shape}")
+    out = Tensor(np.concatenate([a.data, b.data]))
     needs = _needs(a, b)
     if needs is None:
         return out
     need_a, need_b = needs
-    split = a.data.shape[ax]
+    split = a.data.shape[0]
 
     def bw(g):
-        if ax == 0:
-            ga, gb = g[:split], g[split:]
-        else:
-            ga, gb = g[:, :split], g[:, split:]
-        return (ga if need_a else None,
-                gb if need_b else None)
+        return (g[:split] if need_a else None,
+                g[split:] if need_b else None)
 
     return _record(out, (a, b), needs, bw)
 
@@ -457,18 +432,17 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5, *,
-               residual: Optional[Tensor] = None) -> Tensor:
-    """Per-row normalization followed by a learned affine map.
+               residual: Tensor) -> Tensor:
+    """Per-row normalization of ``x + residual`` followed by a learned affine map.
 
-    With ``residual`` the rows normalized are ``x + residual``, the post-norm
-    residual step in one op: the sum is formed first, in one fresh buffer, so
-    the values equal ``layer_norm(add(x, residual), ...)`` bit for bit, and
-    backward hands ``x`` and ``residual`` the same gradient, as ``add`` does.
-    ``eps`` keeps the variance denominator away from zero on constant rows.
+    The post-norm residual step in one op: the sum is formed first, in one
+    fresh buffer that turns into the normalized rows in place, and backward
+    hands ``x`` and ``residual`` the same gradient. ``eps`` keeps the
+    variance denominator away from zero on constant rows.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"layer_norm needs a 2-d tensor, got {x.data.shape}")
-    if residual is not None and residual.data.shape != x.data.shape:
+    if residual.data.shape != x.data.shape:
         raise ShapeError(
             f"layer_norm residual must match x {x.data.shape}, got {residual.data.shape}")
     n = x.data.shape[1]
@@ -476,12 +450,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5, *,
         raise ShapeError(
             f"layer_norm gain/bias must be (1, {n}), got {gain.data.shape} and {bias.data.shape}")
     # in place on two buffers, in the order of the textbook formulas:
-    # xhat = (x - mu) / sqrt(var + eps), out = gain * xhat + bias
-    rows = x.data if residual is None else x.data + residual.data
+    # xhat = (s - mu) / sqrt(var + eps), out = gain * xhat + bias, s = x + residual
+    rows = x.data + residual.data
     mu = np.add.reduce(rows, axis=1, keepdims=True)
     mu /= n
-    # a residual sum is this op's own buffer, so it turns into xhat in place
-    xhat = rows - mu if residual is None else np.subtract(rows, mu, out=rows)
+    xhat = np.subtract(rows, mu, out=rows)
     out = np.square(xhat)
     std = np.add.reduce(out, axis=1, keepdims=True)
     std /= n
@@ -490,21 +463,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5, *,
     xhat /= std
     np.multiply(gain.data, xhat, out=out)
     out += bias.data
-    inputs = (x, gain, bias) if residual is None else (x, gain, bias, residual)
-    needs = _needs(*inputs)
+    needs = _needs(x, gain, bias, residual)
     if needs is None:
         return Tensor(out)
-    need_x, need_gain, need_bias = needs[:3]
-    folded = residual is not None
-    need_residual = folded and needs[3]
+    need_x, need_gain, need_bias, need_residual = needs
     gain_data = gain.data
 
     def bw(g):
-        gx = gg = gb = None
-        if need_gain:
-            gg = np.add.reduce(g * xhat, axis=0, keepdims=True)
-        if need_bias:
-            gb = np.add.reduce(g, axis=0, keepdims=True)
+        gg = np.add.reduce(g * xhat, axis=0, keepdims=True) if need_gain else None
+        gb = np.add.reduce(g, axis=0, keepdims=True) if need_bias else None
+        gx = None
         if need_x or need_residual:
             # (dxhat - m1 - xhat * m2) / std with dxhat = g * gain, on two buffers
             gx = g * gain_data
@@ -517,12 +485,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5, *,
             gx -= m1
             gx -= tmp
             gx /= std
-        if not folded:
-            return gx, gg, gb
         return (gx if need_x else None, gg, gb,
                 gx if need_residual else None)
 
-    return _record(Tensor(out), inputs, needs, bw)
+    return _record(Tensor(out), (x, gain, bias, residual), needs, bw)
+
+
 def cross_entropy_mean(logits: Tensor, labels: Sequence[int],
                        weights: Optional[Sequence[float]] = None) -> Tensor:
     """Mean cross entropy of row-wise logits against integer labels.
@@ -710,10 +678,13 @@ def check_gradients(
     ``f`` must map ``x`` to a scalar tensor and must read ``x.data`` live on
     every call (it is fine for ``f`` to close over a larger model that shares
     ``x``). For tensors larger than ``max_coords`` elements, that many
-    coordinates are sampled at random instead of probing every one.
+    coordinates are sampled at random instead of probing every one
+    (``max_coords`` >= 1 unless ``x`` is empty, which gives 0.0).
     """
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be a finite float > 0, got {eps}")
+    if max_coords < 1 and x.data.size:
+        raise ValueError(f"max_coords must be at least 1, got {max_coords}")
     rng = np.random.default_rng(0) if rng is None else rng
 
     saved_flag, saved_grad = x.requires_grad, x.grad

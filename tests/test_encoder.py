@@ -192,8 +192,14 @@ def test_encoder_rejects_overlong_sequence():
     ([[1] * 10, [2] * 10], 3, "sequence too long: 10 tokens + 3 prompt rows > max_seq_len 12"),
     ([[1, 2, 3], [4, 5]], 0, "batch sequences differ in length: [2, 3]"),
     ([[1, 2], [4, 5, 99]], 0, "unknown token id 99 for vocab size 16"),
+    ([[3.7, 4, 5]], 0, "token 3.7 is not an integer"),
+    ([["3", "4", "5"]], 0, "token '3' is not an integer"),
+    ([[3, 4], [5, None]], 0, "token None is not an integer"),
+    ([[3, float("nan")]], 0, "token nan is not an integer"),
+    ([[float("inf"), 4]], 0, "token inf is not an integer"),
 ], ids=["empty", "empty-second", "negative", "numpy-int", "numpy-row", "too-long",
-        "too-long-with-prompt", "lengths", "unknown-before-lengths"])
+        "too-long-with-prompt", "lengths", "unknown-before-lengths", "float", "string",
+        "none", "nan", "inf"])
 def test_malformed_batches_raise_the_per_token_message(sequences, prompt_len, message):
     config = small_config()
     weights = init_encoder(config, seed=7)

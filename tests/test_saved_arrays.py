@@ -40,7 +40,8 @@ X = RNG.normal(size=(6, 4))
 FROZEN = {name: RNG.normal(size=shape) for name, shape in [
     ("lift", (4, 4)), ("w", (4, 5)), ("b", (1, 5)), ("gain", (1, 4)), ("bias", (1, 4)),
     ("row", (1, 4)), ("block", (2, 4)), ("keys", (6, 4)), ("values", (6, 4)),
-    ("weights", (12, 3)), ("to3", (4, 3)), ("col3", (3, 1)), ("col4", (4, 1))]}
+    ("weights", (12, 3)), ("to3", (4, 3)), ("col3", (3, 1)), ("col4", (4, 1)),
+    ("residual", (6, 4))]}
 
 
 def frozen(name: str) -> Tensor:
@@ -68,7 +69,7 @@ def _affine_relu(x):
 
 def _layer_norm(x):
     h = lift(x)
-    y = layer_norm(h, frozen("gain"), frozen("bias"))
+    y = layer_norm(h, frozen("gain"), frozen("bias"), residual=frozen("residual"))
     return sum_all(matmul(y, frozen("col4"))), [h.data, y.data]
 
 
@@ -86,7 +87,7 @@ def _attention_weights_frozen_keys(x):
 
 
 def _attention_values_frozen_values(x):
-    a = matmul(concat(x, x, "rows"), frozen("to3"))
+    a = matmul(concat(x, x), frozen("to3"))
     y = attention_values(a, frozen("values"), 2, 2)
     return sum_all(matmul(y, frozen("col4"))), [a.data, y.data]
 
@@ -114,15 +115,15 @@ def _sum_all(x):
     return sum_all(h), [h.data]
 
 
-def _add_row_bias(x):
+def _add(x):
     h = lift(x)
-    y = add(h, frozen("row"))
+    y = add(h, frozen("residual"))
     return sum_all(matmul(y, frozen("col4"))), [h.data, y.data]
 
 
 def _concat(x):
     h = lift(x)
-    y = concat(h, frozen("block"), "rows")
+    y = concat(h, frozen("block"))
     return sum_all(matmul(y, frozen("col4"))), [h.data, y.data]
 
 
@@ -158,7 +159,7 @@ def _cross_entropy_mean(x):
 CASES = {f.__name__[1:]: f for f in [
     _matmul, _affine_relu, _layer_norm, _layer_norm_residual, _attention_weights_frozen_keys,
     _attention_values_frozen_values, _attention_values_frozen_weights, _gather_rows,
-    _row_slice, _sum_all, _add_row_bias, _concat, _transpose, _scale, _relu, _softmax_rows,
+    _row_slice, _sum_all, _add, _concat, _transpose, _scale, _relu, _softmax_rows,
     _cross_entropy_mean]}
 
 

@@ -6,9 +6,11 @@ import hashlib
 import numpy as np
 import pytest
 
+import fltune.data as data
 from fltune.data import (
     ENTITY_BEGIN_IDS,
     ENTITY_INSIDE_IDS,
+    LABEL_FNS,
     MARKER_BASE,
     SEP_ID,
     generate_task,
@@ -19,13 +21,14 @@ from fltune.data import (
 )
 from fltune.encoder import EncoderConfig, init_encoder
 from fltune.adapters import tensor_content_hash
+from fltune.training import train_step
 
 
 def test_labels_equal_rule_output_everywhere():
     for kind, n_classes in (("classification", 2), ("pair", 2), ("tagging", 3)):
         task = generate_task(kind, sizes=(60, 20, 20), seed=0, n_classes=n_classes)
-        rule = task.label_fn()
-        for split in task.splits().values():
+        rule = LABEL_FNS[task.kind]
+        for split in (task.train, task.dev, task.test):
             for ex in split:
                 assert ex.label == rule(ex.tokens)
 
@@ -41,7 +44,7 @@ def test_generation_is_deterministic():
 def test_splits_are_disjoint():
     task = generate_task("pair", sizes=(200, 80, 80), seed=1)
     hashes = {}
-    for name, split in task.splits().items():
+    for name, split in (("train", task.train), ("dev", task.dev), ("test", task.test)):
         for ex in split:
             key = hash(ex.tokens)
             assert key not in hashes, f"{name} shares an example with {hashes.get(key)}"
@@ -147,10 +150,17 @@ def test_pretrain_zero_steps_leaves_weights_unchanged():
     assert before == after
 
 
-def test_pretrain_reduces_denoising_loss():
+def test_pretrain_reduces_denoising_loss(monkeypatch):
     _, weights, task = pretext_setup()
     losses = []
-    pretrain_backbone(weights, task, steps=120, seed=11, loss_hook=losses.append)
+
+    def recorded_step(*args):
+        out = train_step(*args)
+        losses.append(out[0])
+        return out
+
+    monkeypatch.setattr(data, "train_step", recorded_step)
+    pretrain_backbone(weights, task, steps=120, seed=11)
     assert len(losses) == 120
     assert np.mean(losses[-10:]) < losses[0]
 

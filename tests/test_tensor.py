@@ -1,5 +1,7 @@
 """Tensor op and tape tests, each backward pass checked against oracles."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -149,47 +151,46 @@ def test_softmax_rows_sum_to_one():
 
 def test_concat_empty_block_is_identity():
     a = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    out = concat(Tensor(a), Tensor(np.zeros((2, 0))), "cols")
+    out = concat(Tensor(a), Tensor(np.zeros((0, 3))))
     np.testing.assert_array_equal(out.data, a)
 
 
 def test_concat_rows_hand_case():
-    out = concat(Tensor([[1.0]]), Tensor([[2.0]]), "rows")
+    out = concat(Tensor([[1.0]]), Tensor([[2.0]]))
     np.testing.assert_array_equal(out.data, [[1.0], [2.0]])
 
 
-@pytest.mark.parametrize("axis", ["rows", "cols"])
-def test_concat_backward_equals_sliced_gradient(axis):
+def test_concat_backward_equals_sliced_gradient():
     rng = np.random.default_rng(5)
     a = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
     b = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
-    w = rng.uniform(-1, 1, (4 if axis == "rows" else 8, 5))
+    w = rng.uniform(-1, 1, (4, 5))
     with Tape() as tape:
-        out = concat(a, b, axis)
+        out = concat(a, b)
         loss = sum_all(matmul(out, Tensor(w)))
         tape.backward(loss)
     # Oracle: gradient of the concatenated tensor, sliced back into blocks.
     full_grad = np.ones((out.shape[0], 5)) @ w.T
-    if axis == "rows":
-        np.testing.assert_allclose(a.grad, full_grad[:3], atol=1e-12)
-        np.testing.assert_allclose(b.grad, full_grad[3:], atol=1e-12)
-    else:
-        np.testing.assert_allclose(a.grad, full_grad[:, :4], atol=1e-12)
-        np.testing.assert_allclose(b.grad, full_grad[:, 4:], atol=1e-12)
+    np.testing.assert_allclose(a.grad, full_grad[:3], atol=1e-12)
+    np.testing.assert_allclose(b.grad, full_grad[3:], atol=1e-12)
 
 
 def test_concat_then_slice_identity():
     rng = np.random.default_rng(6)
     a = rng.uniform(-1, 1, (2, 3))
     b = rng.uniform(-1, 1, (4, 3))
-    out = concat(Tensor(a), Tensor(b), "rows")
+    out = concat(Tensor(a), Tensor(b))
     np.testing.assert_array_equal(row_slice(out, 0, 2).data, a)
     np.testing.assert_array_equal(row_slice(out, 2, 6).data, b)
 
 
 def test_concat_mismatch_raises():
     with pytest.raises(ShapeError, match="non-concat"):
-        concat(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), "rows")
+        concat(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
+
+
+def test_concat_takes_no_axis():
+    assert list(inspect.signature(concat).parameters) == ["a", "b"]
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +273,22 @@ def test_tape_cleared_between_steps():
 # other primitives, via finite differences
 # ---------------------------------------------------------------------------
 
-def test_add_row_bias_backward():
+def test_add_backward_hands_both_operands_the_gradient():
     rng = np.random.default_rng(9)
-    x = Tensor(rng.uniform(-1, 1, (4, 3)))
-    b = Tensor(rng.uniform(-1, 1, (1, 3)), requires_grad=True)
+    a = Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
+    b = Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
+    w = rng.uniform(-1, 1, (3, 2))
     with Tape() as tape:
-        tape.backward(sum_all(add(x, b)))
-    np.testing.assert_array_equal(b.grad, np.full((1, 3), 4.0))
+        tape.backward(sum_all(matmul(add(a, b), Tensor(w))))
+    want = np.ones((4, 2)) @ w.T
+    np.testing.assert_array_equal(a.grad, want)
+    np.testing.assert_array_equal(b.grad, want)
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (4, 1), (3,)], ids=["row", "column", "1-d"])
+def test_add_rejects_operands_of_another_shape(shape):
+    with pytest.raises(ShapeError, match=r"add shapes differ: \(4, 3\)"):
+        add(Tensor(np.zeros((4, 3))), Tensor(np.zeros(shape)))
 
 
 def test_gather_rows_scatter_adds():
@@ -314,7 +324,7 @@ def test_layer_norm_rejects_a_residual_of_another_shape():
         ("softmax", lambda x, rng: sum_all(matmul(softmax_rows(x), Tensor(rng.uniform(-1, 1, (5, 2)))))),
         ("transpose", lambda x, rng: sum_all(matmul(transpose(x), Tensor(rng.uniform(-1, 1, (3, 2)))))),
         ("concat", lambda x, rng: sum_all(
-            matmul(concat(x, Tensor(rng.uniform(-1, 1, (3, 5))), "rows"),
+            matmul(concat(x, Tensor(rng.uniform(-1, 1, (3, 5)))),
                    Tensor(rng.uniform(-1, 1, (5, 3)))))),
         ("row_slice", lambda x, rng: sum_all(scale(row_slice(x, 1, 3), 2.5))),
         ("cross_entropy", lambda x, rng: cross_entropy_mean(x, [0, 2, 1])),
@@ -330,13 +340,15 @@ def test_primitive_gradients_match_finite_differences(name, builder):
 def test_layer_norm_gradients_match_finite_differences():
     rng = np.random.default_rng(10)
     x = Tensor(rng.uniform(-1, 1, (3, 6)))
+    residual = Tensor(rng.uniform(-1, 1, (3, 6)))
     gain = Tensor(rng.uniform(0.5, 1.5, (1, 6)))
     bias = Tensor(rng.uniform(-0.5, 0.5, (1, 6)))
     w = Tensor(rng.uniform(-1, 1, (6, 2)))
 
-    for target in (x, gain, bias):
-        err = check_gradients(lambda t: sum_all(matmul(layer_norm(x, gain, bias), w)),
-                              target, rng=rng)
+    for target in (x, gain, bias, residual):
+        err = check_gradients(
+            lambda t: sum_all(matmul(layer_norm(x, gain, bias, residual=residual), w)),
+            target, rng=rng)
         assert err < 1e-4
 
 
@@ -373,6 +385,18 @@ def test_check_gradients_sum_of_squares():
 def test_eps_must_be_positive():
     with pytest.raises(ValueError, match="eps"):
         check_gradients(sum_all, Tensor([[1.0]]), eps=0.0)
+
+
+@pytest.mark.parametrize("max_coords", [0, -1])
+def test_check_gradients_probes_at_least_one_coordinate(max_coords):
+    # a function that records no gradient has error 1.0 at every coordinate,
+    # so probing none would pass it
+    untracked = lambda t: Tensor(np.array(t.data.sum() * 3))
+    x = Tensor(np.ones((2, 2)))
+    assert check_gradients(untracked, x, max_coords=4) == 1.0
+    with pytest.raises(ValueError, match=f"max_coords must be at least 1, got {max_coords}"):
+        check_gradients(untracked, x, max_coords=max_coords)
+    assert check_gradients(untracked, Tensor(np.ones((2, 0))), max_coords=max_coords) == 0.0
 
 
 def test_check_gradients_samples_large_tensors():

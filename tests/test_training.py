@@ -137,8 +137,9 @@ def test_one_step_touches_only_trainable_tensors(mode):
     assert registry.frozen_violations() == []
     changed = set(registry.changed_names())
     assert changed, "a training step must change something"
+    entries = {e.name: e for e in registry.entries}
     for name in changed:
-        assert not registry.get(name).frozen
+        assert not entries[name].frozen
 
 
 @pytest.mark.parametrize("mode", ALL_MODES)
