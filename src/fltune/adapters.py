@@ -537,38 +537,28 @@ class ParamRegistry:
         self._names.add(name)
         self._seen_ids.add(id(tensor))
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def trainable_entries(self) -> list[RegistryEntry]:
         return [e for e in self.entries if not e.frozen]
 
     def frozen_entries(self) -> list[RegistryEntry]:
         return [e for e in self.entries if e.frozen]
 
-    def changed_names(self) -> list[str]:
-        """Names whose current content hash differs from registration."""
-        return [e.name for e in self.entries
-                if tensor_content_hash(e.tensor) != e.content_hash]
-
     def frozen_violations(self) -> list[str]:
         """Frozen tensors whose bytes changed since registration."""
-        changed = set(self.changed_names())
-        return [e.name for e in self.frozen_entries() if e.name in changed]
+        return [e.name for e in self.frozen_entries()
+                if tensor_content_hash(e.tensor) != e.content_hash]
 
 
-def build_registry(weights: EncoderWeights, adapter=None, finetune: bool = False) -> ParamRegistry:
+def build_registry(weights: EncoderWeights, adapter=None) -> ParamRegistry:
     """Registry for one tuning mode.
 
-    Full fine-tuning trains every backbone tensor and takes no adapter;
-    every other mode freezes the backbone and trains the adapter (if any)
-    plus the task head.
+    Without an adapter this is full fine-tuning: every backbone tensor
+    trains. With one, the backbone is frozen and the adapter plus the task
+    head train.
     """
-    if finetune and adapter is not None:
-        raise ValueError("full fine-tuning takes no adapter")
     reg = ParamRegistry()
     for name, tensor, group in weights.named_tensors():
-        frozen = not finetune and group != "head"
+        frozen = adapter is not None and group != "head"
         reg.register(name, tensor, frozen=frozen, group=group)
     if adapter is not None:
         for name, tensor in adapter.named_tensors():

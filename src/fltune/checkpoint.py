@@ -7,18 +7,22 @@ Layout of a ``.flckpt`` file:
 
     fltune checkpoint                 magic line
     { ... json manifest ... }         format_version, kind, config echo,
-                                      tensor table (name, shape, offset)
+                                      backbone fingerprint, tensor table
+                                      (name, shape, offset)
     ===BINARY===                      sentinel line
     <payload>                         concatenated row-major little-endian
                                       float64 values, at the listed offsets
 
 The manifest is human-readable on its own; the payload is byte-deterministic
-for identical tensor contents. Writes go through a temp file and rename, so
-concurrent readers never observe a partial file.
+for identical tensor contents. A trainable checkpoint loads only into a model
+with the backbone fingerprint and encoder config it was saved with. Writes go
+through a temp file and rename, so concurrent readers never observe a partial
+file.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -49,8 +53,9 @@ def temp_sibling(path) -> str:
 
 
 def save_tensors(path, named: Sequence[tuple[str, np.ndarray]],
-                 config_echo: Optional[dict] = None) -> None:
-    """Write tensors in the given order; byte-identical for identical state."""
+                 config_echo: Optional[dict] = None, backbone: Optional[str] = None) -> None:
+    """Write tensors in the given order; byte-identical for identical state.
+    ``backbone`` is the manifest's backbone fingerprint (null when None)."""
     table = []
     arrays = []
     offset = 0
@@ -64,6 +69,7 @@ def save_tensors(path, named: Sequence[tuple[str, np.ndarray]],
         "format_version": FORMAT_VERSION,
         "kind": KIND,
         "config": config_echo or {},
+        "backbone": backbone,
         "tensors": table,
     }
     header = (MAGIC + b"\n"
@@ -144,8 +150,9 @@ def _validate_table(path, table) -> int:
     return end
 
 
-def load_tensors(path, expected: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
-    """Load and validate against expected name -> shape before returning.
+def load_tensors(path, expected: dict[str, tuple[int, ...]]
+                 ) -> tuple[dict, dict[str, np.ndarray]]:
+    """The manifest and the tensors, validated against expected name -> shape.
 
     The file must be of kind ``trainable``. Every expected tensor must be
     present with the exact shape, and the file may not contain extras; errors
@@ -168,21 +175,49 @@ def load_tensors(path, expected: dict[str, tuple[int, ...]]) -> dict[str, np.nda
             raise CheckpointError(
                 f"{path}: shape mismatch for {name}: file has {got}, expected {tuple(shape)}")
     # astype copies: each array is native float64, writable and owns its memory
-    return {name: np.frombuffer(payload, "<f8", count=math.prod(shape),
-                                offset=table[name]["offset"]).reshape(shape).astype(np.float64)
-            for name, shape in expected.items()}
+    return manifest, {
+        name: np.frombuffer(payload, "<f8", count=math.prod(shape),
+                            offset=table[name]["offset"]).reshape(shape).astype(np.float64)
+        for name, shape in expected.items()}
+
+
+def _backbone_fingerprint(registry: ParamRegistry) -> str:
+    """SHA-256 over the (name, registration content hash) pairs of the
+    registry's frozen entries: the same for the same frozen backbone."""
+    pairs = [[e.name, e.content_hash] for e in registry.frozen_entries()]
+    return hashlib.sha256(json.dumps(pairs).encode("utf-8")).hexdigest()
 
 
 def save_trainable(registry: ParamRegistry, path,
                    config_echo: Optional[dict] = None) -> None:
     """Everything the current mode trains (adapter tensors plus task head,
-    or the whole model under full fine-tuning)."""
+    or the whole model under full fine-tuning), with the fingerprint of the
+    frozen backbone it was trained against."""
     named = [(e.name, e.tensor.data) for e in registry.trainable_entries()]
-    save_tensors(path, named, config_echo=config_echo)
+    save_tensors(path, named, config_echo=config_echo,
+                 backbone=_backbone_fingerprint(registry))
 
 
-def load_trainable(path, registry: ParamRegistry) -> None:
+def load_trainable(path, registry: ParamRegistry,
+                   config_echo: Optional[dict] = None) -> None:
+    """Install a checkpoint into the registry's trainable tensors. After the
+    name and shape checks, its config echo must equal ``config_echo`` (if
+    given; finetune has no frozen entries to fingerprint) and its backbone
+    fingerprint the registry's, or CheckpointError is raised first."""
     expected = {e.name: e.tensor.shape for e in registry.trainable_entries()}
-    loaded = load_tensors(path, expected)
+    manifest, loaded = load_tensors(path, expected)
+    saved = manifest.get("config")
+    if config_echo is not None and saved != config_echo:
+        saved = saved if isinstance(saved, dict) else {}
+        keys = sorted(k for k in saved.keys() | config_echo.keys()
+                      if saved.get(k) != config_echo.get(k))
+        raise CheckpointError(f"{path}: trained with another encoder config "
+                              f"(differs in {', '.join(keys)})")
+    backbone = manifest.get("backbone")
+    if backbone is None:
+        raise CheckpointError(f"{path}: no backbone fingerprint (written by an older "
+                              "version); retrain to get a checkpoint that loads")
+    if backbone != _backbone_fingerprint(registry):
+        raise CheckpointError(f"{path}: trained against another frozen backbone")
     for e in registry.trainable_entries():
         e.tensor.data = loaded[e.name]

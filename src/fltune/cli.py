@@ -200,8 +200,7 @@ def build_experiment(config: ExperimentConfig):
         pretrain_backbone(weights, task, steps=config.pretrain_steps,
                           seed=config.backbone_seed)
     adapter = make_adapter(config.encoder, config.train)
-    registry = build_registry(weights, adapter,
-                              finetune=(config.train.mode == "finetune"))
+    registry = build_registry(weights, adapter)
     return task, weights, adapter, registry
 
 
@@ -281,7 +280,7 @@ def cmd_params(args) -> int:
             # e.g. a prompt length that does not fit this encoder's budget
             rows[mode] = {"error": str(exc)}
             continue
-        registry = build_registry(weights, adapter, finetune=(mode == "finetune"))
+        registry = build_registry(weights, adapter)
         overall = count_parameters(registry)
         blocks = count_parameters(registry, groups=("block", "adapter"))
         rows[mode] = {
@@ -423,8 +422,7 @@ def cmd_fewshot(args) -> int:
             for (_, t, _g), (_, saved) in zip(weights.named_tensors(), snapshot):
                 t.data = saved.copy()
             adapter = make_adapter(config.encoder, config.train)
-            registry = build_registry(weights, adapter,
-                                      finetune=(config.train.mode == "finetune"))
+            registry = build_registry(weights, adapter)
             run_dir = os.path.join(outdir, f"size_{size:04d}")
             summary, run_staged = _train_and_stage(config, subset, weights, adapter, registry,
                                                    run_dir, created)
@@ -445,7 +443,7 @@ def cmd_fewshot(args) -> int:
 def cmd_eval(args) -> int:
     config = load_experiment_config(args.config, args.set, args.seed)
     task, weights, adapter, registry = build_experiment(config)
-    load_trainable(args.checkpoint, registry)
+    load_trainable(args.checkpoint, registry, config_echo=config.encoder.to_dict())
     dev = evaluate(weights, adapter, task.dev, task.kind)
     test = evaluate(weights, adapter, task.test, task.kind)
     payload = {

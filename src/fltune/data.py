@@ -45,10 +45,6 @@ class Example(NamedTuple):
 @dataclass
 class SyntheticTask:
     kind: str
-    vocab_size: int
-    seq_len: int
-    n_classes: int
-    seed: int
     train: list[Example]
     dev: list[Example]
     test: list[Example]
@@ -196,9 +192,8 @@ def generate_task(
         examples.append(Example(tokens=tokens, label=label_fn(tokens)))
 
     a, b, _ = sizes
-    return SyntheticTask(
-        kind=kind, vocab_size=vocab_size, seq_len=seq_len, n_classes=n_classes,
-        seed=seed, train=examples[:a], dev=examples[a:a + b], test=examples[a + b:])
+    return SyntheticTask(kind=kind, train=examples[:a], dev=examples[a:a + b],
+                         test=examples[a + b:])
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +244,7 @@ def pretrain_backbone(
     task: SyntheticTask,
     steps: int,
     seed: int = 0,
-) -> EncoderWeights:
+) -> None:
     """Train every backbone parameter on token denoising, in place.
 
     Each Adam step draws ``PRETRAIN_BATCH_SIZE`` training sequences and
@@ -263,7 +258,7 @@ def pretrain_backbone(
     point for adapter experiments.
     """
     if steps == 0:
-        return weights
+        return
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
 
@@ -278,7 +273,7 @@ def pretrain_backbone(
     sequences = [ex.tokens for ex in task.train]
 
     try:
-        registry = build_registry(weights, finetune=True)
+        registry = build_registry(weights)
         registry.register("pretext.weight", pre_head_w, frozen=False, group="pretext")
         registry.register("pretext.bias", pre_head_b, frozen=False, group="pretext")
         trainable = registry.trainable_entries()
@@ -289,4 +284,3 @@ def pretrain_backbone(
     finally:
         for t, flag in saved_flags:
             t.requires_grad = flag
-    return weights

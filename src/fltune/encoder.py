@@ -27,6 +27,7 @@ read-only while adapters train.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -306,9 +307,10 @@ def _batch_ids(config: EncoderConfig, sequences: Sequence[Sequence[int]],
     """Flat token ids of an equal-length batch, example after example, and
     the sequence length.
 
-    A batch that converts to one 2-d integer array with every id in range and
-    room for the prompt rows is checked as a whole; any other batch goes
-    through ``_validate_tokens`` token by token, which raises the
+    A batch that converts to one 2-d integer array with every id in range,
+    room for the prompt rows and no bool among its tokens (``np.asarray``
+    reads True beside an int as 1) is checked as a whole; any other batch
+    goes through ``_validate_tokens`` token by token, which raises the
     ``ShapeError`` that names the fault.
     """
     try:
@@ -317,7 +319,9 @@ def _batch_ids(config: EncoderConfig, sequences: Sequence[Sequence[int]],
         arr = None
     if (arr is not None and arr.ndim == 2 and arr.shape[1] and arr.dtype.kind in "iu"
             and arr.shape[1] + prompt_len <= config.max_seq_len
-            and arr.min() >= 0 and arr.max() < config.vocab_size):
+            and arr.min() >= 0 and arr.max() < config.vocab_size
+            and (arr is sequences
+                 or {bool, np.bool_}.isdisjoint(map(type, chain.from_iterable(sequences))))):
         return arr.ravel(), arr.shape[1]
     ids = [_validate_tokens(config, tokens, prompt_len) for tokens in sequences]
     lengths = sorted({len(s) for s in ids})
@@ -328,12 +332,12 @@ def _batch_ids(config: EncoderConfig, sequences: Sequence[Sequence[int]],
 
 def _validate_tokens(config: EncoderConfig, tokens: Sequence[int], prompt_len: int) -> list[int]:
     ids = []
-    for t in tokens:  # an integral float such as 3.0 is an id; 3.7 or '3' is not
+    for t in tokens:  # an integral float such as 3.0 is an id; 3.7, '3' or True is not
         try:
             i = int(t)
         except (TypeError, ValueError, OverflowError):
             i = None
-        if i is None or i != t:
+        if i is None or i != t or isinstance(t, (bool, np.bool_)):
             raise ShapeError(f"token {t!r} is not an integer")
         if not 0 <= i < config.vocab_size:
             raise ShapeError(f"unknown token id {i} for vocab size {config.vocab_size}")

@@ -98,7 +98,6 @@ class EvalResult:
 @dataclass
 class RunMetrics:
     rows: list[StepRow] = field(default_factory=list)
-    epoch_dev: list[EvalResult] = field(default_factory=list)
     final_dev: Optional[EvalResult] = None
 
     @property
@@ -324,7 +323,8 @@ def evaluate(weights, adapter, examples, kind: str) -> EvalResult:
     where ``rows`` is the sequence length plus the adapter's prompt rows.
     Packed examples never mix, so the pass plan leaves accuracy and F1 as one
     pass per example gives them; ``mean_loss`` adds up per-pass means, so its
-    last bits depend on the plan.
+    last bits depend on the plan. A non-finite mean loss raises
+    DivergenceError.
     """
     if not examples:
         raise ValueError("cannot evaluate an empty example list")
@@ -336,7 +336,7 @@ def evaluate(weights, adapter, examples, kind: str) -> EvalResult:
     rows = len(examples[0].tokens) + (0 if prompt is None else prompt.shape[0])
     chunk_size = max(EVAL_CHUNK, EVAL_ROWS // max(rows, 1))
     # As in train_step: weights that overflowed are reported once, as the
-    # next step's DivergenceError, not as floating-point warnings.
+    # DivergenceError below, not as floating-point warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(examples), chunk_size):
             chunk = examples[lo:lo + chunk_size]
@@ -347,9 +347,12 @@ def evaluate(weights, adapter, examples, kind: str) -> EvalResult:
             if per_position:
                 true_seqs += [ex.label for ex in chunk]
                 pred_seqs += pred.reshape(len(chunk), -1).tolist()
+    mean_loss = loss_sum / len(examples)
+    if not np.isfinite(mean_loss):
+        raise DivergenceError(f"non-finite mean loss {mean_loss} over {len(examples)} "
+                              "examples; the weights have diverged")
     f1 = span_f1(true_seqs, pred_seqs) if per_position else None
-    return EvalResult(accuracy=total_correct / total_labels,
-                      mean_loss=loss_sum / len(examples), f1=f1)
+    return EvalResult(accuracy=total_correct / total_labels, mean_loss=mean_loss, f1=f1)
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +395,13 @@ def train(weights: EncoderWeights, adapter, task, config: TrainConfig,
 
     The registry (built here unless supplied) freezes the backbone for
     adapter modes. ``train_step`` aborts on a non-finite loss or gradient.
-    Each epoch ends with a dev-split evaluation; metrics rows carry raw
-    loss, the smoothed series, batch accuracy, and cumulative wall-clock ms.
+    Metrics rows carry raw loss, the smoothed series, batch accuracy, and
+    cumulative wall-clock ms. When any step ran, the run ends with one
+    dev-split evaluation, ``final_dev``, which raises DivergenceError if the
+    last step left weights whose dev loss is not finite.
     """
     if registry is None:
-        registry = build_registry(weights, adapter, finetune=(config.mode == "finetune"))
+        registry = build_registry(weights, adapter)
     trainable = registry.trainable_entries()
     optimizer = make_optimizer(config)
     rng = np.random.default_rng([config.seed, 2])
@@ -405,7 +410,6 @@ def train(weights: EncoderWeights, adapter, task, config: TrainConfig,
     smoothed: Optional[float] = None
     start = time.perf_counter()
     step = 0
-    done = False
 
     for _epoch in range(config.epochs):
         order = rng.permutation(len(task.train))
@@ -423,18 +427,13 @@ def train(weights: EncoderWeights, adapter, task, config: TrainConfig,
                 accuracy=correct / labels,
                 wallclock_ms=(time.perf_counter() - start) * 1000.0,
             ))
-            if config.max_steps is not None and step >= config.max_steps:
-                done = True
+            if step == config.max_steps:
                 break
-        if done:
+        if step == config.max_steps:
             break
-        metrics.epoch_dev.append(evaluate(weights, adapter, task.dev, task.kind))
 
     if metrics.rows:
-        if done or not metrics.epoch_dev:
-            metrics.final_dev = evaluate(weights, adapter, task.dev, task.kind)
-        else:
-            metrics.final_dev = metrics.epoch_dev[-1]
+        metrics.final_dev = evaluate(weights, adapter, task.dev, task.kind)
     return metrics
 
 

@@ -428,7 +428,7 @@ def test_adapter_count_closed_form_roberta_shape():
 def test_count_parameters_finetune_fraction_is_one():
     config = small_config()
     weights = init_encoder(config, seed=42)
-    registry = build_registry(weights, finetune=True)
+    registry = build_registry(weights)
     counts = count_parameters(registry)
     assert counts.fraction == 1.0
     assert counts.total == counts.trainable

@@ -1,6 +1,7 @@
 """Checkpoint format: round trips, determinism, validation errors, sizes."""
 
 import os
+import re
 import stat
 
 import numpy as np
@@ -32,7 +33,7 @@ def test_save_load_round_trip_bitwise(tmp_path):
              ("empty", np.zeros((2, 0)))]
     path = tmp_path / "t.flckpt"
     save_tensors(path, named)
-    loaded = load_tensors(path, {n: a.shape for n, a in named})
+    _, loaded = load_tensors(path, {n: a.shape for n, a in named})
     for name, arr in named:
         assert np.array_equal(loaded[name], arr)
         assert loaded[name].dtype == np.float64
@@ -43,13 +44,13 @@ def test_loaded_arrays_are_writable_native_and_own_their_memory(tmp_path):
     save_tensors(path, [("a", np.arange(6.0).reshape(2, 3)), ("s", np.asarray(7.0)),
                         ("empty", np.zeros((0, 2)))])
     expected = {"a": (2, 3), "s": (), "empty": (0, 2)}
-    first = load_tensors(path, expected)
+    _, first = load_tensors(path, expected)
     for arr in first.values():
         assert arr.dtype == np.dtype(np.float64) and arr.dtype.isnative
         assert arr.flags.writeable and arr.flags.owndata and arr.flags.c_contiguous
     first["a"][0, 0] = -1.0
     first["s"][()] = -1.0
-    second = load_tensors(path, expected)
+    _, second = load_tensors(path, expected)
     assert np.array_equal(second["a"], np.arange(6.0).reshape(2, 3)) and second["s"] == 7.0
 
 
@@ -139,6 +140,22 @@ def test_missing_and_extra_tensors_rejected(tmp_path):
     with pytest.raises(CheckpointError, match="unexpected tensors: w"):
         load_tensors(path, {})
 
+
+def test_file_without_the_backbone_key_is_refused_and_installs_nothing(tmp_path):
+    config = small_config()
+    weights = init_encoder(config, seed=1)
+    path = tmp_path / "trainable.flckpt"
+    save_trainable(build_registry(weights, init_fl_adapter(config, d_a=4, seed=2)), path)
+    # as a file written before the key existed
+    raw, n = re.subn(rb'\n  "backbone": "[0-9a-f]{64}",', b"", path.read_bytes())
+    assert n == 1
+    path.write_bytes(raw)
+    other = build_registry(weights, init_fl_adapter(config, d_a=4, seed=3))
+    before = [e.tensor.data.copy() for e in other.trainable_entries()]
+    with pytest.raises(CheckpointError, match="no backbone fingerprint"):
+        load_trainable(path, other)
+    assert all(np.array_equal(e.tensor.data, b)
+               for e, b in zip(other.trainable_entries(), before))
 
 def test_adapter_round_trip_on_fresh_backbone_bitwise(tmp_path):
     config = small_config()

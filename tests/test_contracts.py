@@ -24,7 +24,7 @@ from fltune.checkpoint import (
     save_tensors,
 )
 import fltune
-from fltune import cli
+from fltune import cli, training
 from fltune.cli import EXIT_CHECK_FAILED, EXIT_USAGE, main
 from fltune.tensor import Tape, Tensor, _needs, _record, check_gradients, matmul, sum_all
 from fltune.training import SGD, Adam, DivergenceError, batch_loss, train_step
@@ -453,8 +453,8 @@ FEWSHOT_DIVERGING = [*DIVERGING, "--set", "train.batch_size=2", "--set", "train.
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the abort line is the only report
 def test_diverged_fewshot_removes_the_out_it_created(run_config, tmp_path, capsys):
-    # size 2 in batches of 2 is one step per epoch, so the dev evaluation
-    # after step 1 already reads overflowed weights before step 2 aborts
+    # size 2 in batches of 2 is one step per epoch; no dev evaluation runs
+    # between epochs, so step 2 is the first to read the overflowed weights
     out = tmp_path / "out"
     argv = ["fewshot", run_config, "--out", str(out), *FEWSHOT_DIVERGING]
     assert main(argv) == 1
@@ -470,6 +470,44 @@ def test_diverged_fewshot_leaves_an_existing_out_alone(run_config, tmp_path, cap
     assert main(argv) == 1
     assert "run aborted" in capsys.readouterr().err
     assert out.is_dir() and not any(out.iterdir())
+
+
+# step 1's loss and gradients are finite, but its update overflows the weights
+LAST_STEP_DIVERGES = ["--set", "train.learning_rate=1.7e308", "--set", "train.max_steps=1"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the abort line is the only report
+@pytest.mark.parametrize("mode, loss", [("fl", "inf"), ("finetune", "nan")])
+def test_train_whose_last_step_diverges_exits_1_and_removes_its_out(run_config, tmp_path,
+                                                                    capsys, mode, loss):
+    out = tmp_path / "out"
+    argv = ["train", run_config, "--out", str(out), "--set", f"train.mode={mode}",
+            *LAST_STEP_DIVERGES]
+    assert main(argv) == EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"run aborted: non-finite mean loss {loss} over 8 examples; the weights have diverged"]
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the abort line is the only report
+@pytest.mark.parametrize("mode, loss", [("fl", "inf"), ("finetune", "nan")])
+def test_eval_of_diverged_weights_exits_1_and_prints_nothing(run_config, tmp_path, capsys,
+                                                            monkeypatch, mode, loss):
+    out = tmp_path / "out"
+    argv = ["--set", f"train.mode={mode}", *LAST_STEP_DIVERGES]
+    with monkeypatch.context() as patch:
+        # skip the run's dev evaluation, so train saves the overflowed weights
+        patch.setattr(training, "evaluate", lambda *args: training.EvalResult(0.5, 0.0))
+        assert main(["train", run_config, "--out", str(out), *argv]) == 0
+    capsys.readouterr()
+    checkpoint = str(out / "trainable.flckpt")
+    assert main(["eval", run_config, "--checkpoint", checkpoint, *argv]) == EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"run aborted: non-finite mean loss {loss} over 8 examples; the weights have diverged"]
 
 
 # ---------------------------------------------------------------------------

@@ -197,9 +197,11 @@ def test_encoder_rejects_overlong_sequence():
     ([[3, 4], [5, None]], 0, "token None is not an integer"),
     ([[3, float("nan")]], 0, "token nan is not an integer"),
     ([[float("inf"), 4]], 0, "token inf is not an integer"),
+    ([[True, False, 4]], 0, "token True is not an integer"),
+    ([np.array([True, False, True])], 0, "token np.True_ is not an integer"),
 ], ids=["empty", "empty-second", "negative", "numpy-int", "numpy-row", "too-long",
         "too-long-with-prompt", "lengths", "unknown-before-lengths", "float", "string",
-        "none", "nan", "inf"])
+        "none", "nan", "inf", "bool", "numpy-bool"])
 def test_malformed_batches_raise_the_per_token_message(sequences, prompt_len, message):
     config = small_config()
     weights = init_encoder(config, seed=7)

@@ -59,7 +59,7 @@ def demo_heads(weights, seed):
     rng = np.random.default_rng([seed, 4])
     head_w = Tensor(rng.normal(0.0, 0.02, (enc.d_m, enc.vocab_size)), requires_grad=True)
     head_b = Tensor(np.zeros((1, enc.vocab_size)), requires_grad=True)
-    registry = build_registry(weights, finetune=True)
+    registry = build_registry(weights)
     registry.register("pretext.weight", head_w, frozen=False, group="pretext")
     registry.register("pretext.bias", head_b, frozen=False, group="pretext")
     return head_w, head_b, registry, rng

@@ -36,7 +36,7 @@ def build(mode, kind, seed=0):
     weights = init_encoder(config, seed=seed)
     adapter = make_adapter(config, TrainConfig(mode=mode, d_a=3, prompt_len=2,
                                                d_a_prime=3, seed=seed))
-    registry = build_registry(weights, adapter, finetune=(mode == "finetune"))
+    registry = build_registry(weights, adapter)
     rng = np.random.default_rng([seed, 9])
     for e in registry.trainable_entries():
         e.tensor.data = e.tensor.data + rng.normal(0.0, 0.3, e.tensor.shape)

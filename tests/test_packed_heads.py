@@ -155,7 +155,7 @@ def test_per_head_checkpoint_is_refused_and_installs_nothing(tmp_path, mode, mis
     c = config_with(2)
     train = TrainConfig(mode=mode, prompt_len=3, d_a_prime=4, seed=1)
     weights = init_encoder(c, seed=9)
-    registry = build_registry(weights, make_adapter(c, train), finetune=(mode == "finetune"))
+    registry = build_registry(weights, make_adapter(c, train))
     path = tmp_path / "old.flckpt"
     save_tensors(path, [(name, arr + 1.0) for name, arr in per_head_layout(registry, 2)])
     before = {e.name: e.tensor.data.tobytes() for e in registry.entries}

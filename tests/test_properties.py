@@ -28,7 +28,7 @@ from fltune.cli import (
 )
 from fltune.encoder import EncoderConfig
 from fltune.tensor import Tensor, check_gradients, matmul, sum_all
-from fltune.training import TrainConfig
+from fltune.training import MODES, TrainConfig
 
 BASE_CONFIG = {
     "encoder": {"d_m": 8, "n_heads": 2, "n_layers": 1, "vocab_size": 32,
@@ -296,7 +296,70 @@ def test_one_corrupted_byte_raises_checkpoint_error_or_loads_expected(checkpoint
     path = good_path.with_name("corrupt.flckpt")
     path.write_bytes(good[:pos] + bytes([byte]) + good[pos + 1:])
     try:
-        loaded = load_tensors(path, CHECKPOINT_TENSORS)
+        _, loaded = load_tensors(path, CHECKPOINT_TENSORS)
     except CheckpointError:
         return
     assert {name: arr.shape for name, arr in loaded.items()} == CHECKPOINT_TENSORS
+
+
+# A trainable checkpoint carries the fingerprint of the frozen backbone and the
+# encoder config it was trained with; the base run pretrains its backbone.
+TRAINED_CONFIG = dict(BASE_CONFIG, pretrain_steps=2,
+                      train={"d_a": 2, "prompt_len": 2, "d_a_prime": 2, "max_steps": 2})
+# Other values of these keys build another model, which no checkpoint fits.
+MODEL_KEYS = {"encoder.d_m": [4, 12], "encoder.n_heads": [1, 4], "encoder.n_layers": [2],
+              "encoder.vocab_size": [24, 40], "encoder.max_seq_len": [12, 20],
+              "encoder.n_classes": [3], "encoder.d_k": [2, 6], "encoder.d_v": [2, 6],
+              "encoder.d_o": [16, 24]}
+# These change only the frozen backbone, which a finetune checkpoint holds in full.
+BACKBONE_KEYS = {"backbone_seed": [1, 7], "pretrain_steps": [0, 1, 3], "task.seed": [0, 9]}
+RUN_KEYS = {"train.seed": [3, 8], "train.learning_rate": [0.5, 1e-5]}
+
+
+def run_cli(args):
+    """``main(args)``'s exit code and stderr; stdout is dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in args])
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """The config path and each mode's ``train`` checkpoint."""
+    root = tmp_path_factory.mktemp("trained")
+    config = root / "config.json"
+    config.write_text(json.dumps(TRAINED_CONFIG), encoding="utf-8")
+    checkpoints = {}
+    for mode in MODES:
+        out = root / mode
+        assert run_cli(["train", config, "--out", out, "--set", f"train.mode={mode}"])[0] == 0
+        checkpoints[mode] = out / "trainable.flckpt"
+    return config, checkpoints
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_checkpoint_loads_only_into_the_model_it_was_trained_with(trained, data):
+    config, checkpoints = trained
+    mode = data.draw(st.sampled_from(MODES), label="mode")
+    keys = {**MODEL_KEYS, **BACKBONE_KEYS, **RUN_KEYS}
+    key = data.draw(st.sampled_from(sorted(keys)), label="key")
+    value = data.draw(st.sampled_from(keys[key]), label="value")
+    code, err = run_cli(["eval", config, "--checkpoint", checkpoints[mode],
+                         "--set", f"train.mode={mode}", "--set", f"{key}={value}"])
+    if key in MODEL_KEYS or (key in BACKBONE_KEYS and mode != "finetune"):
+        assert code == EXIT_USAGE and err.startswith(f"error: {checkpoints[mode]}: "), err
+    else:
+        assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_each_fewshot_checkpoint_loads_under_the_sweep_config(trained, tmp_path, mode):
+    config, _ = trained
+    out = tmp_path / "sweep"
+    assert run_cli(["fewshot", config, "--out", out, "--set", f"train.mode={mode}",
+                    "--sizes", "4,8"]) == (0, "")
+    for size in ("0004", "0008"):
+        assert run_cli(["eval", config, "--checkpoint", out / f"size_{size}/trainable.flckpt",
+                        "--set", f"train.mode={mode}"]) == (0, "")

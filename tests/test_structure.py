@@ -269,7 +269,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 
 def test_no_module_imports_a_name_it_never_uses():
     package = Path(encoder_module.__file__).parent
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(package.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         imported = {}
         for node in ast.walk(tree):

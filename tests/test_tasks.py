@@ -103,9 +103,10 @@ def test_label_rules_direct():
 def test_linear_probe_on_marker_embeddings_solves_classification():
     """Depth-0 probe: softmax regression on the marker-position embedding
     row must comfortably beat 0.9, confirming the task is learnable."""
-    task = generate_task("classification", sizes=(300, 100, 100), seed=4, n_classes=2)
-    config = EncoderConfig(d_m=16, n_heads=2, n_layers=1, vocab_size=task.vocab_size,
-                           max_seq_len=task.seq_len, n_classes=2)
+    task = generate_task("classification", sizes=(300, 100, 100), seed=4, vocab_size=64,
+                         seq_len=16, n_classes=2)
+    config = EncoderConfig(d_m=16, n_heads=2, n_layers=1, vocab_size=64, max_seq_len=16,
+                           n_classes=2)
     weights = init_encoder(config, seed=5)
     emb = weights.tok_emb.data
 

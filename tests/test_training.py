@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fltune import training
 from fltune.adapters import build_registry, count_parameters, tensor_content_hash
 from fltune.data import generate_task
 from fltune.encoder import EncoderConfig, init_encoder
@@ -132,10 +133,11 @@ def test_same_seed_gives_identical_metrics():
 @pytest.mark.parametrize("mode", ALL_MODES)
 def test_one_step_touches_only_trainable_tensors(mode):
     weights, adapter, task, config = small_setup(mode=mode, max_steps=1)
-    registry = build_registry(weights, adapter, finetune=(mode == "finetune"))
+    registry = build_registry(weights, adapter)
+    before = {e.name: tensor_content_hash(e.tensor) for e in registry.entries}
     train(weights, adapter, task, config, registry=registry)
     assert registry.frozen_violations() == []
-    changed = set(registry.changed_names())
+    changed = {e.name for e in registry.entries if tensor_content_hash(e.tensor) != before[e.name]}
     assert changed, "a training step must change something"
     entries = {e.name: e for e in registry.entries}
     for name in changed:
@@ -186,7 +188,23 @@ def test_training_improves_dev_loss():
     metrics = train(weights, adapter, task, config)
     assert metrics.final_dev.mean_loss < start.mean_loss
     assert metrics.final_dev.accuracy >= start.accuracy
-    assert metrics.epoch_dev, "per-epoch dev evaluations recorded"
+
+
+def test_train_evaluates_dev_once_after_its_last_step(monkeypatch):
+    weights, adapter, task, config = small_setup(epochs=3)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(training, "evaluate", counted)
+    metrics = train(weights, adapter, task, config)
+    assert metrics.steps == 3 * 8 and len(calls) == 1
+    direct = evaluate(weights, adapter, task.dev, task.kind)
+    got = metrics.final_dev
+    assert (got.accuracy.hex(), got.mean_loss.hex(), got.f1) == (
+        direct.accuracy.hex(), direct.mean_loss.hex(), direct.f1)
 
 
 def test_evaluate_rejects_empty_example_list():
