@@ -206,13 +206,8 @@ def load_trainable(path, registry: ParamRegistry,
     fingerprint the registry's, or CheckpointError is raised first."""
     expected = {e.name: e.tensor.shape for e in registry.trainable_entries()}
     manifest, loaded = load_tensors(path, expected)
-    saved = manifest.get("config")
-    if config_echo is not None and saved != config_echo:
-        saved = saved if isinstance(saved, dict) else {}
-        keys = sorted(k for k in saved.keys() | config_echo.keys()
-                      if saved.get(k) != config_echo.get(k))
-        raise CheckpointError(f"{path}: trained with another encoder config "
-                              f"(differs in {', '.join(keys)})")
+    if config_echo is not None and manifest.get("config") != config_echo:
+        raise CheckpointError(f"{path}: trained with another encoder config")
     backbone = manifest.get("backbone")
     if backbone is None:
         raise CheckpointError(f"{path}: no backbone fingerprint (written by an older "

@@ -320,8 +320,7 @@ def _batch_ids(config: EncoderConfig, sequences: Sequence[Sequence[int]],
     if (arr is not None and arr.ndim == 2 and arr.shape[1] and arr.dtype.kind in "iu"
             and arr.shape[1] + prompt_len <= config.max_seq_len
             and arr.min() >= 0 and arr.max() < config.vocab_size
-            and (arr is sequences
-                 or {bool, np.bool_}.isdisjoint(map(type, chain.from_iterable(sequences))))):
+            and {bool, np.bool_}.isdisjoint(map(type, chain.from_iterable(sequences)))):
         return arr.ravel(), arr.shape[1]
     ids = [_validate_tokens(config, tokens, prompt_len) for tokens in sequences]
     lengths = sorted({len(s) for s in ids})
