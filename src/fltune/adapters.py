@@ -474,14 +474,11 @@ def verify_prefix_attention_rows(trials: int = 50, tolerance: float = 1e-12,
         layer = _random_attention(rng, d_m, d_k, d_v, n_heads)
         u = lambda *shape: rng.uniform(-1.0, 1.0, shape)
         prefix = _packed([(u(l, d_k), u(l, d_v)) for _ in range(n_heads)], (1, 1))
-        _, weights = attention_forward(layer, Tensor(u(seq, d_m)), kv_prefix=prefix,
-                                       return_weights=True)
-        dev = 0.0
-        for a in weights:
-            if a.shape != (seq, seq + l):
-                fail(f"weight shape {a.shape} != {(seq, seq + l)}")
-            dev = max(dev, float(np.max(np.abs(a.data.sum(axis=1) - 1.0))))
-        return dev, "row sum deviation"
+        _, a = attention_forward(layer, Tensor(u(seq, d_m)), kv_prefix=prefix,
+                                 return_weights=True)
+        if a.shape != (n_heads * seq, seq + l):
+            fail(f"weight shape {a.shape} != {(n_heads * seq, seq + l)}")
+        return float(np.max(np.abs(a.data.sum(axis=1) - 1.0))), "row sum deviation"
 
     return _run_trials("prefix attention normalization", trials, tolerance, seed, trial)
 

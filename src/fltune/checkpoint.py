@@ -15,9 +15,7 @@ Layout of a ``.flckpt`` file:
 
 The manifest is human-readable on its own; the payload is byte-deterministic
 for identical tensor contents. A trainable checkpoint loads only into a model
-with the backbone fingerprint and encoder config it was saved with. Writes go
-through a temp file and rename, so concurrent readers never observe a partial
-file.
+with the backbone fingerprint and encoder config it was saved with.
 """
 
 from __future__ import annotations
@@ -25,8 +23,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-import secrets
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,19 +39,12 @@ class CheckpointError(ValueError):
     """Malformed, truncated, or mismatched checkpoint."""
 
 
-def temp_sibling(path) -> str:
-    """Create an empty file under a fresh name beside ``path`` and return that
-    name. It is created like open() creates a file: mode 0o666 less the umask
-    (mkstemp would make it 0600). O_EXCL never reuses an existing name."""
-    tmp = os.path.join(os.path.dirname(os.fspath(path)) or ".", f"tmp{secrets.token_hex(8)}.tmp")
-    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
-    return tmp
-
-
 def save_tensors(path, named: Sequence[tuple[str, np.ndarray]],
                  config_echo: Optional[dict] = None, backbone: Optional[str] = None) -> None:
     """Write tensors in the given order; byte-identical for identical state.
-    ``backbone`` is the manifest's backbone fingerprint (null when None)."""
+    ``backbone`` is the manifest's backbone fingerprint (null when None). The
+    file at ``path`` is written in place, so a failed write can leave it
+    partial."""
     table = []
     arrays = []
     offset = 0
@@ -75,18 +64,10 @@ def save_tensors(path, named: Sequence[tuple[str, np.ndarray]],
     header = (MAGIC + b"\n"
               + json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8")
               + b"\n" + SENTINEL + b"\n")
-
-    tmp = temp_sibling(path)
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(header)
-            for arr in arrays:
-                fh.write(arr)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for arr in arrays:
+            fh.write(arr)
 
 
 def load_checkpoint(path) -> tuple[dict, bytes]:

@@ -15,8 +15,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import os
+import secrets
 import sys
 import typing
 from dataclasses import dataclass, field
@@ -32,7 +34,7 @@ from .adapters import (
     verify_theorem1,
     verify_theorem2,
 )
-from .checkpoint import load_trainable, save_trainable, temp_sibling
+from .checkpoint import load_trainable, save_trainable
 from .data import generate_task, pretrain_backbone
 from .encoder import EncoderConfig, ffn_parameter_share, init_encoder
 from .tensor import check_gradients
@@ -96,6 +98,9 @@ class ExperimentConfig:
                 f"(max_seq_len {enc.max_seq_len}, mode {tc.mode})")
         if self.pretrain_steps < 0:
             raise ValueError(f"pretrain_steps must be nonnegative, got {self.pretrain_steps}")
+        for key, seed in (("task.seed", self.task.seed), ("backbone_seed", self.backbone_seed)):
+            if seed < 0:
+                raise ValueError(f"{key} must be nonnegative, got {seed}")
         if tc.epochs < 1:
             # TrainConfig allows 0 for library callers; a run must train.
             raise ValueError(f"train.epochs must be at least 1, got {tc.epochs}")
@@ -205,7 +210,7 @@ def build_experiment(config: ExperimentConfig):
 
 
 def _resolve_outdir(args, config: Optional[ExperimentConfig], command: str) -> str:
-    if getattr(args, "out", None):
+    if args.out:
         return args.out
     if config is not None and config.output_dir:
         return config.output_dir
@@ -341,33 +346,32 @@ def _make_dirs(path, created: list) -> None:
     os.makedirs(path, exist_ok=True)  # raises if ``path`` is a file
 
 
-def _new_file(path, created: list) -> str:
-    """Record ``path`` for removal on error unless it already exists."""
-    if not os.path.exists(path):
-        created.append(path)
-    return path
-
-
 def _stage(path, write, data, created: list) -> tuple[str, str]:
-    """``write(data, tmp)`` into a new temp file beside ``path``, recorded for
-    removal on error; ``os.replace`` of the returned pair installs it as ``path``."""
-    tmp = temp_sibling(path)
+    """``write(data, tmp)`` into a new temp file beside ``path``, created with
+    open()'s mode (mkstemp's is 0600) under a name O_EXCL never reuses. It,
+    and ``path`` unless it exists, are recorded for removal on error."""
+    tmp = os.path.join(os.path.dirname(path) or ".", f"tmp{secrets.token_hex(8)}.tmp")
+    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     created.append(tmp)
     write(data, tmp)
-    return tmp, _new_file(path, created)
+    if not os.path.exists(path):
+        created.append(path)
+    return tmp, path
 
 
 def _train_and_stage(config: ExperimentConfig, task, weights, adapter, registry, outdir,
                      created: list):
-    """Train, then stage the run's metrics and summary beside their places in
+    """Train, then stage the run's three files beside their places in
     ``outdir``, recording in ``created`` every directory and file that did not
     exist before. Returns the summary and the staged (temp, path) pairs; the
-    caller installs them once everything else the run writes is saved."""
+    caller installs them once everything else the command writes is saved."""
     _make_dirs(outdir, created)
     metrics = train(weights, adapter, task, config.train, registry=registry)
     summary = run_summary(metrics, registry, config.train, task.kind, len(task.train))
+    save = functools.partial(save_trainable, config_echo=config.encoder.to_dict())
     staged = [_stage(os.path.join(outdir, "metrics.csv"), write_metrics_csv, metrics, created),
-              _stage(os.path.join(outdir, "summary.json"), _write_json, summary, created)]
+              _stage(os.path.join(outdir, "summary.json"), _write_json, summary, created),
+              _stage(os.path.join(outdir, "trainable.flckpt"), save, registry, created)]
     return summary, staged
 
 
@@ -383,10 +387,6 @@ def cmd_train(args) -> int:
     with _removed_on_error() as created:
         summary, staged = _train_and_stage(config, task, weights, adapter, registry, outdir,
                                            created)
-        # the metrics and summary replace older ones only after the checkpoint
-        # is saved, so a failed rerun keeps them
-        save_trainable(registry, _new_file(os.path.join(outdir, "trainable.flckpt"), created),
-                       config_echo=config.encoder.to_dict())
         _install(staged)
     print(f"wrote {outdir}/metrics.csv, summary.json, trainable.flckpt")
     print(f"final train accuracy {summary['final_train_accuracy']}, "
@@ -412,8 +412,6 @@ def cmd_fewshot(args) -> int:
     task, weights, _adapter, _registry = build_experiment(config)
     subsets = fewshot_subsample(task, sizes, seed=config.task.seed)
     snapshot = [(name, t.data.copy()) for name, t, _g in weights.named_tensors()]
-    save = lambda registry, path: save_trainable(registry, path,
-                                                 config_echo=config.encoder.to_dict())
 
     summaries = []
     staged = []
@@ -427,8 +425,6 @@ def cmd_fewshot(args) -> int:
             summary, run_staged = _train_and_stage(config, subset, weights, adapter, registry,
                                                    run_dir, created)
             staged += run_staged
-            staged.append(_stage(os.path.join(run_dir, "trainable.flckpt"), save, registry,
-                                 created))
             summaries.append(summary)
             print(f"size {size}: dev accuracy {summary['final_dev_accuracy']}")
         staged.append(_stage(os.path.join(outdir, "fewshot_summary.json"), _write_json,
@@ -464,7 +460,6 @@ def _add_config_args(parser) -> None:
     parser.add_argument("--set", action="append", default=[], metavar="KEY.PATH=VALUE",
                         help="override one config entry (JSON-parsed value)")
     parser.add_argument("--seed", type=int, default=None, help="override the training seed")
-    parser.add_argument("--out", default=None, help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -495,10 +490,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="one training run with metrics and checkpoint")
     _add_config_args(p)
+    p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("fewshot", help="nested stratified subset sweep")
     _add_config_args(p)
+    p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--sizes", default="20,40,60,80,100",
                    help="comma-separated training-set sizes")
     p.set_defaults(fn=cmd_fewshot)

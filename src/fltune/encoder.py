@@ -43,7 +43,6 @@ from .tensor import (
     gather_rows,
     layer_norm,
     matmul,
-    row_slice,
 )
 
 INIT_STD = 0.02  # std of every Gaussian-initialized backbone and adapter matrix
@@ -250,8 +249,9 @@ def attention_forward(
     the extra value columns, mapped to model width by dwo, are summed in after
     the frozen output projection; its dwq side takes the query rows. dwq, dwk
     and dwv are packed like ``wq`` and dwo like ``out_proj``. With
-    ``return_weights`` the softmax matrices are returned as well, one
-    (Tq, Tk) matrix per example and head, example-major.
+    ``return_weights`` the softmax probabilities are returned as well, as
+    ``attention_weights`` gives them: (batch·heads·Tq, Tk), ordered by
+    example, then head, then query row.
     """
     n_heads = layer.n_heads
     d_k = layer.wq.shape[1] // n_heads
@@ -276,8 +276,7 @@ def attention_forward(
         xv = matmul(x, expansion.dwv)
         out = add(out, matmul(attention_values(a, xv, batch, n_heads), expansion.dwo))
     if return_weights:
-        tq = queries.shape[0] // batch
-        return out, [row_slice(a, i * tq, (i + 1) * tq) for i in range(batch * n_heads)]
+        return out, a
     return out
 
 
@@ -307,47 +306,47 @@ def _batch_ids(config: EncoderConfig, sequences: Sequence[Sequence[int]],
     """Flat token ids of an equal-length batch, example after example, and
     the sequence length.
 
-    A batch that converts to one 2-d integer array with every id in range,
-    room for the prompt rows and no bool among its tokens (``np.asarray``
-    reads True beside an int as 1) is checked as a whole; any other batch
-    goes through ``_validate_tokens`` token by token, which raises the
-    ``ShapeError`` that names the fault.
+    A batch is accepted only when it converts to one 2-d integer array with
+    every id in range, room for the prompt rows and no bool among its tokens
+    (``np.asarray`` reads True beside an int as 1). Any other batch raises
+    ``ShapeError`` with the fault ``_batch_fault`` names.
     """
     try:
         arr = np.asarray(sequences)
-    except ValueError:  # a ragged batch: the per-token check names the fault
+    except ValueError:  # a ragged batch
         arr = None
     if (arr is not None and arr.ndim == 2 and arr.shape[1] and arr.dtype.kind in "iu"
             and arr.shape[1] + prompt_len <= config.max_seq_len
             and arr.min() >= 0 and arr.max() < config.vocab_size
             and {bool, np.bool_}.isdisjoint(map(type, chain.from_iterable(sequences)))):
         return arr.ravel(), arr.shape[1]
-    ids = [_validate_tokens(config, tokens, prompt_len) for tokens in sequences]
-    lengths = sorted({len(s) for s in ids})
+    raise ShapeError(_batch_fault(config, sequences, prompt_len))
+
+
+def _batch_fault(config: EncoderConfig, sequences: Sequence[Sequence[int]],
+                 prompt_len: int) -> str:
+    """The first fault of a batch ``_batch_ids`` refused: sequence by sequence,
+    a token that is not an integer (a float such as 3.0 or a bool included)
+    or not an id, then an empty or overlong sequence; then unequal lengths."""
+    lengths = set()
+    for tokens in sequences:
+        n = 0
+        for n, t in enumerate(tokens, 1):
+            if isinstance(t, (bool, np.bool_)) or not isinstance(t, (int, np.integer)):
+                return f"token {t!r} is not an integer"
+            if not 0 <= t < config.vocab_size:
+                return f"unknown token id {t} for vocab size {config.vocab_size}"
+        if not n:
+            return "token sequence is empty"
+        if n + prompt_len > config.max_seq_len:
+            return (f"sequence too long: {n} tokens + {prompt_len} prompt rows "
+                    f"> max_seq_len {config.max_seq_len}")
+        lengths.add(n)
     if len(lengths) > 1:
-        raise ShapeError(f"batch sequences differ in length: {lengths}")
-    return [t for s in ids for t in s], lengths[0]
-
-
-def _validate_tokens(config: EncoderConfig, tokens: Sequence[int], prompt_len: int) -> list[int]:
-    ids = []
-    for t in tokens:  # an integral float such as 3.0 is an id; 3.7, '3' or True is not
-        try:
-            i = int(t)
-        except (TypeError, ValueError, OverflowError):
-            i = None
-        if i is None or i != t or isinstance(t, (bool, np.bool_)):
-            raise ShapeError(f"token {t!r} is not an integer")
-        if not 0 <= i < config.vocab_size:
-            raise ShapeError(f"unknown token id {i} for vocab size {config.vocab_size}")
-        ids.append(i)
-    if not ids:
-        raise ShapeError("token sequence is empty")
-    if len(ids) + prompt_len > config.max_seq_len:
-        raise ShapeError(
-            f"sequence too long: {len(ids)} tokens + {prompt_len} prompt rows "
-            f"> max_seq_len {config.max_seq_len}")
-    return ids
+        return f"batch sequences differ in length: {sorted(lengths)}"
+    # every token is an id, yet NumPy made no integer array of them: it turns
+    # np.uint64(3) beside 4 into float64
+    return "token ids do not convert to one integer array"
 
 
 def encoder_hidden_batch(

@@ -71,6 +71,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
         if self.max_steps is not None and self.max_steps < 1:
@@ -147,32 +149,11 @@ class Adam:
     def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
         self.t = 0
-        # The moments of the tensors in the layout (the ids of those that had a
-        # gradient on the last step) are views into the flat m and v; every
-        # other tensor's are its own arrays.
-        self._state: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # the ids of the tensors with a gradient on the first step that had
+        # one, in entry order; their moments are packed in that order in the
+        # flat m and v
         self._layout: tuple[int, ...] = ()
         self._m = self._v = np.zeros(0)
-
-    def _relayout(self, grads: list, layout: tuple[int, ...]) -> None:
-        """Build flat moments for a new set of live tensors. Each keeps its
-        moments (zeros on its first step); every other tensor keeps a copy of
-        its own, untouched until it is live again, so no old flat array stays
-        referenced."""
-        self._state = {key: (m.copy(), v.copy()) for key, (m, v) in self._state.items()}
-        total = sum(g.size for g in grads)
-        self._m, self._v = np.zeros(total), np.zeros(total)
-        lo = 0
-        for key, g in zip(layout, grads):
-            views = (self._m[lo:lo + g.size].reshape(g.shape),
-                     self._v[lo:lo + g.size].reshape(g.shape))
-            old = self._state.get(key)
-            if old is not None:
-                views[0][...] = old[0]
-                views[1][...] = old[1]
-            self._state[key] = views
-            lo += g.size
-        self._layout = layout
 
     def step(self, entries: Sequence[RegistryEntry]) -> None:
         """m = b1·m + (1-b1)·g and v = b2·v + (1-b2)·g², updated in place, then
@@ -182,17 +163,22 @@ class Adam:
         so the update costs the same dozen NumPy calls for any number of
         tensors, and then each tensor subtracts its slice from its ``data`` in
         place. Every operation is elementwise, so the result equals the
-        per-tensor update bit for bit. A tensor without a gradient is skipped
-        and its moments stay as they are."""
+        per-tensor update bit for bit. The first step with a gradient fixes the
+        set of tensors trained (others have no moments); a later step whose
+        set differs raises ValueError before any tensor or moment changes."""
+        live = [e.tensor for e in entries if e.tensor.grad is not None]
+        layout = tuple(id(t) for t in live)
+        if not self._layout:
+            self._layout = layout
+            self._m, self._v = np.zeros((2, sum(t.grad.size for t in live)))
+        elif layout != self._layout:
+            raise ValueError(f"Adam: the tensors with a gradient ({len(live)}) are not "
+                             f"those of its first step ({len(self._layout)})")
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
-        live = [e.tensor for e in entries if e.tensor.grad is not None]
         if not live:
             return
         grads = [t.grad for t in live]
-        layout = tuple(id(t) for t in live)
-        if layout != self._layout:
-            self._relayout(grads, layout)
         m, v = self._m, self._v
         g = np.concatenate(grads, axis=None)
         tmp = np.multiply(g, 1 - b1)

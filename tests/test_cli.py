@@ -5,6 +5,8 @@ import re
 import typing
 from pathlib import Path
 
+import pytest
+
 from fltune.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -128,6 +130,16 @@ def test_set_override_and_seed_flag(tmp_path):
 def test_bad_set_assignment_rejected(tmp_path, capsys):
     path = desk_config(tmp_path)
     assert main(["params", str(path), "--set", "no_equals_sign"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command, args", [("params", []), ("gradcheck", []),
+                                           ("eval", ["--checkpoint", "missing.flckpt"])])
+def test_only_train_and_fewshot_take_out(tmp_path, capsys, command, args):
+    # the three commands write no run directory, so --out would be ignored
+    path = desk_config(tmp_path)
+    assert main([command, str(path), *args, "--out", str(tmp_path / "x")]) == EXIT_USAGE
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 # ---------------------------------------------------------------------------

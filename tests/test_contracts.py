@@ -3,6 +3,8 @@ leaves no trace, and checkpoint tensor-table validation."""
 
 import json
 import os
+import re
+import stat
 import subprocess
 import sys
 import threading
@@ -527,7 +529,9 @@ def test_train_failing_to_write_removes_the_out_it_created(run_config, tmp_path,
     failing_save(monkeypatch)
     out = tmp_path / "new" / "out"
     err = usage_error(capsys, ["train", run_config, "--out", str(out)])
-    assert err.splitlines() == [f"error: cannot write {out / 'trainable.flckpt'}"]
+    # the checkpoint is written to a temp file beside trainable.flckpt
+    assert re.fullmatch(f"error: cannot write {re.escape(str(out))}/tmp[0-9a-f]{{16}}\\.tmp\n",
+                        err)
     assert not (tmp_path / "new").exists()
 
 
@@ -551,14 +555,54 @@ def test_train_rerun_failing_to_write_leaves_the_finished_run_whole(run_config, 
     before = {name: (out / name).read_bytes() for name in names}
 
     def save(_registry, path, config_echo=None):
-        # save_trainable writes through a temp file, so a failed save leaves
-        # the file at ``path`` as it was
+        # train stages the checkpoint in a temp file and renames it only
+        # once every run file is saved, so ``path`` is that temp file
         raise OSError(f"cannot write {path}")
 
     monkeypatch.setattr(cli, "save_trainable", save)
     usage_error(capsys, ["train", run_config, "--out", str(out), "--seed", "7"])
     assert sorted(p.name for p in out.iterdir()) == names
     assert {name: (out / name).read_bytes() for name in names} == before
+
+
+@pytest.mark.parametrize("command, checkpoints", [
+    ("train", ["trainable.flckpt"]),
+    ("fewshot", ["size_0004/trainable.flckpt", "size_0008/trainable.flckpt"]),
+])
+def test_run_files_are_staged_once_and_leave_no_temp_file(run_config, tmp_path, monkeypatch,
+                                                          command, checkpoints):
+    # each run file is written once, to a temp file beside it with the mode
+    # open() gives, and renamed into place once
+    out = tmp_path / "out"
+    saved, replaced = [], []
+    real_save, real_replace = cli.save_trainable, os.replace
+
+    def save(registry, path, config_echo=None):
+        saved.append(os.fspath(path))
+        real_save(registry, path, config_echo=config_echo)
+
+    def replace(src, dst):
+        replaced.append((os.fspath(src), os.fspath(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(cli, "save_trainable", save)
+    monkeypatch.setattr(os, "replace", replace)
+    argv = [command, run_config, "--out", str(out)]
+    if command == "fewshot":
+        argv += ["--sizes", "4,8"]
+    old = os.umask(0o027)
+    try:
+        assert main(argv) == 0
+    finally:
+        os.umask(old)
+    files = sorted(str(p) for p in out.rglob("*") if p.is_file())
+    assert not [f for f in files if f.endswith(".tmp")]
+    assert sorted(dst for _src, dst in replaced) == files
+    assert all(re.fullmatch(r"tmp[0-9a-f]{16}\.tmp", os.path.basename(src))
+               and os.path.dirname(src) == os.path.dirname(dst) for src, dst in replaced)
+    sources = dict(replaced)
+    assert sorted(sources[path] for path in saved) == sorted(str(out / c) for c in checkpoints)
+    assert {stat.S_IMODE(os.stat(f).st_mode) for f in files} == {0o640}
 
 
 def diverging_on_second_call(monkeypatch):

@@ -108,10 +108,9 @@ def test_attention_prefix_rows_normalized():
     x = Tensor(rng.uniform(-1, 1, (5, 6)))
     heads = [(rng.uniform(-1, 1, (4, 3)), rng.uniform(-1, 1, (4, 4))) for _ in range(2)]
     prefix = tuple(Tensor(np.concatenate(blocks, axis=1)) for blocks in zip(*heads))
-    _, weights = attention_forward(layer, x, kv_prefix=prefix, return_weights=True)
-    for a in weights:
-        assert a.shape == (5, 9)
-        np.testing.assert_allclose(a.data.sum(axis=1), np.ones(5), atol=1e-12, rtol=0)
+    _, a = attention_forward(layer, x, kv_prefix=prefix, return_weights=True)
+    assert a.shape == (2 * 5, 9)  # (heads·Tq, 5 keys + 4 prefix rows)
+    np.testing.assert_allclose(a.data.sum(axis=1), np.ones(10), atol=1e-12, rtol=0)
 
 
 def test_attention_prefix_length_mismatch_raises():
@@ -193,6 +192,9 @@ def test_encoder_rejects_overlong_sequence():
     ([[1, 2, 3], [4, 5]], 0, "batch sequences differ in length: [2, 3]"),
     ([[1, 2], [4, 5, 99]], 0, "unknown token id 99 for vocab size 16"),
     ([[3.7, 4, 5]], 0, "token 3.7 is not an integer"),
+    ([[3.0, 4]], 0, "token 3.0 is not an integer"),
+    (np.array([[3, 4]], dtype=np.float64), 0, "token np.float64(3.0) is not an integer"),
+    ([[np.uint64(3), 4]], 0, "token ids do not convert to one integer array"),
     ([["3", "4", "5"]], 0, "token '3' is not an integer"),
     ([[3, 4], [5, None]], 0, "token None is not an integer"),
     ([[3, float("nan")]], 0, "token nan is not an integer"),
@@ -200,7 +202,8 @@ def test_encoder_rejects_overlong_sequence():
     ([[True, False, 4]], 0, "token True is not an integer"),
     ([np.array([True, False, True])], 0, "token np.True_ is not an integer"),
 ], ids=["empty", "empty-second", "negative", "numpy-int", "numpy-row", "too-long",
-        "too-long-with-prompt", "lengths", "unknown-before-lengths", "float", "string",
+        "too-long-with-prompt", "lengths", "unknown-before-lengths", "float", "integral-float",
+        "float64-array", "uint64-beside-int", "string",
         "none", "nan", "inf", "bool", "numpy-bool"])
 def test_malformed_batches_raise_the_per_token_message(sequences, prompt_len, message):
     config = small_config()
@@ -211,12 +214,12 @@ def test_malformed_batches_raise_the_per_token_message(sequences, prompt_len, me
 
 
 def test_batch_forms_of_the_same_tokens_give_the_same_logits_bitwise():
-    # an integer batch is checked as one array, anything else token by token
+    # each form converts to one integer array, the only batch accepted
     weights = init_encoder(small_config(), seed=7)
     tokens = [[3, 1, 4, 1], [5, 9, 2, 6]]
     want = encoder_forward_batch(weights, tokens, per_position=True).data
     for form in ([tuple(t) for t in tokens], np.array(tokens), np.array(tokens, dtype=np.uint8),
-                 [np.array(t) for t in tokens], np.array(tokens, dtype=np.float64)):
+                 [np.array(t) for t in tokens]):
         got = encoder_forward_batch(weights, form, per_position=True).data
         assert got.tobytes() == want.tobytes()
 

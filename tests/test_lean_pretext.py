@@ -1,7 +1,7 @@
 """The lean pretext step changes no bit of a pretrained backbone: one weighted
 masked-token loss per pretext batch gives the gradients of the per-example
-loss chain it replaces, and the single-pass Adam equals the per-tensor update,
-also when the set of tensors with a gradient changes between steps."""
+loss chain it replaces, and the single-pass Adam equals the per-tensor update
+and refuses a step whose set of tensors with a gradient is not its first."""
 
 from pathlib import Path
 
@@ -178,7 +178,7 @@ def test_weights_of_the_wrong_length_are_a_shape_error(weights):
         cross_entropy_mean(Tensor(np.zeros((4, 3))), [0, 1, 2, 0], weights)
 
 
-def test_adam_skips_tensors_without_a_gradient_and_keeps_their_moments():
+def test_adam_skips_a_tensor_without_a_gradient_and_refuses_a_changed_set():
     rng = np.random.default_rng(21)
     shapes = [(3, 4), (2, 2), (1, 5)]
     params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
@@ -187,17 +187,14 @@ def test_adam_skips_tensors_without_a_gradient_and_keeps_their_moments():
         registry.register(f"p{i}", p, frozen=False, group="adapter")
     entries = registry.trainable_entries()
     optimizer = Adam(LR)
-    # p1 has no gradient on steps 2-3; p2 gets its first one on step 2
-    live = {1: (0, 1), 2: (0, 2), 3: (0, 2), 4: (0, 1, 2), 5: (0, 1, 2)}
+    never = params[1].data.copy()  # p1 never has a gradient
 
     want = [p.data.copy() for p in params]
     state = [(np.zeros(s), np.zeros(s)) for s in shapes]
-    for t in range(1, 6):
-        for i, s in enumerate(shapes):
-            params[i].grad = rng.normal(size=s) if i in live[t] else None
-        skipped = {i: want[i].copy() for i in range(3) if i not in live[t]}
-        for i in live[t]:
-            g = params[i].grad
+
+    def step(t):
+        for i in (0, 2):
+            g = params[i].grad = rng.normal(size=shapes[i])
             m, v = state[i]
             m = B1 * m + (1 - B1) * g
             v = B2 * v + (1 - B2) * (g * g)
@@ -206,10 +203,25 @@ def test_adam_skips_tensors_without_a_gradient_and_keeps_their_moments():
         optimizer.step(entries)
         for p in params:
             p.grad = None
-        for i, (p, w) in enumerate(zip(params, want)):
-            assert_bitwise(p.data, w)
-        for i, before in skipped.items():
-            assert_bitwise(params[i].data, before)
+        for i in (0, 2):
+            assert_bitwise(params[i].data, want[i])
+        assert_bitwise(params[1].data, never)
+
+    step(1)
+    step(2)
+    # a step that drops p2 or adds p1 raises before any tensor or moment changes
+    before = [p.data.copy() for p in params] + [optimizer._m.copy(), optimizer._v.copy()]
+    for live in ((0,), (0, 1, 2)):
+        for i in live:
+            params[i].grad = rng.normal(size=shapes[i])
+        with pytest.raises(ValueError, match="not those of its first step"):
+            optimizer.step(entries)
+        for p in params:
+            p.grad = None
+        after = [p.data for p in params] + [optimizer._m, optimizer._v]
+        for a, b in zip(after, before):
+            assert_bitwise(a, b)
+    step(3)  # the refused steps left the step count as it was too
 
 
 def test_a_pretext_step_records_26_tape_entries():

@@ -169,6 +169,13 @@ def test_single_value_settings_are_not_config_keys(config_path, capsys, assignme
     ("train", ["--set", "task.kind=tagging"],
      "config error: in config: tagging tasks need encoder.n_classes 3, got 2"),
     ("fewshot", ["--sizes", "999"], "error: subset size 999 outside [1, 20]"),
+    ("train", ["--set", "train.seed=-1"],
+     "config error: in train: seed must be nonnegative, got -1"),
+    ("train", ["--seed", "-3"], "config error: in train: seed must be nonnegative, got -3"),
+    ("train", ["--set", "task.seed=-1"],
+     "config error: in config: task.seed must be nonnegative, got -1"),
+    ("fewshot", ["--set", "backbone_seed=-1"],
+     "config error: in config: backbone_seed must be nonnegative, got -1"),
 ])
 def test_rejected_run_exits_2_and_writes_nothing(config_path, tmp_path, capsys,
                                                  command, args, message):
@@ -177,6 +184,21 @@ def test_rejected_run_exits_2_and_writes_nothing(config_path, tmp_path, capsys,
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, args", [("params", []), ("gradcheck", []),
+                                           ("eval", ["--checkpoint", "missing.flckpt"])])
+@pytest.mark.parametrize("key, section", [("train.seed", "train"), ("task.seed", "config"),
+                                          ("backbone_seed", "config")])
+def test_negative_seed_is_a_config_error_in_every_command(config_path, capsys, command, args,
+                                                          key, section):
+    # NumPy's own "expected non-negative integer" names no key, and params
+    # printed it as a row
+    assert main([command, str(config_path), "--set", f"{key}=-1", *args]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    name = "seed" if section == "train" else key
+    assert captured.out == ""
+    assert captured.err == f"config error: in {section}: {name} must be nonnegative, got -1\n"
 
 
 @pytest.mark.parametrize("via", ["set", "file"])

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import importlib
 import inspect
 import os
 import pkgutil
@@ -282,3 +283,35 @@ def test_no_module_imports_a_name_it_never_uses():
         unused = sorted(f"{path.name}:{line}: {name}" for name, line in imported.items()
                         if name not in used)
         assert not unused, f"imported and never used: {unused}"
+
+
+def test_every_name_perfbench_looks_up_exists(monkeypatch):
+    # perfbench drives the program by name: spans.METHODS is read when spans
+    # is imported, spans.FUNCTIONS with getattr under --trace 1, and spans.py
+    # and worker.py read module attributes; without this check a deleted name
+    # fails only in the slow `pytest perfbench`
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    for name in ("spans", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    spans = importlib.import_module("spans")  # raises if a METHODS class is gone
+    missing = [f"{home.__name__}.{name}" for home, names in spans.FUNCTIONS.items()
+               for name in names if not hasattr(home, name)]
+    missing += [f"{cls.__name__}.{meth}" for _home, cls, meth in spans.METHODS
+                if not hasattr(cls, meth)]
+    for file in ("spans.py", "worker.py"):
+        tree = ast.parse((perfbench / file).read_text(encoding="utf-8"))
+        homes = {"fltune": fltune}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fltune"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    if node.module == "fltune":
+                        homes[alias.asname or alias.name] = importlib.import_module(
+                            f"fltune.{alias.name}")
+                    elif not hasattr(module, alias.name):
+                        missing.append(f"{file}: {node.module}.{alias.name}")
+        missing += [f"{file}: {n.value.id}.{n.attr}" for n in ast.walk(tree)
+                    if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                    and n.value.id in homes and not hasattr(homes[n.value.id], n.attr)]
+    assert not missing, f"names perfbench looks up that the program lacks: {missing}"

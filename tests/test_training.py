@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from fltune import training
+from fltune import encoder, training
 from fltune.adapters import build_registry, count_parameters, tensor_content_hash
-from fltune.data import generate_task
+from fltune.data import generate_task, pretrain_backbone
 from fltune.encoder import EncoderConfig, init_encoder
 from fltune.training import (
     Adam,
@@ -224,6 +224,29 @@ def test_tagging_mode_trains_and_reports_f1():
     metrics = train(weights, adapter, task, config)
     assert metrics.final_dev.f1 is not None
     assert 0.0 <= metrics.final_dev.f1 <= 1.0
+
+
+@pytest.mark.parametrize("kind", ["classification", "pair", "tagging"])
+def test_program_batches_never_reach_the_fault_walk(monkeypatch, kind):
+    # every batch the program makes passes the one array check; the walk
+    # only names the fault of a batch that check refused
+    def walk(*args):
+        raise AssertionError("a program batch reached _batch_fault")
+
+    monkeypatch.setattr(encoder, "_batch_fault", walk)
+    n_classes = 3 if kind == "tagging" else 2
+    encoder_config = EncoderConfig(d_m=8, n_heads=2, n_layers=1, vocab_size=32,
+                                   max_seq_len=12, n_classes=n_classes)
+    task = generate_task(kind, sizes=(16, 8, 8), seed=2, vocab_size=32, seq_len=8,
+                         n_classes=n_classes)
+    weights = init_encoder(encoder_config, seed=7)
+    pretrain_backbone(weights, task, steps=1, seed=3)
+    for mode in ALL_MODES:
+        config = TrainConfig(mode=mode, d_a=4, prompt_len=3, d_a_prime=2, batch_size=8,
+                             max_steps=2, seed=6)
+        adapter = make_adapter(encoder_config, config)
+        assert train(weights, adapter, task, config).steps == 2
+        evaluate(weights, adapter, task.test, task.kind)
 
 
 def test_adam_and_sgd_update_shapes():
