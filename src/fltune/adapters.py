@@ -501,7 +501,7 @@ class RegistryEntry:
     tensor: Tensor
     frozen: bool
     group: str
-    content_hash: str
+    content_hash: Optional[str]  # frozen entries only; None for a trainable one
 
 
 @dataclass
@@ -515,8 +515,9 @@ class ParamCounts:
 
 
 class ParamRegistry:
-    """Every parameter tensor exactly once, with a frozen flag and the
-    content hash taken at registration time for immutability checks."""
+    """Every parameter tensor exactly once, with a frozen flag and, for a
+    frozen tensor, the content hash taken at registration time for
+    immutability checks."""
 
     def __init__(self):
         self.entries: list[RegistryEntry] = []
@@ -529,7 +530,8 @@ class ParamRegistry:
         if id(tensor) in self._seen_ids:
             raise ValueError(f"tensor registered twice (second name: {name})")
         tensor.requires_grad = not frozen
-        entry = RegistryEntry(name, tensor, frozen, group, tensor_content_hash(tensor))
+        entry = RegistryEntry(name, tensor, frozen, group,
+                              tensor_content_hash(tensor) if frozen else None)
         self.entries.append(entry)
         self._names.add(name)
         self._seen_ids.add(id(tensor))

@@ -326,10 +326,15 @@ def _batch_ids(config: EncoderConfig, sequences: Sequence[Sequence[int]],
 def _batch_fault(config: EncoderConfig, sequences: Sequence[Sequence[int]],
                  prompt_len: int) -> str:
     """The first fault of a batch ``_batch_ids`` refused: sequence by sequence,
-    a token that is not an integer (a float such as 3.0 or a bool included)
-    or not an id, then an empty or overlong sequence; then unequal lengths."""
+    an element that is not a sequence, a token that is not an integer (a
+    float such as 3.0 or a bool included) or not an id, then an empty or
+    overlong sequence; then unequal lengths."""
     lengths = set()
-    for tokens in sequences:
+    for i, tokens in enumerate(sequences):
+        try:
+            tokens = iter(tokens)
+        except TypeError:
+            return f"batch element {i} is not a token sequence: {tokens!r}"
         n = 0
         for n, t in enumerate(tokens, 1):
             if isinstance(t, (bool, np.bool_)) or not isinstance(t, (int, np.integer)):

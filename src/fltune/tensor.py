@@ -28,7 +28,10 @@ reductions call ``np.add.reduce`` and divide in place by the count, as
 ``ndarray.mean`` does behind its Python wrappers. ``gather_rows``' backward
 scatter-adds with one ``np.bincount`` over flat element positions, which adds
 each element's rows in id order onto +0.0 exactly as ``np.add.at`` into
-zeros would.
+zeros would. The softmax shifts of ``attention_weights`` and
+``cross_entropy_mean`` take a narrow row's max across a transposed copy, so
+NumPy reduces all rows in one vectorized pass instead of one short loop per
+row; a max is exact in any order.
 
 Importing this module tunes the C allocator of the whole process, on Linux
 with glibc only and with no setting to turn it off. Every other fltune module
@@ -491,6 +494,23 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5, *,
     return _record(Tensor(out), (x, gain, bias, residual), needs, bw)
 
 
+# Rows narrower than this take their max across a transposed copy. On wider
+# rows the copy costs more than NumPy's per-row loop: at 2,048 rows (NumPy
+# 2.4, one Xeon core) the transposed max took 0.3x the time of ``ndarray.max``
+# at 16 keys and 1.5x at 64.
+_NARROW_ROW = 32
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1, keepdims=True)``, equal bit for bit except that a
+    zero max may take the other sign, which no softmax shift can see."""
+    n = x.shape[-1]
+    if n >= _NARROW_ROW:
+        return np.maximum.reduce(x, axis=-1, keepdims=True)
+    m = np.maximum.reduce(np.ascontiguousarray(x.reshape(-1, n).T), axis=0)
+    return m.reshape(*x.shape[:-1], 1)
+
+
 def cross_entropy_mean(logits: Tensor, labels: Sequence[int],
                        weights: Optional[Sequence[float]] = None) -> Tensor:
     """Mean cross entropy of row-wise logits against integer labels.
@@ -517,7 +537,7 @@ def cross_entropy_mean(logits: Tensor, labels: Sequence[int],
         row_weights = np.asarray(weights, dtype=np.float64)
         if row_weights.shape != (m,):
             raise ShapeError(f"weights must have length {m}, got shape {row_weights.shape}")
-    shifted = logits.data - np.maximum.reduce(logits.data, axis=1, keepdims=True)
+    shifted = logits.data - _row_max(logits.data)
     lse = np.log(np.add.reduce(np.exp(shifted), axis=1))
     picked = shifted[np.arange(m), y]
     per_row = lse - picked
@@ -605,7 +625,7 @@ def attention_weights(q: Tensor, k: Tensor, batch: int, heads: int, scale: float
         scores += qxb @ kxb.transpose(0, 1, 3, 2)
     # in place from here: scores become the probabilities p
     scores *= scale
-    scores -= scores.max(axis=3, keepdims=True)
+    scores -= _row_max(scores)
     p = np.exp(scores, out=scores)
     p /= p.sum(axis=3, keepdims=True)
     out = Tensor(p.reshape(-1, p.shape[3]))

@@ -227,60 +227,60 @@ def make_adapter(encoder_config: EncoderConfig, config: TrainConfig):
 # ---------------------------------------------------------------------------
 
 EVAL_CHUNK = 16   # fewest examples per packed forward pass in evaluate
-EVAL_ROWS = 512   # rows a pass packs when EVAL_CHUNK examples hold fewer
+EVAL_ROWS = 1024  # rows a pass packs when EVAL_CHUNK examples hold fewer
 
 
 def _batch_forward(weights, adapter, examples, per_position: bool):
     """One packed forward pass over ``examples``: the mean loss over every
-    label row, the correct and total label counts, and the predictions."""
+    label row, the correct label count, and the label and prediction arrays."""
     logits = encoder_forward_batch(weights, [ex.tokens for ex in examples], adapter=adapter,
                                    per_position=per_position)
     labels = ([v for ex in examples for v in ex.label] if per_position
               else [ex.label for ex in examples])
     loss = cross_entropy_mean(logits, labels)
+    y = np.asarray(labels)
     pred = logits.data.argmax(axis=1)
-    correct = int((pred == np.asarray(labels)).sum())
-    return loss, correct, len(labels), pred
+    return loss, int((pred == y).sum()), y, pred
 
 
-def tag_spans(labels: Sequence[int]) -> set[tuple[int, int]]:
-    """Maximal begin+inside runs as (start, end) half-open position spans."""
-    spans = set()
-    start = None
-    for i, lab in enumerate(labels):
-        if lab == 1:  # begin
-            if start is not None:
-                spans.add((start, i))
-            start = i
-        elif lab == 2:  # inside
-            if start is None:
-                start = i  # tolerate dangling inside tags in predictions
-        else:
-            if start is not None:
-                spans.add((start, i))
-                start = None
-    if start is not None:
-        spans.add((start, len(labels)))
-    return spans
+def _span_ends(tags: np.ndarray) -> np.ndarray:
+    """Per position, the half-open end of the span that starts there, or -1.
+
+    A span is a maximal begin+inside run: it starts at a begin tag (1), or at
+    an inside tag (2) whose predecessor is neither (a dangling inside tag in a
+    prediction), and ends at the next tag that is not 2. ``tags`` must end
+    with a tag that is not 2.
+    """
+    inside = tags == 2
+    run = inside | (tags == 1)
+    starts = np.flatnonzero(run & ~(inside & np.concatenate(([False], run[:-1]))))
+    stops = np.flatnonzero(~inside)
+    ends = np.full(tags.shape, -1)
+    ends[starts] = stops[np.searchsorted(stops, starts, side="right")]
+    return ends
 
 
 def span_f1(true_seqs: Sequence[Sequence[int]], pred_seqs: Sequence[Sequence[int]]) -> float:
     """Micro-averaged exact span match F1 over a dataset.
 
     The two lists pair up sequence by sequence; lists or pairs of different
-    lengths raise ValueError."""
+    lengths raise ValueError. Tags other than 1 (begin) and 2 (inside) are
+    outside tags. The sequences are scored as one array in which an outside
+    tag follows each, so no span crosses from one sequence into the next."""
     if len(true_seqs) != len(pred_seqs):
         raise ValueError(f"{len(true_seqs)} true sequences but {len(pred_seqs)} predicted")
-    tp = fp = fn = 0
-    for i, (true_labels, pred_labels) in enumerate(zip(true_seqs, pred_seqs)):
-        if len(true_labels) != len(pred_labels):
-            raise ValueError(f"sequence {i}: {len(true_labels)} true labels but "
-                             f"{len(pred_labels)} predicted")
-        t = tag_spans(true_labels)
-        p = tag_spans(pred_labels)
-        tp += len(t & p)
-        fp += len(p - t)
-        fn += len(t - p)
+    lengths = [len(t) for t in true_seqs]
+    for i, (n, pred_labels) in enumerate(zip(lengths, pred_seqs)):
+        if n != len(pred_labels):
+            raise ValueError(f"sequence {i}: {n} true labels but {len(pred_labels)} predicted")
+    if not lengths:
+        return 1.0
+    cuts = np.cumsum(lengths)
+    t = _span_ends(np.insert(np.concatenate(true_seqs), cuts, 0))
+    p = _span_ends(np.insert(np.concatenate(pred_seqs), cuts, 0))
+    tp = int(np.count_nonzero((t == p) & (t >= 0)))
+    fp = int(np.count_nonzero(p >= 0)) - tp
+    fn = int(np.count_nonzero(t >= 0)) - tp
     if tp == 0 and fp == 0 and fn == 0:
         return 1.0
     if tp == 0:
@@ -299,7 +299,7 @@ def batch_loss(weights, adapter, examples, kind: str) -> tuple[Tensor, int, int]
     if not examples:
         raise ValueError("cannot take the loss of an empty batch")
     loss, correct, labels, _ = _batch_forward(weights, adapter, examples, kind == "tagging")
-    return loss, correct, labels
+    return loss, correct, labels.size
 
 
 def evaluate(weights, adapter, examples, kind: str) -> EvalResult:
@@ -326,13 +326,14 @@ def evaluate(weights, adapter, examples, kind: str) -> EvalResult:
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(examples), chunk_size):
             chunk = examples[lo:lo + chunk_size]
-            loss, correct, n, pred = _batch_forward(weights, adapter, chunk, per_position)
+            loss, correct, labels, pred = _batch_forward(weights, adapter, chunk,
+                                                         per_position)
             loss_sum += loss.item() * len(chunk)
             total_correct += correct
-            total_labels += n
+            total_labels += labels.size
             if per_position:
-                true_seqs += [ex.label for ex in chunk]
-                pred_seqs += pred.reshape(len(chunk), -1).tolist()
+                true_seqs.extend(labels.reshape(len(chunk), -1))
+                pred_seqs.extend(pred.reshape(len(chunk), -1))
     mean_loss = loss_sum / len(examples)
     if not np.isfinite(mean_loss):
         raise DivergenceError(f"non-finite mean loss {mean_loss} over {len(examples)} "

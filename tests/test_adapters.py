@@ -386,9 +386,14 @@ def test_registry_rejects_duplicates():
 def test_registry_detects_frozen_mutation():
     reg = ParamRegistry()
     t = Tensor(np.ones((2, 2)))
+    a = Tensor(np.ones((1, 2)))
     reg.register("w", t, frozen=True, group="block")
+    reg.register("a", a, frozen=False, group="adapter")
+    # only frozen entries are hashed: nothing reads a trainable one's hash
+    assert [e.content_hash for e in reg.entries] == [tensor_content_hash(t), None]
     assert reg.frozen_violations() == []
     t.data[0, 0] = 2.0
+    a.data[0, 0] = 2.0
     assert reg.frozen_violations() == ["w"]
 
 

@@ -201,10 +201,13 @@ def test_encoder_rejects_overlong_sequence():
     ([[float("inf"), 4]], 0, "token inf is not an integer"),
     ([[True, False, 4]], 0, "token True is not an integer"),
     ([np.array([True, False, True])], 0, "token np.True_ is not an integer"),
+    ([3, 4], 0, "batch element 0 is not a token sequence: 3"),
+    ([[3, 4], 5], 0, "batch element 1 is not a token sequence: 5"),
+    (np.array([3, 4]), 0, "batch element 0 is not a token sequence: np.int64(3)"),
 ], ids=["empty", "empty-second", "negative", "numpy-int", "numpy-row", "too-long",
         "too-long-with-prompt", "lengths", "unknown-before-lengths", "float", "integral-float",
         "float64-array", "uint64-beside-int", "string",
-        "none", "nan", "inf", "bool", "numpy-bool"])
+        "none", "nan", "inf", "bool", "numpy-bool", "flat", "flat-second", "flat-array"])
 def test_malformed_batches_raise_the_per_token_message(sequences, prompt_len, message):
     config = small_config()
     weights = init_encoder(config, seed=7)

@@ -53,10 +53,10 @@ def recorded_passes(monkeypatch, weights, adapter, task) -> list[list]:
 
 
 @pytest.mark.parametrize("mode, seq_len, prompt_len, per_pass", [
-    ("fl", 16, 0, 32),           # 512 // 16
-    ("pv1", 16, 8, 21),          # 512 // (16 + 8): prompt rows count
-    ("finetune", 10, 0, 51),     # 512 // 10
-    ("fl", 64, 0, 16),           # 512 // 64 = 8, raised to the floor
+    ("fl", 16, 0, 64),           # 1024 // 16
+    ("pv1", 16, 8, 42),          # 1024 // (16 + 8): prompt rows count
+    ("finetune", 10, 0, 102),    # 1024 // 10
+    ("fl", 64, 0, 16),           # 1024 // 64: the floor itself
     ("pv1", 16, 160, 16),        # 176 rows, raised to the floor
 ])
 def test_passes_cover_the_split_in_order(monkeypatch, mode, seq_len, prompt_len, per_pass):
@@ -91,8 +91,9 @@ def one_pass_per_example(weights, adapter, examples, kind):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("mode", MODES)
 def test_evaluate_matches_one_pass_per_example(mode, kind):
-    # 8 rows (10 with pv1's prompt): passes of 64 (51) examples, so 70 take two.
-    weights, adapter, task = build(mode, kind, seq_len=8, dev_size=70)
+    # 8 rows (10 with pv1's prompt): passes of 128 (102) examples, so 140
+    # take two.
+    weights, adapter, task = build(mode, kind, seq_len=8, dev_size=140)
     result = evaluate(weights, adapter, task.dev, task.kind)
     accuracy, mean_loss, f1 = one_pass_per_example(weights, adapter, task.dev, task.kind)
     assert result.accuracy == accuracy

@@ -1,7 +1,8 @@
 """The allocation-lean step changes no bit: the fused ``affine`` op, the
 in-place ``layer_norm`` with its folded residual add, ``gather_rows``'
-bincount scatter and the in-place ``Adam`` update each equal the
-out-of-place NumPy formulas they replace exactly, forward and backward."""
+bincount scatter, the in-place ``Adam`` update and the softmax shifts'
+transposed row max each equal the out-of-place NumPy formulas they replace
+exactly, forward and backward."""
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from fltune.tensor import (
     Tensor,
     add,
     affine,
+    attention_weights,
+    cross_entropy_mean,
     gather_rows,
     layer_norm,
     matmul,
@@ -224,3 +227,66 @@ def test_adam_in_place_equals_the_out_of_place_formula_bitwise():
         optimizer.step(entries)
         for p, w in zip(params, want):
             assert_bitwise(p.data, w)
+
+
+SPECIALS = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0])
+# narrow rows take the transposed max, 64-wide rows ndarray.max itself
+ROW_WIDTHS = [3, 16, 24, 64]
+
+
+def laced_rows(rng, rows, width, specials):
+    """Normal values; with ``specials`` about one in eight is ±inf, NaN or
+    ±0.0. Every fourth row is zeros of mixed sign, so its max is a zero of
+    either sign."""
+    x = rng.normal(size=(rows, width))
+    if specials:
+        mask = rng.random(x.shape) < 0.125
+        x[mask] = rng.choice(SPECIALS, int(mask.sum()))
+    x[::4] = rng.choice([0.0, -0.0], x[::4].shape)
+    return x
+
+
+@pytest.mark.parametrize("specials", [False, True])
+@pytest.mark.parametrize("width", ROW_WIDTHS)
+def test_attention_weights_equal_the_ndarray_max_softmax_bitwise(width, specials):
+    # One column per head, so each score is q·k of one query and one key
+    # value and the key values lay out the score rows: example 0's keys are
+    # zeros of mixed sign, example 1's are -inf in head 0.
+    rng = np.random.default_rng(width)
+    batch, heads, scale = 4, 2, 0.5
+    keys = laced_rows(rng, batch * heads, width, specials)
+    keys[0:heads] = rng.choice([0.0, -0.0], (heads, width))
+    keys[heads] = -np.inf
+    k = keys.reshape(batch, heads, width).transpose(0, 2, 1).reshape(batch * width, heads)
+    q = rng.choice([1.0, 2.0], (batch * width, heads))
+    with np.errstate(invalid="ignore"):
+        got = attention_weights(Tensor(q), Tensor(k), batch, heads, scale).data
+        qb, kb = (x.reshape(batch, width, heads, 1).transpose(0, 2, 1, 3) for x in (q, k))
+        s = qb @ kb.transpose(0, 1, 3, 2)
+        s *= scale
+        s = s - s.max(axis=3, keepdims=True)
+        p = np.exp(s)
+        p = p / p.sum(axis=3, keepdims=True)
+    assert_bitwise(got, p.reshape(-1, width))
+
+
+@pytest.mark.parametrize("specials", [False, True])
+@pytest.mark.parametrize("width", ROW_WIDTHS)
+def test_cross_entropy_value_and_gradient_equal_the_ndarray_max_formula_bitwise(
+        width, specials):
+    rng = np.random.default_rng(width)
+    rows = 40
+    logits = laced_rows(rng, rows, width, specials)
+    labels = rng.integers(0, width, rows)
+    x = Tensor(logits.copy(), requires_grad=True)
+    with np.errstate(invalid="ignore"):
+        with Tape() as tape:
+            loss = cross_entropy_mean(x, labels)
+            tape.backward(loss)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        per_row = np.log(np.exp(shifted).sum(axis=1)) - shifted[np.arange(rows), labels]
+        p = np.exp(shifted)
+        p = p / p.sum(axis=1, keepdims=True)
+    p[np.arange(rows), labels] -= 1.0
+    assert_bitwise(loss.data, np.asarray(np.add.reduce(per_row) / rows))
+    assert_bitwise(x.grad, p * (1.0 / rows))

@@ -1,7 +1,11 @@
 """Training loop: smoothing, optimizers, freezing, determinism, few-shot."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fltune import encoder, training
 from fltune.adapters import build_registry, count_parameters, tensor_content_hash
@@ -22,7 +26,6 @@ from fltune.training import (
     smooth_loss,
     span_f1,
     steps_to_threshold,
-    tag_spans,
     train,
     write_metrics_csv,
 )
@@ -82,10 +85,92 @@ def test_steps_to_threshold():
 # span F1
 # ---------------------------------------------------------------------------
 
+def oracle_spans(labels):
+    """Maximal begin (1) + inside (2) runs as (start, end) half-open spans,
+    walked tag by tag; a dangling inside tag starts a span."""
+    spans = set()
+    start = None
+    for i, lab in enumerate(labels):
+        if lab == 1:
+            if start is not None:
+                spans.add((start, i))
+            start = i
+        elif lab == 2:
+            if start is None:
+                start = i
+        elif start is not None:
+            spans.add((start, i))
+            start = None
+    if start is not None:
+        spans.add((start, len(labels)))
+    return spans
+
+
+def oracle_f1(true_seqs, pred_seqs):
+    """span_f1 from per-sequence span sets, with its ValueError messages."""
+    if len(true_seqs) != len(pred_seqs):
+        raise ValueError(f"{len(true_seqs)} true sequences but {len(pred_seqs)} predicted")
+    tp = fp = fn = 0
+    for i, (t, p) in enumerate(zip(true_seqs, pred_seqs)):
+        if len(t) != len(p):
+            raise ValueError(f"sequence {i}: {len(t)} true labels but {len(p)} predicted")
+        t, p = oracle_spans(t), oracle_spans(p)
+        tp += len(t & p)
+        fp += len(p - t)
+        fn += len(t - p)
+    if tp == fp == fn == 0:
+        return 1.0
+    if tp == 0:
+        return 0.0
+    precision, recall = tp / (tp + fp), tp / (tp + fn)
+    return 2 * precision * recall / (precision + recall)
+
+
 def test_tag_spans_extraction():
-    assert tag_spans([0, 1, 2, 2, 0, 1, 0]) == {(1, 4), (5, 6)}
-    assert tag_spans([1, 1]) == {(0, 1), (1, 2)}
-    assert tag_spans([0, 0]) == set()
+    # span_f1 scores the (start, end) begin+inside runs of each sequence
+    # truth spans (1, 4) and (5, 6): predicting only the first is precision 1,
+    # recall 1/2
+    assert span_f1([[0, 1, 2, 2, 0, 1, 0]], [[0, 1, 2, 2, 0, 0, 0]]) == pytest.approx(2 / 3)
+    # a span must end where the truth's does: (1, 3) matches neither
+    assert span_f1([[0, 1, 2, 2, 0, 1, 0]], [[0, 1, 2, 0, 0, 0, 0]]) == 0.0
+    # two begins are two spans, (0, 1) and (1, 2)
+    assert span_f1([[1, 1]], [[1, 0]]) == pytest.approx(2 / 3)
+    # a dangling inside tag starts a span
+    assert span_f1([[1, 2]], [[2, 2]]) == 1.0
+    # no begin or inside tag, no span
+    assert span_f1([[0, 0]], [[0, 0]]) == 1.0
+    assert span_f1([[0, 0]], [[0, 1]]) == 0.0
+
+
+tags = st.integers(-2, 4)  # begin 1, inside 2, and outside tags besides 0
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_span_f1_equals_the_span_set_oracle(data):
+    true_seqs, pred_seqs = [], []
+    for _ in range(data.draw(st.integers(0, 6))):
+        n = data.draw(st.integers(0, 12))
+        t = data.draw(st.lists(tags, min_size=n, max_size=n))
+        other = data.draw(st.lists(tags, min_size=n, max_size=n))
+        keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        p = [a if k else b for a, b, k in zip(t, other, keep)]
+        as_arrays = data.draw(st.booleans())  # evaluate passes int arrays
+        true_seqs.append(np.asarray(t, dtype=np.int64) if as_arrays else t)
+        pred_seqs.append(np.asarray(p, dtype=np.int64) if as_arrays else tuple(p))
+    unpair = data.draw(st.sampled_from(["paired", "drop", "shorten"]))
+    if unpair == "drop" and true_seqs:
+        del pred_seqs[data.draw(st.integers(0, len(pred_seqs) - 1))]
+    elif unpair == "shorten" and any(len(p) for p in pred_seqs):
+        i = data.draw(st.sampled_from([i for i, p in enumerate(pred_seqs) if len(p)]))
+        pred_seqs[i] = pred_seqs[i][:-1]
+    try:
+        want = oracle_f1(true_seqs, pred_seqs)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
+            span_f1(true_seqs, pred_seqs)
+    else:
+        assert span_f1(true_seqs, pred_seqs) == want
 
 
 def test_span_f1_exact_match_and_mismatch():
