@@ -255,6 +255,9 @@ def cmd_gradcheck(args) -> int:
         return EXIT_USAGE
     if args.examples < 1:
         raise ValueError(f"--examples must be at least 1, got {args.examples}")
+    if args.examples > config.task.train_size:
+        raise ValueError(f"--examples {args.examples} exceeds the train split's "
+                         f"{config.task.train_size} examples")
     if not 0 < args.threshold < np.inf:
         raise ValueError(f"--threshold must be a finite float > 0, got {args.threshold}")
     task, weights, adapter, registry = build_experiment(config)

@@ -8,13 +8,18 @@ per class starting at id 3; the tagging task reserves entity-begin tokens
 {3, 4} and entity-inside tokens {5, 6}, and its filler tokens never overlap
 them, so the per-position tag is a pure function of the token.
 
+Each split is a ``Split``: an ``(N, T)`` int64 token array and its label
+array, ``(N,)`` for classification and pair tasks or ``(N, T)`` for tagging,
+both read-only. Training, evaluation, few-shot subsampling and pretraining
+read those arrays directly, and a slice or index array of a split is a split.
+
 Generators are pure functions of their seed and safe to call from anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -37,17 +42,31 @@ MASK_PROB = 0.15               # chance that a pretext position is masked
 KINDS = ("classification", "pair", "tagging")
 
 
-class Example(NamedTuple):
-    tokens: tuple[int, ...]
-    label: Union[int, tuple[int, ...]]
+@dataclass(frozen=True, eq=False)
+class Split:
+    """N examples: ``tokens`` (N, T) and ``labels`` (N,) or (N, T), both
+    int64 and marked read-only. Indexing by a slice or an index array gives
+    the split of those examples."""
+
+    tokens: np.ndarray
+    labels: np.ndarray
+
+    def __post_init__(self):
+        self.tokens.flags.writeable = self.labels.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.tokens)
+
+    def __getitem__(self, index) -> Split:
+        return Split(self.tokens[index], self.labels[index])
 
 
 @dataclass
 class SyntheticTask:
     kind: str
-    train: list[Example]
-    dev: list[Example]
-    test: list[Example]
+    train: Split
+    dev: Split
+    test: Split
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +196,7 @@ def generate_task(
     rng = np.random.default_rng([seed, 0])
     total = sum(sizes)
     seen: set[tuple[int, ...]] = set()
-    examples: list[Example] = []
+    examples: list[tuple[int, ...]] = []
     attempts = 0
     while len(examples) < total:
         attempts += 1
@@ -189,32 +208,34 @@ def generate_task(
         if tokens in seen:
             continue
         seen.add(tokens)
-        examples.append(Example(tokens=tokens, label=label_fn(tokens)))
+        examples.append(tokens)
 
+    tokens = np.array(examples, dtype=np.int64)
+    labels = np.array([label_fn(t) for t in examples], dtype=np.int64)
     a, b, _ = sizes
-    return SyntheticTask(kind=kind, train=examples[:a], dev=examples[a:a + b],
-                         test=examples[a + b:])
+    return SyntheticTask(kind=kind, train=Split(tokens[:a], labels[:a]),
+                         dev=Split(tokens[a:a + b], labels[a:a + b]),
+                         test=Split(tokens[a + b:], labels[a + b:]))
 
 
 # ---------------------------------------------------------------------------
 # Backbone pretraining pretext
 # ---------------------------------------------------------------------------
 
-def _pretext_batch(rng, sequences: Sequence[tuple[int, ...]]) -> list:
-    """``PRETRAIN_BATCH_SIZE`` (tokens, mask) pairs drawn from ``sequences``;
-    each mask marks at least one position."""
-    batch = []
-    for i in rng.integers(0, len(sequences), size=PRETRAIN_BATCH_SIZE):
-        tokens = list(sequences[int(i)])
-        mask = rng.random(len(tokens)) < MASK_PROB
-        if not mask.any():
-            mask[int(rng.integers(0, len(tokens)))] = True
-        batch.append((tokens, mask))
-    return batch
+def _pretext_batch(rng, tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``PRETRAIN_BATCH_SIZE`` rows drawn from ``tokens`` and their bool masks;
+    each mask row marks at least one position."""
+    rows = tokens[rng.integers(0, len(tokens), size=PRETRAIN_BATCH_SIZE)]
+    mask = np.empty(rows.shape, dtype=bool)
+    for m in mask:
+        m[:] = rng.random(len(m)) < MASK_PROB
+        if not m.any():
+            m[int(rng.integers(0, len(m)))] = True
+    return rows, mask
 
 
 def _pretext_loss(weights: EncoderWeights, head_w: Tensor, head_b: Tensor,
-                  batch: list) -> Tensor:
+                  batch: tuple[np.ndarray, np.ndarray]) -> Tensor:
     """The batch's masked-token loss: the mean over examples of each
     example's mean cross entropy over its masked positions.
 
@@ -224,19 +245,12 @@ def _pretext_loss(weights: EncoderWeights, head_w: Tensor, head_b: Tensor,
     hands each row in backward, so the gradients equal that chain's bit for
     bit; only the rounding of the loss value differs.
     """
-    hidden, _ = encoder_hidden_batch(
-        weights, [[MASK_ID if m else t for t, m in zip(tokens, mask)]
-                  for tokens, mask in batch])
+    tokens, mask = batch
+    hidden, _ = encoder_hidden_batch(weights, np.where(mask, MASK_ID, tokens))
     logits = affine(hidden, head_w, head_b)
-    rows, targets, row_weights = [], [], []
-    for b, (tokens, mask) in enumerate(batch):
-        positions = np.flatnonzero(mask)
-        rows.append(b * len(tokens) + positions)
-        targets += [tokens[p] for p in positions]
-        row_weights.append(np.full(len(positions),
-                                   (1.0 / PRETRAIN_BATCH_SIZE) / len(positions)))
-    return cross_entropy_mean(gather_rows(logits, np.concatenate(rows)), targets,
-                              np.concatenate(row_weights))
+    counts = mask.sum(axis=1)
+    return cross_entropy_mean(gather_rows(logits, np.flatnonzero(mask)), tokens[mask],
+                              np.repeat((1.0 / PRETRAIN_BATCH_SIZE) / counts, counts))
 
 
 def pretrain_backbone(
@@ -270,7 +284,6 @@ def pretrain_backbone(
 
     saved_flags = [(t, t.requires_grad) for _name, t, _group in weights.named_tensors()]
     optimizer = Adam(PRETRAIN_LEARNING_RATE)
-    sequences = [ex.tokens for ex in task.train]
 
     try:
         registry = build_registry(weights)
@@ -279,7 +292,7 @@ def pretrain_backbone(
         trainable = registry.trainable_entries()
         for step in range(steps):
             train_step(lambda: (_pretext_loss(weights, pre_head_w, pre_head_b,
-                                              _pretext_batch(rng, sequences)),),
+                                              _pretext_batch(rng, task.train.tokens)),),
                        trainable, optimizer, step + 1)
     finally:
         for t, flag in saved_flags:

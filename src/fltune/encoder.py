@@ -308,8 +308,9 @@ def _batch_ids(config: EncoderConfig, sequences: Sequence[Sequence[int]],
 
     A batch is accepted only when it converts to one 2-d integer array with
     every id in range, room for the prompt rows and no bool among its tokens
-    (``np.asarray`` reads True beside an int as 1). Any other batch raises
-    ``ShapeError`` with the fault ``_batch_fault`` names.
+    (``np.asarray`` reads True beside an int as 1). An integer ndarray cannot
+    hold a bool, so only other input has its tokens scanned. Any other batch
+    raises ``ShapeError`` with the fault ``_batch_fault`` names.
     """
     try:
         arr = np.asarray(sequences)
@@ -318,7 +319,8 @@ def _batch_ids(config: EncoderConfig, sequences: Sequence[Sequence[int]],
     if (arr is not None and arr.ndim == 2 and arr.shape[1] and arr.dtype.kind in "iu"
             and arr.shape[1] + prompt_len <= config.max_seq_len
             and arr.min() >= 0 and arr.max() < config.vocab_size
-            and {bool, np.bool_}.isdisjoint(map(type, chain.from_iterable(sequences)))):
+            and (arr is sequences
+                 or {bool, np.bool_}.isdisjoint(map(type, chain.from_iterable(sequences))))):
         return arr.ravel(), arr.shape[1]
     raise ShapeError(_batch_fault(config, sequences, prompt_len))
 

@@ -230,17 +230,12 @@ EVAL_CHUNK = 16   # fewest examples per packed forward pass in evaluate
 EVAL_ROWS = 1024  # rows a pass packs when EVAL_CHUNK examples hold fewer
 
 
-def _batch_forward(weights, adapter, examples, per_position: bool):
-    """One packed forward pass over ``examples``: the mean loss over every
-    label row, the correct label count, and the label and prediction arrays."""
-    logits = encoder_forward_batch(weights, [ex.tokens for ex in examples], adapter=adapter,
+def _batch_forward(weights, adapter, split, per_position: bool):
+    """One packed forward pass over ``split``: the mean loss over every label
+    row and the predicted label of each row."""
+    logits = encoder_forward_batch(weights, split.tokens, adapter=adapter,
                                    per_position=per_position)
-    labels = ([v for ex in examples for v in ex.label] if per_position
-              else [ex.label for ex in examples])
-    loss = cross_entropy_mean(logits, labels)
-    y = np.asarray(labels)
-    pred = logits.data.argmax(axis=1)
-    return loss, int((pred == y).sum()), y, pred
+    return cross_entropy_mean(logits, split.labels.ravel()), logits.data.argmax(axis=1)
 
 
 def _span_ends(tags: np.ndarray) -> np.ndarray:
@@ -260,24 +255,18 @@ def _span_ends(tags: np.ndarray) -> np.ndarray:
     return ends
 
 
-def span_f1(true_seqs: Sequence[Sequence[int]], pred_seqs: Sequence[Sequence[int]]) -> float:
+def span_f1(true: np.ndarray, pred: np.ndarray) -> float:
     """Micro-averaged exact span match F1 over a dataset.
 
-    The two lists pair up sequence by sequence; lists or pairs of different
-    lengths raise ValueError. Tags other than 1 (begin) and 2 (inside) are
-    outside tags. The sequences are scored as one array in which an outside
-    tag follows each, so no span crosses from one sequence into the next."""
-    if len(true_seqs) != len(pred_seqs):
-        raise ValueError(f"{len(true_seqs)} true sequences but {len(pred_seqs)} predicted")
-    lengths = [len(t) for t in true_seqs]
-    for i, (n, pred_labels) in enumerate(zip(lengths, pred_seqs)):
-        if n != len(pred_labels):
-            raise ValueError(f"sequence {i}: {n} true labels but {len(pred_labels)} predicted")
-    if not lengths:
-        return 1.0
-    cuts = np.cumsum(lengths)
-    t = _span_ends(np.insert(np.concatenate(true_seqs), cuts, 0))
-    p = _span_ends(np.insert(np.concatenate(pred_seqs), cuts, 0))
+    ``true`` and ``pred`` are integer arrays of one (N, T) shape, one row
+    per sequence; other shapes raise ValueError. Tags other than 1 (begin)
+    and 2 (inside) are outside tags. Each row gains an outside column, so no
+    span crosses from one sequence into the next, and all rows are scored as
+    one array."""
+    if true.shape != pred.shape:
+        raise ValueError(f"true labels have shape {true.shape} but predictions {pred.shape}")
+    t = _span_ends(np.pad(true, ((0, 0), (0, 1))).ravel())
+    p = _span_ends(np.pad(pred, ((0, 0), (0, 1))).ravel())
     tp = int(np.count_nonzero((t == p) & (t >= 0)))
     fp = int(np.count_nonzero(p >= 0)) - tp
     fn = int(np.count_nonzero(t >= 0)) - tp
@@ -291,19 +280,22 @@ def span_f1(true_seqs: Sequence[Sequence[int]], pred_seqs: Sequence[Sequence[int
 
 
 def batch_loss(weights, adapter, examples, kind: str) -> tuple[Tensor, int, int]:
-    """Mean loss over a batch, plus its correct and total label counts.
+    """Mean loss over a batch (a ``data.Split``), plus its correct and total
+    label counts.
 
     The batch runs as one packed pass. Every example has the same number of
     label rows, so the mean over all rows is the mean of per-example means.
     """
     if not examples:
         raise ValueError("cannot take the loss of an empty batch")
-    loss, correct, labels, _ = _batch_forward(weights, adapter, examples, kind == "tagging")
-    return loss, correct, labels.size
+    loss, pred = _batch_forward(weights, adapter, examples, kind == "tagging")
+    labels = examples.labels
+    return loss, int(np.count_nonzero(pred == labels.ravel())), labels.size
 
 
 def evaluate(weights, adapter, examples, kind: str) -> EvalResult:
-    """Accuracy (token-level for tagging) and mean loss; span F1 for tagging.
+    """Accuracy (token-level for tagging) and mean loss over a ``data.Split``;
+    span F1 for tagging.
 
     Runs packed passes of ``max(EVAL_CHUNK, EVAL_ROWS // rows)`` examples,
     where ``rows`` is the sequence length plus the adapter's prompt rows.
@@ -315,31 +307,28 @@ def evaluate(weights, adapter, examples, kind: str) -> EvalResult:
     if not examples:
         raise ValueError("cannot evaluate an empty example list")
     per_position = kind == "tagging"
-    total_correct = total_labels = 0
     loss_sum = 0.0
-    true_seqs, pred_seqs = [], []
+    preds = []
     prompt = None if adapter is None else adapter.prompt_rows()
-    rows = len(examples[0].tokens) + (0 if prompt is None else prompt.shape[0])
+    rows = examples.tokens.shape[1] + (0 if prompt is None else prompt.shape[0])
     chunk_size = max(EVAL_CHUNK, EVAL_ROWS // max(rows, 1))
     # As in train_step: weights that overflowed are reported once, as the
     # DivergenceError below, not as floating-point warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(examples), chunk_size):
             chunk = examples[lo:lo + chunk_size]
-            loss, correct, labels, pred = _batch_forward(weights, adapter, chunk,
-                                                         per_position)
+            loss, pred = _batch_forward(weights, adapter, chunk, per_position)
             loss_sum += loss.item() * len(chunk)
-            total_correct += correct
-            total_labels += labels.size
-            if per_position:
-                true_seqs.extend(labels.reshape(len(chunk), -1))
-                pred_seqs.extend(pred.reshape(len(chunk), -1))
+            preds.append(pred)
     mean_loss = loss_sum / len(examples)
     if not np.isfinite(mean_loss):
         raise DivergenceError(f"non-finite mean loss {mean_loss} over {len(examples)} "
                               "examples; the weights have diverged")
-    f1 = span_f1(true_seqs, pred_seqs) if per_position else None
-    return EvalResult(accuracy=total_correct / total_labels, mean_loss=mean_loss, f1=f1)
+    labels = examples.labels
+    pred = np.concatenate(preds).reshape(labels.shape)
+    f1 = span_f1(labels, pred) if per_position else None
+    return EvalResult(accuracy=int(np.count_nonzero(pred == labels)) / labels.size,
+                      mean_loss=mean_loss, f1=f1)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +390,7 @@ def train(weights: EncoderWeights, adapter, task, config: TrainConfig,
     for _epoch in range(config.epochs):
         order = rng.permutation(len(task.train))
         for lo in range(0, len(order), config.batch_size):
-            batch = [task.train[i] for i in order[lo:lo + config.batch_size]]
+            batch = task.train[order[lo:lo + config.batch_size]]
             loss_val, correct, labels = train_step(
                 lambda: batch_loss(weights, adapter, batch, task.kind),
                 trainable, optimizer, step + 1)
@@ -428,13 +417,6 @@ def train(weights: EncoderWeights, adapter, task, config: TrainConfig,
 # Few-shot protocol
 # ---------------------------------------------------------------------------
 
-def _strat_key(example) -> int:
-    label = example.label
-    if isinstance(label, (tuple, list)):
-        return int(any(v > 0 for v in label))
-    return int(label)
-
-
 def fewshot_subsample(task, sizes: Sequence[int], seed: int = 0) -> list:
     """Nested, class-stratified training subsets of the given sizes.
 
@@ -448,13 +430,10 @@ def fewshot_subsample(task, sizes: Sequence[int], seed: int = 0) -> list:
             raise ValueError(f"subset size {s} outside [1, {len(pool)}]")
 
     rng = np.random.default_rng([seed, 3])
-    by_class: dict[int, list[int]] = {}
-    for i, ex in enumerate(pool):
-        by_class.setdefault(_strat_key(ex), []).append(i)
-    classes = sorted(by_class)
-    for c in classes:
-        idx = np.array(by_class[c])
-        by_class[c] = idx[rng.permutation(len(idx))].tolist()
+    # the class is the label, or for tagging whether the row tags any entity
+    keys = pool.labels if pool.labels.ndim == 1 else (pool.labels > 0).any(axis=1)
+    classes = np.unique(keys).tolist()
+    by_class = {c: rng.permutation(np.flatnonzero(keys == c)) for c in classes}
 
     proportions = {c: len(by_class[c]) / len(pool) for c in classes}
     taken = {c: 0 for c in classes}
@@ -467,8 +446,7 @@ def fewshot_subsample(task, sizes: Sequence[int], seed: int = 0) -> list:
         ordering.append(by_class[pick][taken[pick]])
         taken[pick] += 1
 
-    return [dataclasses.replace(task, train=[pool[i] for i in ordering[:s]])
-            for s in sizes]
+    return [dataclasses.replace(task, train=pool[np.array(ordering[:s])]) for s in sizes]
 
 
 # ---------------------------------------------------------------------------

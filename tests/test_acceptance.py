@@ -206,11 +206,11 @@ def test_c09_fewshot_protocol(tmp_path):
     task = generate_task("classification", sizes=(200, 40, 40), seed=7,
                          vocab_size=32, seq_len=8)
     subsets = fewshot_subsample(task, [20, 40, 60, 80, 100], seed=7)
-    nested = all(set(a.train).issubset(set(b.train))
-                 for a, b in zip(subsets, subsets[1:]))
-    pool_rate = sum(ex.label for ex in task.train) / len(task.train)
+    rows = [{row.tobytes() for row in s.train.tokens} for s in subsets]
+    nested = all(a.issubset(b) for a, b in zip(rows, rows[1:]))
+    pool_rate = task.train.labels.sum() / len(task.train)
     stratified = all(
-        abs(sum(ex.label for ex in s.train) - len(s.train) * pool_rate) <= 1.0
+        abs(s.train.labels.sum() - len(s.train) * pool_rate) <= 1.0
         for s in subsets)
     report(9, "few-shot sweep yields nested stratified subsets and five summaries",
            code == 0 and five_complete and nested and stratified)

@@ -1,12 +1,14 @@
 """CLI contract: subcommands, exit codes, config validation, file outputs."""
 
 import json
+import math
 import re
 import typing
 from pathlib import Path
 
 import pytest
 
+from fltune import checkpoint, cli, training
 from fltune.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -298,3 +300,33 @@ def test_fewshot_duplicate_sizes_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "duplicate size" in err and "Traceback" not in err
     assert not outdir.exists()
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's call forms
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind, mode", [("classification", "fl"), ("tagging", "pv2")])
+def test_the_benchmark_worker_call_forms_keep_working(tmp_path, kind, mode):
+    # perfbench/worker.py drives the program only through these calls; a
+    # change of task layout that breaks them fails here, not only in the
+    # benchmark run
+    path = desk_config(tmp_path, mode=mode, prompt_len=2)
+    config = cli.load_experiment_config(
+        path, ["pretrain_steps=2"] + (["task.kind=tagging", "encoder.n_classes=3"]
+                                      if kind == "tagging" else []))
+    task, weights, adapter, registry = cli.build_experiment(config)
+    assert (len(task.train), len(task.dev)) == (config.task.train_size,
+                                                config.task.dev_size)
+    metrics = training.train(weights, adapter, task, config.train, registry=registry)
+    assert len(metrics.rows) == math.ceil(len(task.train) / config.train.batch_size)
+    assert all(math.isfinite(r.loss) for r in metrics.rows)
+    result = training.evaluate(weights, adapter, task.dev, task.kind)
+    assert math.isfinite(result.mean_loss) and 0.0 <= result.accuracy <= 1.0
+    assert (result.f1 is not None) == (kind == "tagging")
+    before = {e.name: e.tensor.data.tobytes() for e in registry.trainable_entries()}
+    ckpt = tmp_path / "block.flckpt"
+    checkpoint.save_trainable(registry, ckpt, config_echo=config.encoder.to_dict())
+    checkpoint.load_trainable(ckpt, registry)
+    assert {e.name: e.tensor.data.tobytes() for e in registry.trainable_entries()} == before
+    assert registry.frozen_violations() == []

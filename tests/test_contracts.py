@@ -337,6 +337,14 @@ def test_gradcheck_rejects_examples_below_one(run_config, capsys, examples):
     assert f"error: --examples must be at least 1, got {examples}" in err
 
 
+def test_gradcheck_rejects_examples_above_the_train_split_size(run_config, capsys):
+    # train_size 20: 20 examples probe the whole split, 21 cannot be had
+    assert main(["gradcheck", run_config, "--examples", "20", "--threshold", "1e300"]) == 0
+    capsys.readouterr()
+    err = usage_error(capsys, ["gradcheck", run_config, "--examples", "21"])
+    assert "error: --examples 21 exceeds the train split's 20 examples" in err
+
+
 FLOAT_FLAG_RULES = {
     "--eps": ("gradcheck", "eps must be a finite float > 0"),
     "--threshold": ("gradcheck", "--threshold must be a finite float > 0"),

@@ -1,10 +1,12 @@
 """Backbone tests: attention, FFN, full encoder, parameter-share claim."""
 
+import itertools
 import re
 
 import numpy as np
 import pytest
 
+import fltune.encoder as encoder_module
 from fltune.adapters import init_pv1_adapter
 from fltune.encoder import (
     AttentionLayer,
@@ -204,10 +206,14 @@ def test_encoder_rejects_overlong_sequence():
     ([3, 4], 0, "batch element 0 is not a token sequence: 3"),
     ([[3, 4], 5], 0, "batch element 1 is not a token sequence: 5"),
     (np.array([3, 4]), 0, "batch element 0 is not a token sequence: np.int64(3)"),
+    (np.array([[3, 16]]), 0, "unknown token id 16 for vocab size 16"),
+    (np.array([[3, 4], [5, 6]])[:, :0], 0, "token sequence is empty"),
+    (np.array([[True, False]]), 0, "token np.True_ is not an integer"),
 ], ids=["empty", "empty-second", "negative", "numpy-int", "numpy-row", "too-long",
         "too-long-with-prompt", "lengths", "unknown-before-lengths", "float", "integral-float",
         "float64-array", "uint64-beside-int", "string",
-        "none", "nan", "inf", "bool", "numpy-bool", "flat", "flat-second", "flat-array"])
+        "none", "nan", "inf", "bool", "numpy-bool", "flat", "flat-second", "flat-array",
+        "int-array-unknown", "int-array-empty", "bool-array"])
 def test_malformed_batches_raise_the_per_token_message(sequences, prompt_len, message):
     config = small_config()
     weights = init_encoder(config, seed=7)
@@ -225,6 +231,26 @@ def test_batch_forms_of_the_same_tokens_give_the_same_logits_bitwise():
                  [np.array(t) for t in tokens]):
         got = encoder_forward_batch(weights, form, per_position=True).data
         assert got.tobytes() == want.tobytes()
+
+
+def test_only_a_batch_that_is_not_an_ndarray_has_its_tokens_scanned(monkeypatch):
+    # an integer ndarray cannot hold a bool, so it skips the per-token scan
+    scanned = []
+
+    class chain(itertools.chain):
+        @classmethod
+        def from_iterable(cls, iterable):
+            scanned.append(iterable)
+            return itertools.chain.from_iterable(iterable)
+
+    monkeypatch.setattr(encoder_module, "chain", chain)
+    weights = init_encoder(small_config(), seed=7)
+    tokens = np.array([[3, 1, 4, 1], [5, 9, 2, 6]])
+    tokens.flags.writeable = False
+    want = encoder_forward_batch(weights, tokens).data
+    assert scanned == []
+    got = encoder_forward_batch(weights, tokens.tolist()).data
+    assert len(scanned) == 1 and got.tobytes() == want.tobytes()
 
 
 def test_encoder_per_position_logits_shape():

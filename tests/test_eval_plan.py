@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fltune.training as training
-from fltune.data import Example, generate_task
+from fltune.data import Split, generate_task
 from fltune.encoder import EncoderConfig, encoder_forward, init_encoder
 from fltune.tensor import ShapeError, cross_entropy_mean
 from fltune.training import EVAL_CHUNK, EVAL_ROWS, TrainConfig, evaluate, make_adapter, span_f1
@@ -37,14 +37,14 @@ def build(mode, kind, seq_len, dev_size, prompt_len=2, seed=0):
     return weights, adapter, task
 
 
-def recorded_passes(monkeypatch, weights, adapter, task) -> list[list]:
-    """The token sequences of each ``encoder_forward_batch`` call that one
+def recorded_passes(monkeypatch, weights, adapter, task) -> list:
+    """The token array of each ``encoder_forward_batch`` call that one
     ``evaluate`` of the dev split makes."""
     passes = []
     forward = training.encoder_forward_batch
 
     def recording(weights, sequences, *args, **kwargs):
-        passes.append(list(sequences))
+        passes.append(sequences)
         return forward(weights, sequences, *args, **kwargs)
 
     monkeypatch.setattr(training, "encoder_forward_batch", recording)
@@ -65,9 +65,9 @@ def test_passes_cover_the_split_in_order(monkeypatch, mode, seq_len, prompt_len,
                                    prompt_len=prompt_len)
     passes = recorded_passes(monkeypatch, weights, adapter, task)
     assert [len(p) for p in passes] == [per_pass, per_pass, 5]
-    flat = [tokens for p in passes for tokens in p]
-    assert len(flat) == len(task.dev)
-    assert all(tokens is ex.tokens for tokens, ex in zip(flat, task.dev))
+    # each pass is a view of the split's rows, in order, not a copy
+    assert np.array_equal(np.concatenate(passes), task.dev.tokens)
+    assert all(p.base is task.dev.tokens.base for p in passes)
 
 
 def one_pass_per_example(weights, adapter, examples, kind):
@@ -75,16 +75,16 @@ def one_pass_per_example(weights, adapter, examples, kind):
     per_position = kind == "tagging"
     correct = labels = 0
     losses, true_seqs, pred_seqs = [], [], []
-    for ex in examples:
-        logits = encoder_forward(weights, ex.tokens, adapter, per_position=per_position)
-        target = list(ex.label) if per_position else [ex.label]
+    for tokens, label in zip(examples.tokens.tolist(), examples.labels.tolist()):
+        logits = encoder_forward(weights, tokens, adapter, per_position=per_position)
+        target = label if per_position else [label]
         losses.append(cross_entropy_mean(logits, target).item())
         pred = logits.data.argmax(axis=1)
         correct += int((pred == np.asarray(target)).sum())
         labels += len(target)
-        true_seqs.append(ex.label)
-        pred_seqs.append(pred.tolist())
-    f1 = span_f1(true_seqs, pred_seqs) if per_position else None
+        true_seqs.append(target)
+        pred_seqs.append(pred)
+    f1 = span_f1(np.array(true_seqs), np.array(pred_seqs)) if per_position else None
     return correct / labels, sum(losses) / len(losses), f1
 
 
@@ -109,6 +109,6 @@ def test_readme_pass_plan_numbers_match_training():
 
 def test_empty_sequence_raises_the_encoder_error():
     weights, adapter, task = build("fl", "classification", seq_len=8, dev_size=2)
-    empty = [Example(tokens=(), label=task.dev[0].label)]
+    empty = Split(np.zeros((1, 0), np.int64), task.dev.labels[:1])
     with pytest.raises(ShapeError, match="token sequence is empty"):
         evaluate(weights, adapter, empty, task.kind)

@@ -12,6 +12,7 @@ from fltune.adapters import ParamRegistry, build_registry
 from fltune.cli import load_experiment_config
 from fltune.data import (
     MASK_ID,
+    MASK_PROB,
     PRETRAIN_BATCH_SIZE,
     _pretext_batch,
     _pretext_loss,
@@ -38,18 +39,44 @@ LR, B1, B2, EPS = 1e-3, 0.9, 0.999, 1e-8
 
 def per_example_loss(weights, head_w, head_b, batch):
     """The pretext loss as one gather/mean/scale/add chain per example."""
+    pairs = list(zip(*batch))
     hidden, _ = encoder_hidden_batch(
-        weights, [[MASK_ID if m else t for t, m in zip(tokens, mask)]
-                  for tokens, mask in batch])
+        weights, [[MASK_ID if m else t for t, m in zip(tokens.tolist(), mask)]
+                  for tokens, mask in pairs])
     logits = affine(hidden, head_w, head_b)
     loss = None
-    for b, (tokens, mask) in enumerate(batch):
+    for b, (tokens, mask) in enumerate(pairs):
         positions = np.flatnonzero(mask)
         part = scale(cross_entropy_mean(gather_rows(logits, b * len(tokens) + positions),
                                         [tokens[p] for p in positions]),
                      1.0 / PRETRAIN_BATCH_SIZE)
         loss = part if loss is None else add(loss, part)
     return loss
+
+
+def reference_batch(rng, tokens):
+    """The pretext batch drawn row by row: every row pick first, then each
+    row's mask draws, with one more draw for a mask that marked nothing."""
+    rows, masks = [], []
+    for i in rng.integers(0, len(tokens), size=PRETRAIN_BATCH_SIZE):
+        mask = rng.random(tokens.shape[1]) < MASK_PROB
+        if not mask.any():
+            mask[int(rng.integers(0, tokens.shape[1]))] = True
+        rows.append(tokens[int(i)])
+        masks.append(mask)
+    return np.array(rows), np.array(masks)
+
+
+def test_pretext_batch_draws_as_the_row_by_row_reference():
+    # three columns: about three masks in five mark nothing at first
+    tokens = np.arange(30, dtype=np.int64).reshape(10, 3)
+    got_rng, want_rng = np.random.default_rng(8), np.random.default_rng(8)
+    for _ in range(20):
+        got, want = _pretext_batch(got_rng, tokens), reference_batch(want_rng, tokens)
+        for a, b in zip(got, want):
+            assert_bitwise(a, b)
+        assert got[1].any(axis=1).all()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def demo_heads(weights, seed):
@@ -92,9 +119,8 @@ def assert_bitwise(a, b):
 
 def test_weighted_pretext_loss_has_the_per_example_gradients_bitwise():
     weights, task, head_w, head_b, registry, rng = demo_setup()
-    sequences = [ex.tokens for ex in task.train]
     for _ in range(5):
-        batch = _pretext_batch(rng, sequences)
+        batch = _pretext_batch(rng, task.train.tokens)
         new_loss, new = grads_and_loss(
             lambda: _pretext_loss(weights, head_w, head_b, batch), registry)
         old_loss, old = grads_and_loss(
@@ -112,13 +138,12 @@ def test_weighted_pretext_loss_has_the_per_example_gradients_bitwise():
 
 
 def reference_pretrain(weights, task, steps, seed):
-    """``pretrain_backbone`` with the per-example loss chain and the
-    out-of-place per-tensor Adam formula."""
+    """``pretrain_backbone`` with the row-by-row batch draws, the per-example
+    loss chain and the out-of-place per-tensor Adam formula."""
     head_w, head_b, registry, rng = demo_heads(weights, seed)
-    sequences = [ex.tokens for ex in task.train]
     state = {}
     for t in range(1, steps + 1):
-        batch = _pretext_batch(rng, sequences)
+        batch = reference_batch(rng, task.train.tokens)
         _loss, grads = grads_and_loss(
             lambda: per_example_loss(weights, head_w, head_b, batch), registry)
         for e in registry.entries:
@@ -226,7 +251,7 @@ def test_adam_skips_a_tensor_without_a_gradient_and_refuses_a_changed_set():
 
 def test_a_pretext_step_records_26_tape_entries():
     weights, task, head_w, head_b, _registry, rng = demo_setup()
-    batch = _pretext_batch(rng, [ex.tokens for ex in task.train])
+    batch = _pretext_batch(rng, task.train.tokens)
     counts = []
     for loss_fn in (_pretext_loss, per_example_loss):
         with Tape() as tape:

@@ -43,10 +43,6 @@ def build(mode, kind, seed=0):
     return weights, adapter, registry, task
 
 
-def labels_of(ex, kind):
-    return list(ex.label) if kind == "tagging" else [ex.label]
-
-
 def tape_grads(registry, loss_fn) -> dict:
     trainable = registry.trainable_entries()
     with Tape() as tape:
@@ -63,18 +59,18 @@ def test_packed_batch_matches_single_examples(mode, kind):
     weights, adapter, registry, task = build(mode, kind)
     examples = task.train
     per_position = kind == "tagging"
-    packed = encoder_forward_batch(weights, [ex.tokens for ex in examples], adapter,
+    packed = encoder_forward_batch(weights, examples.tokens, adapter,
                                    per_position=per_position).data
-    single = np.concatenate([encoder_forward(weights, ex.tokens, adapter,
+    single = np.concatenate([encoder_forward(weights, tokens, adapter,
                                              per_position=per_position).data
-                             for ex in examples])
+                             for tokens in examples.tokens])
     np.testing.assert_allclose(packed, single, rtol=0, atol=1e-12)
 
     def per_example_loss():
         loss = None
-        for ex in examples:
-            logits = encoder_forward(weights, ex.tokens, adapter, per_position=per_position)
-            part = scale(cross_entropy_mean(logits, labels_of(ex, kind)), 1.0 / len(examples))
+        for tokens, label in zip(examples.tokens, examples.labels):
+            logits = encoder_forward(weights, tokens, adapter, per_position=per_position)
+            part = scale(cross_entropy_mean(logits, label.reshape(-1)), 1.0 / len(examples))
             loss = part if loss is None else add(loss, part)
         return loss
 
@@ -89,10 +85,10 @@ def test_packed_batch_matches_single_examples(mode, kind):
 @pytest.mark.parametrize("mode", MODES)
 def test_examples_in_a_batch_do_not_read_each_other(mode, kind):
     weights, adapter, _registry, task = build(mode, kind)
-    sequences = [ex.tokens for ex in task.train]
+    sequences = task.train.tokens
     per_position = kind == "tagging"
-    changed = list(sequences)
-    changed[2] = tuple(reversed(sequences[2]))
+    changed = sequences.copy()
+    changed[2] = sequences[2, ::-1]
     before = encoder_forward_batch(weights, sequences, adapter, per_position=per_position).data
     after = encoder_forward_batch(weights, changed, adapter, per_position=per_position).data
     rows = before.shape[0] // len(sequences)
@@ -103,7 +99,7 @@ def test_examples_in_a_batch_do_not_read_each_other(mode, kind):
 
 def test_ragged_batch_raises_shape_error():
     weights, adapter, _registry, task = build("fl", "classification")
-    sequences = [task.train[0].tokens, task.train[1].tokens[:-1]]
+    sequences = [task.train.tokens[0], task.train.tokens[1, :-1]]
     with pytest.raises(ShapeError, match="differ in length"):
         encoder_forward_batch(weights, sequences, adapter)
 

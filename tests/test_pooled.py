@@ -58,11 +58,11 @@ def tape_grads(registry, loss_fn) -> dict:
 @pytest.mark.parametrize("mode", MODES)
 def test_pooled_logits_match_all_rows(mode, kind):
     weights, adapter, _registry, task = build(mode, kind)
-    for ex in task.train:
-        hidden, _ = encoder_hidden(weights, ex.tokens, adapter, pooled=True)
+    for tokens in task.train.tokens:
+        hidden, _ = encoder_hidden(weights, tokens, adapter, pooled=True)
         assert hidden.shape == (1, weights.config.d_m)
-        pooled = encoder_forward(weights, ex.tokens, adapter).data
-        full = all_rows_logits(weights, ex.tokens, adapter).data
+        pooled = encoder_forward(weights, tokens, adapter).data
+        full = all_rows_logits(weights, tokens, adapter).data
         np.testing.assert_allclose(pooled, full, rtol=0, atol=1e-12)
 
 
@@ -70,11 +70,11 @@ def test_pooled_logits_match_all_rows(mode, kind):
 @pytest.mark.parametrize("mode", MODES)
 def test_pooled_gradients_match_all_rows(mode, kind):
     weights, adapter, registry, task = build(mode, kind)
-    ex = task.train[0]
+    tokens, label = task.train.tokens[0], task.train.labels[:1]
     pooled = tape_grads(registry, lambda: cross_entropy_mean(
-        encoder_forward(weights, ex.tokens, adapter), [ex.label]))
+        encoder_forward(weights, tokens, adapter), label))
     full = tape_grads(registry, lambda: cross_entropy_mean(
-        all_rows_logits(weights, ex.tokens, adapter), [ex.label]))
+        all_rows_logits(weights, tokens, adapter), label))
     assert pooled.keys() == full.keys()
     assert "head.weight" in pooled
     for name in full:
@@ -94,8 +94,8 @@ def test_pruned_path_passes_finite_differences(mode, kind, pick):
 
     def loss_fn(_tensor):
         loss = None
-        for ex in examples:
-            part = cross_entropy_mean(encoder_forward(weights, ex.tokens, adapter), [ex.label])
+        for tokens, label in zip(examples.tokens, examples.labels):
+            part = cross_entropy_mean(encoder_forward(weights, tokens, adapter), [label])
             loss = part if loss is None else add(loss, part)
         return loss
 

@@ -24,29 +24,62 @@ from fltune.adapters import tensor_content_hash
 from fltune.training import train_step
 
 
+def split_arrays(task):
+    return [(split.tokens, split.labels) for split in (task.train, task.dev, task.test)]
+
+
 def test_labels_equal_rule_output_everywhere():
     for kind, n_classes in (("classification", 2), ("pair", 2), ("tagging", 3)):
         task = generate_task(kind, sizes=(60, 20, 20), seed=0, n_classes=n_classes)
         rule = LABEL_FNS[task.kind]
-        for split in (task.train, task.dev, task.test):
-            for ex in split:
-                assert ex.label == rule(ex.tokens)
+        for tokens, labels in split_arrays(task):
+            for row, label in zip(tokens.tolist(), labels.tolist()):
+                assert label == (list(rule(tuple(row))) if kind == "tagging"
+                                 else rule(tuple(row)))
+
+
+def test_splits_are_read_only_int64_arrays_of_the_configured_sizes():
+    for kind, n_classes in (("classification", 2), ("pair", 2), ("tagging", 3)):
+        task = generate_task(kind, sizes=(6, 4, 3), seed=0, seq_len=9, n_classes=n_classes)
+        for split, n in zip((task.train, task.dev, task.test), (6, 4, 3)):
+            assert len(split) == n
+            assert split.tokens.shape == (n, 9) and split.tokens.dtype == np.int64
+            assert split.labels.shape == ((n, 9) if kind == "tagging" else (n,))
+            assert split.labels.dtype == np.int64
+        picked = task.train[np.array([4, 1])]
+        assert np.array_equal(picked.tokens, task.train.tokens[[4, 1]])
+        assert np.array_equal(picked.labels, task.train.labels[[4, 1]])
+        assert len(task.train[1:3]) == 2
+    with pytest.raises(ValueError, match="read-only"):
+        task.train.tokens[0, 0] = 7
+    with pytest.raises(ValueError, match="read-only"):
+        task.dev.labels[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        task.train[np.array([0])].tokens[0, 0] = 7
+
+
+def test_pretraining_leaves_the_task_bytes_unchanged():
+    _, weights, task = pretext_setup()
+    before = [a.tobytes() for pair in split_arrays(task) for a in pair]
+    pretrain_backbone(weights, task, steps=3, seed=11)
+    assert [a.tobytes() for pair in split_arrays(task) for a in pair] == before
 
 
 def test_generation_is_deterministic():
     a = generate_task("classification", sizes=(50, 10, 10), seed=7)
     b = generate_task("classification", sizes=(50, 10, 10), seed=7)
-    assert a.train == b.train and a.dev == b.dev and a.test == b.test
+    for (ta, la), (tb, lb) in zip(split_arrays(a), split_arrays(b)):
+        assert np.array_equal(ta, tb) and np.array_equal(la, lb)
     c = generate_task("classification", sizes=(50, 10, 10), seed=8)
-    assert a.train != c.train
+    assert not np.array_equal(a.train.tokens, c.train.tokens)
 
 
 def test_splits_are_disjoint():
     task = generate_task("pair", sizes=(200, 80, 80), seed=1)
     hashes = {}
     for name, split in (("train", task.train), ("dev", task.dev), ("test", task.test)):
-        for ex in split:
-            key = hash(ex.tokens)
+        for row in split.tokens:
+            key = row.tobytes()
             assert key not in hashes, f"{name} shares an example with {hashes.get(key)}"
             hashes[key] = name
 
@@ -59,20 +92,19 @@ def test_vocab_too_small_rejected():
 def test_pair_task_structure():
     task = generate_task("pair", sizes=(40, 10, 10), seed=2, seq_len=15)
     seg = (15 - 1) // 2
-    for ex in task.train:
-        assert ex.tokens[seg] == SEP_ID
-        assert ex.tokens[0] >= MARKER_BASE
-        assert ex.tokens[seg + 1] >= MARKER_BASE
-        assert ex.label == int(ex.tokens[0] == ex.tokens[seg + 1])
-    labels = [ex.label for ex in task.train]
+    tokens, labels = task.train.tokens, task.train.labels
+    assert (tokens[:, seg] == SEP_ID).all()
+    assert (tokens[:, 0] >= MARKER_BASE).all()
+    assert (tokens[:, seg + 1] >= MARKER_BASE).all()
+    assert np.array_equal(labels, tokens[:, 0] == tokens[:, seg + 1])
     assert 0 in labels and 1 in labels
 
 
 def test_tagging_task_has_entities_and_consistent_tags():
     task = generate_task("tagging", sizes=(40, 10, 10), seed=3, n_classes=3)
     any_entity = False
-    for ex in task.train:
-        for tok, tag in zip(ex.tokens, ex.label):
+    for row, tags in zip(task.train.tokens.tolist(), task.train.labels.tolist()):
+        for tok, tag in zip(row, tags):
             if tok in ENTITY_BEGIN_IDS:
                 assert tag == 1
                 any_entity = True
@@ -87,8 +119,8 @@ def test_tagging_examples_are_pinned():
     # a fixed digest of the examples: any change to the number or order of
     # random draws in generation changes it
     task = generate_task("tagging", sizes=(200, 50, 50), seed=3, n_classes=3)
-    pairs = [(ex.tokens, ex.label) for split in (task.train, task.dev, task.test)
-             for ex in split]
+    pairs = [(tuple(row), tuple(tags)) for tokens, labels in split_arrays(task)
+             for row, tags in zip(tokens.tolist(), labels.tolist())]
     assert hashlib.sha256(repr(pairs).encode()).hexdigest() == (
         "fc891b5d80e92f71abf3d4b290c709ae0fea3e8584e7768da556d426c9c81f3e")
 
@@ -110,8 +142,8 @@ def test_linear_probe_on_marker_embeddings_solves_classification():
     weights = init_encoder(config, seed=5)
     emb = weights.tok_emb.data
 
-    x = np.stack([emb[ex.tokens[0]] for ex in task.train])
-    y = np.array([ex.label for ex in task.train])
+    x = emb[task.train.tokens[:, 0]]
+    y = task.train.labels
     w = np.zeros((16, 2))
     b = np.zeros(2)
     for _ in range(200):
@@ -124,8 +156,8 @@ def test_linear_probe_on_marker_embeddings_solves_classification():
         w -= 1.0 * (x.T @ p)
         b -= 1.0 * p.sum(axis=0)
 
-    x_dev = np.stack([emb[ex.tokens[0]] for ex in task.dev])
-    y_dev = np.array([ex.label for ex in task.dev])
+    x_dev = emb[task.dev.tokens[:, 0]]
+    y_dev = task.dev.labels
     acc = float(((x_dev @ w + b).argmax(axis=1) == y_dev).mean())
     assert acc > 0.9
 

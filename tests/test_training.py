@@ -107,13 +107,9 @@ def oracle_spans(labels):
 
 
 def oracle_f1(true_seqs, pred_seqs):
-    """span_f1 from per-sequence span sets, with its ValueError messages."""
-    if len(true_seqs) != len(pred_seqs):
-        raise ValueError(f"{len(true_seqs)} true sequences but {len(pred_seqs)} predicted")
+    """span_f1 from per-sequence span sets."""
     tp = fp = fn = 0
-    for i, (t, p) in enumerate(zip(true_seqs, pred_seqs)):
-        if len(t) != len(p):
-            raise ValueError(f"sequence {i}: {len(t)} true labels but {len(p)} predicted")
+    for t, p in zip(true_seqs, pred_seqs):
         t, p = oracle_spans(t), oracle_spans(p)
         tp += len(t & p)
         fp += len(p - t)
@@ -126,20 +122,26 @@ def oracle_f1(true_seqs, pred_seqs):
     return 2 * precision * recall / (precision + recall)
 
 
+def f1_of(true_rows, pred_rows):
+    return span_f1(np.array(true_rows), np.array(pred_rows))
+
+
 def test_tag_spans_extraction():
     # span_f1 scores the (start, end) begin+inside runs of each sequence
     # truth spans (1, 4) and (5, 6): predicting only the first is precision 1,
     # recall 1/2
-    assert span_f1([[0, 1, 2, 2, 0, 1, 0]], [[0, 1, 2, 2, 0, 0, 0]]) == pytest.approx(2 / 3)
+    assert f1_of([[0, 1, 2, 2, 0, 1, 0]], [[0, 1, 2, 2, 0, 0, 0]]) == pytest.approx(2 / 3)
     # a span must end where the truth's does: (1, 3) matches neither
-    assert span_f1([[0, 1, 2, 2, 0, 1, 0]], [[0, 1, 2, 0, 0, 0, 0]]) == 0.0
+    assert f1_of([[0, 1, 2, 2, 0, 1, 0]], [[0, 1, 2, 0, 0, 0, 0]]) == 0.0
     # two begins are two spans, (0, 1) and (1, 2)
-    assert span_f1([[1, 1]], [[1, 0]]) == pytest.approx(2 / 3)
+    assert f1_of([[1, 1]], [[1, 0]]) == pytest.approx(2 / 3)
     # a dangling inside tag starts a span
-    assert span_f1([[1, 2]], [[2, 2]]) == 1.0
+    assert f1_of([[1, 2]], [[2, 2]]) == 1.0
+    # a span ends with its row: (0, 2) in each row, not one (0, 4)
+    assert f1_of([[1, 2], [2, 2]], [[1, 2], [1, 2]]) == 1.0
     # no begin or inside tag, no span
-    assert span_f1([[0, 0]], [[0, 0]]) == 1.0
-    assert span_f1([[0, 0]], [[0, 1]]) == 0.0
+    assert f1_of([[0, 0]], [[0, 0]]) == 1.0
+    assert f1_of([[0, 0]], [[0, 1]]) == 0.0
 
 
 tags = st.integers(-2, 4)  # begin 1, inside 2, and outside tags besides 0
@@ -148,48 +150,46 @@ tags = st.integers(-2, 4)  # begin 1, inside 2, and outside tags besides 0
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_span_f1_equals_the_span_set_oracle(data):
-    true_seqs, pred_seqs = [], []
-    for _ in range(data.draw(st.integers(0, 6))):
-        n = data.draw(st.integers(0, 12))
-        t = data.draw(st.lists(tags, min_size=n, max_size=n))
-        other = data.draw(st.lists(tags, min_size=n, max_size=n))
-        keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-        p = [a if k else b for a, b, k in zip(t, other, keep)]
-        as_arrays = data.draw(st.booleans())  # evaluate passes int arrays
-        true_seqs.append(np.asarray(t, dtype=np.int64) if as_arrays else t)
-        pred_seqs.append(np.asarray(p, dtype=np.int64) if as_arrays else tuple(p))
+    n, width = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 12))
+    rows = st.lists(st.lists(tags, min_size=width, max_size=width), min_size=n, max_size=n)
+    true = np.array(data.draw(rows), dtype=np.int64).reshape(n, width)
+    other = np.array(data.draw(rows), dtype=np.int64).reshape(n, width)
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=n * width,
+                                       max_size=n * width)), dtype=bool).reshape(n, width)
+    pred = np.where(keep, true, other)
     unpair = data.draw(st.sampled_from(["paired", "drop", "shorten"]))
-    if unpair == "drop" and true_seqs:
-        del pred_seqs[data.draw(st.integers(0, len(pred_seqs) - 1))]
-    elif unpair == "shorten" and any(len(p) for p in pred_seqs):
-        i = data.draw(st.sampled_from([i for i, p in enumerate(pred_seqs) if len(p)]))
-        pred_seqs[i] = pred_seqs[i][:-1]
-    try:
-        want = oracle_f1(true_seqs, pred_seqs)
-    except ValueError as e:
-        with pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
-            span_f1(true_seqs, pred_seqs)
+    if unpair == "drop" and n:
+        pred = np.delete(pred, data.draw(st.integers(0, n - 1)), axis=0)
+    elif unpair == "shorten" and width:
+        pred = pred[:, :-1]
+    if pred.shape != true.shape:
+        message = f"true labels have shape {true.shape} but predictions {pred.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            span_f1(true, pred)
     else:
-        assert span_f1(true_seqs, pred_seqs) == want
+        assert span_f1(true, pred) == oracle_f1(true.tolist(), pred.tolist())
 
 
 def test_span_f1_exact_match_and_mismatch():
     truth = [[0, 1, 2, 0]]
-    assert span_f1(truth, [[0, 1, 2, 0]]) == 1.0
-    assert span_f1(truth, [[0, 0, 0, 0]]) == 0.0
+    assert f1_of(truth, [[0, 1, 2, 0]]) == 1.0
+    assert f1_of(truth, [[0, 0, 0, 0]]) == 0.0
     # half precision, full recall
-    assert span_f1(truth, [[1, 1, 2, 0]]) == pytest.approx(2 / 3)
-    assert span_f1([[0, 0]], [[0, 0]]) == 1.0
+    assert f1_of(truth, [[1, 1, 2, 0]]) == pytest.approx(2 / 3)
+    assert f1_of([[0, 0]], [[0, 0]]) == 1.0
+    # no sequences, no spans
+    assert span_f1(np.zeros((0, 4), np.int64), np.zeros((0, 4), np.int64)) == 1.0
 
 
-@pytest.mark.parametrize("true_seqs, pred_seqs, message", [
-    ([[1, 0]], [], "1 true sequences but 0 predicted"),
-    ([], [[1, 0]], "0 true sequences but 1 predicted"),
-    ([[0, 0], [1, 0]], [[0, 0], [1]], "sequence 1: 2 true labels but 1 predicted"),
-])
-def test_span_f1_rejects_unpaired_labels(true_seqs, pred_seqs, message):
-    with pytest.raises(ValueError, match=message):
-        span_f1(true_seqs, pred_seqs)
+@pytest.mark.parametrize("true_shape, pred_shape", [
+    ((1, 2), (0, 2)),
+    ((0, 2), (1, 2)),
+    ((2, 2), (2, 1)),
+], ids=["fewer-predicted-rows", "more-predicted-rows", "shorter-predicted-rows"])
+def test_span_f1_rejects_unpaired_labels(true_shape, pred_shape):
+    with pytest.raises(ValueError, match=re.escape(
+            f"true labels have shape {true_shape} but predictions {pred_shape}")):
+        span_f1(np.zeros(true_shape, np.int64), np.ones(pred_shape, np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +295,7 @@ def test_train_evaluates_dev_once_after_its_last_step(monkeypatch):
 def test_evaluate_rejects_empty_example_list():
     weights, adapter, task, _config = small_setup()
     with pytest.raises(ValueError, match="empty example list"):
-        evaluate(weights, adapter, [], task.kind)
+        evaluate(weights, adapter, task.dev[:0], task.kind)
 
 
 def test_tagging_mode_trains_and_reports_f1():
@@ -363,29 +363,32 @@ def test_train_config_validation():
 # few-shot protocol
 # ---------------------------------------------------------------------------
 
+def row_set(split) -> set:
+    return {row.tobytes() for row in split.tokens}
+
+
 def test_fewshot_full_size_is_identity():
     task = generate_task("classification", sizes=(50, 10, 10), seed=3)
     (sub,) = fewshot_subsample(task, [50], seed=4)
-    assert sorted(sub.train) == sorted(task.train)
-    assert sub.dev == task.dev and sub.test == task.test
+    assert row_set(sub.train) == row_set(task.train) and len(sub.train) == 50
+    assert sub.dev is task.dev and sub.test is task.test
 
 
 def test_fewshot_nested_subsets():
     task = generate_task("classification", sizes=(200, 20, 20), seed=5)
     subs = fewshot_subsample(task, [20, 40, 60, 80, 100], seed=6)
     for smaller, larger in zip(subs, subs[1:]):
-        small_set = set(smaller.train)
-        assert small_set.issubset(set(larger.train))
+        assert row_set(smaller.train).issubset(row_set(larger.train))
         assert len(smaller.train) < len(larger.train)
 
 
 def test_fewshot_stratification_within_one_example():
     task = generate_task("classification", sizes=(200, 20, 20), seed=7)
     pool = task.train
-    p1 = sum(ex.label for ex in pool) / len(pool)
+    p1 = pool.labels.sum() / len(pool)
     for sub in fewshot_subsample(task, [20, 40, 60, 80, 100], seed=8):
         s = len(sub.train)
-        ones = sum(ex.label for ex in sub.train)
+        ones = sub.train.labels.sum()
         assert abs(ones - s * p1) <= 1.0, f"size {s}: {ones} vs {s * p1}"
 
 
@@ -399,7 +402,25 @@ def test_fewshot_deterministic():
     task = generate_task("classification", sizes=(100, 10, 10), seed=11)
     a = fewshot_subsample(task, [20, 40], seed=12)
     b = fewshot_subsample(task, [20, 40], seed=12)
-    assert [t.train for t in a] == [t.train for t in b]
+    for ta, tb in zip(a, b):
+        assert np.array_equal(ta.train.tokens, tb.train.tokens)
+        assert np.array_equal(ta.train.labels, tb.train.labels)
+
+
+@pytest.mark.parametrize("kind, order", [
+    ("classification", [33, 36, 22, 21, 17, 13, 26, 18, 25, 20, 19, 29]),
+    # tagging classes: whether a row tags any entity (35 rows do, 5 do not)
+    ("tagging", [10, 39, 23, 4, 11, 28, 1, 18, 25, 17, 37, 20]),
+])
+def test_fewshot_ordering_is_pinned(kind, order):
+    # any change to the class keys, the per-class draws or the interleaving
+    # changes which pool rows the subsets hold
+    task = generate_task(kind, sizes=(40, 4, 4), seed=2, vocab_size=24, seq_len=6,
+                         n_classes=3)
+    small, large = fewshot_subsample(task, [5, 12], seed=3)
+    for sub, n in ((small, 5), (large, 12)):
+        assert np.array_equal(sub.train.tokens, task.train.tokens[order[:n]])
+        assert np.array_equal(sub.train.labels, task.train.labels[order[:n]])
 
 
 # ---------------------------------------------------------------------------
