@@ -101,9 +101,6 @@ class ExperimentConfig:
         for key, seed in (("task.seed", self.task.seed), ("backbone_seed", self.backbone_seed)):
             if seed < 0:
                 raise ValueError(f"{key} must be nonnegative, got {seed}")
-        if tc.epochs < 1:
-            # TrainConfig allows 0 for library callers; a run must train.
-            raise ValueError(f"train.epochs must be at least 1, got {tc.epochs}")
 
 
 def _fits(value, hint) -> bool:
@@ -250,9 +247,8 @@ def _gradcheck_loss_fn(weights, adapter, examples, kind):
 def cmd_gradcheck(args) -> int:
     config = load_experiment_config(args.config, args.set, args.seed)
     if config.encoder.d_m > 32:
-        print(f"gradcheck: refusing d_m {config.encoder.d_m} > 32 "
-              "(finite differences would be too slow)", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"refusing d_m {config.encoder.d_m} > 32 "
+                         "(finite differences would be too slow)")
     if args.examples < 1:
         raise ValueError(f"--examples must be at least 1, got {args.examples}")
     if args.examples > config.task.train_size:
@@ -402,15 +398,12 @@ def cmd_fewshot(args) -> int:
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError:
-        print(f"fewshot: bad --sizes {args.sizes!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"bad --sizes {args.sizes!r}") from None
     if not sizes:
-        print("fewshot: --sizes is empty", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--sizes is empty")
     if len(set(sizes)) != len(sizes):
         # each size writes its own size_NNNN/, so a repeat would overwrite it
-        print(f"fewshot: duplicate size in --sizes {args.sizes!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"duplicate size in --sizes {args.sizes!r}")
     outdir = _resolve_outdir(args, config, "fewshot")
     task, weights, _adapter, _registry = build_experiment(config)
     subsets = fewshot_subsample(task, sizes, seed=config.task.seed)

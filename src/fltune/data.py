@@ -25,7 +25,7 @@ import numpy as np
 
 from .adapters import build_registry
 from .encoder import EncoderWeights, encoder_hidden_batch
-from .tensor import Tensor, affine, cross_entropy_mean, gather_rows
+from .tensor import ShapeError, Tensor, affine, cross_entropy_mean, gather_rows
 from .training import Adam, train_step
 
 PAD_ID = 0
@@ -46,12 +46,16 @@ KINDS = ("classification", "pair", "tagging")
 class Split:
     """N examples: ``tokens`` (N, T) and ``labels`` (N,) or (N, T), both
     int64 and marked read-only. Indexing by a slice or an index array gives
-    the split of those examples."""
+    the split of those examples; an integer index, which gives no (N, T)
+    tokens, raises ``ShapeError``, and so does iterating."""
 
     tokens: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
+        if self.tokens.ndim != 2 or self.labels.shape[:1] != self.tokens.shape[:1]:
+            raise ShapeError(f"a split holds (N, T) tokens and N label rows, got tokens "
+                             f"{self.tokens.shape} and labels {self.labels.shape}")
         self.tokens.flags.writeable = self.labels.flags.writeable = False
 
     def __len__(self) -> int:

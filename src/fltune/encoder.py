@@ -6,9 +6,10 @@ by one ``layer_norm`` op), token plus position embeddings, and a linear task
 head pooled at the first token position. Tuning methods plug in through
 ``AdapterHooks``.
 
-A batch of equal-length sequences runs as one packed stack of rows, example
-after example; the single-sequence functions are a batch of one. Every step
-but attention treats rows independently, and attention
+A batch is an (N, T) integer array of token ids, N examples of T tokens, and
+runs as one packed stack of rows, example after example; the single-sequence
+functions take a 1-d array and run a batch of one. Every step but attention
+treats rows independently, and attention
 (``tensor.attention_weights``/``attention_values``) mixes rows only within
 one example and one head, so an example's output does not depend on the rest
 of its batch.
@@ -27,8 +28,7 @@ read-only while adapters train.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from itertools import chain
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -301,69 +301,39 @@ def ffn_fl_split(layer: FFNLayer, params, x: Tensor) -> Tensor:
     return add(backbone, matmul(hidden, params.w2))
 
 
-def _batch_ids(config: EncoderConfig, sequences: Sequence[Sequence[int]],
-               prompt_len: int) -> tuple[Sequence[int], int]:
-    """Flat token ids of an equal-length batch, example after example, and
-    the sequence length.
+def _batch_ids(config: EncoderConfig, tokens: np.ndarray, prompt_len: int) -> np.ndarray:
+    """The flat token ids of an (N, T) integer array, example after example.
 
-    A batch is accepted only when it converts to one 2-d integer array with
-    every id in range, room for the prompt rows and no bool among its tokens
-    (``np.asarray`` reads True beside an int as 1). An integer ndarray cannot
-    hold a bool, so only other input has its tokens scanned. Any other batch
-    raises ``ShapeError`` with the fault ``_batch_fault`` names.
+    Any other batch, or one with no rows, no columns, no room for the prompt
+    rows or an id outside the vocabulary, raises ``ShapeError``. ``min`` and
+    ``max`` are the accept test; the offending id is looked up only on refusal.
     """
-    try:
-        arr = np.asarray(sequences)
-    except ValueError:  # a ragged batch
-        arr = None
-    if (arr is not None and arr.ndim == 2 and arr.shape[1] and arr.dtype.kind in "iu"
-            and arr.shape[1] + prompt_len <= config.max_seq_len
-            and arr.min() >= 0 and arr.max() < config.vocab_size
-            and (arr is sequences
-                 or {bool, np.bool_}.isdisjoint(map(type, chain.from_iterable(sequences))))):
-        return arr.ravel(), arr.shape[1]
-    raise ShapeError(_batch_fault(config, sequences, prompt_len))
-
-
-def _batch_fault(config: EncoderConfig, sequences: Sequence[Sequence[int]],
-                 prompt_len: int) -> str:
-    """The first fault of a batch ``_batch_ids`` refused: sequence by sequence,
-    an element that is not a sequence, a token that is not an integer (a
-    float such as 3.0 or a bool included) or not an id, then an empty or
-    overlong sequence; then unequal lengths."""
-    lengths = set()
-    for i, tokens in enumerate(sequences):
-        try:
-            tokens = iter(tokens)
-        except TypeError:
-            return f"batch element {i} is not a token sequence: {tokens!r}"
-        n = 0
-        for n, t in enumerate(tokens, 1):
-            if isinstance(t, (bool, np.bool_)) or not isinstance(t, (int, np.integer)):
-                return f"token {t!r} is not an integer"
-            if not 0 <= t < config.vocab_size:
-                return f"unknown token id {t} for vocab size {config.vocab_size}"
-        if not n:
-            return "token sequence is empty"
-        if n + prompt_len > config.max_seq_len:
-            return (f"sequence too long: {n} tokens + {prompt_len} prompt rows "
-                    f"> max_seq_len {config.max_seq_len}")
-        lengths.add(n)
-    if len(lengths) > 1:
-        return f"batch sequences differ in length: {sorted(lengths)}"
-    # every token is an id, yet NumPy made no integer array of them: it turns
-    # np.uint64(3) beside 4 into float64
-    return "token ids do not convert to one integer array"
+    if not (isinstance(tokens, np.ndarray) and tokens.ndim == 2 and tokens.dtype.kind in "iu"):
+        got = (f"{tokens.ndim}-d {tokens.dtype} array" if isinstance(tokens, np.ndarray)
+               else type(tokens).__name__)
+        raise ShapeError(f"a token batch is an (N, T) integer array, got {got}")
+    batch, seq_len = tokens.shape
+    if not batch:
+        raise ShapeError("batch has no sequences")
+    if not seq_len:
+        raise ShapeError("token sequence is empty")
+    if seq_len + prompt_len > config.max_seq_len:
+        raise ShapeError(f"sequence too long: {seq_len} tokens + {prompt_len} prompt rows "
+                         f"> max_seq_len {config.max_seq_len}")
+    if tokens.min() < 0 or tokens.max() >= config.vocab_size:
+        bad = tokens[(tokens < 0) | (tokens >= config.vocab_size)][0]
+        raise ShapeError(f"unknown token id {bad} for vocab size {config.vocab_size}")
+    return tokens.ravel()
 
 
 def encoder_hidden_batch(
     weights: EncoderWeights,
-    sequences: Sequence[Sequence[int]],
+    tokens: np.ndarray,
     adapter: Optional[AdapterHooks] = None,
     pooled: bool = False,
 ) -> tuple[Tensor, int]:
-    """Hidden states after the final layer for a batch of equal-length
-    sequences, packed example after example, plus the prompt row count.
+    """Hidden states after the final layer for an (N, T) integer array of
+    token ids, packed example after example, plus the prompt row count.
 
     Every ``AdapterHooks`` hook is consulted: prompt rows are prepended to
     each example's embedding rows, key/value prefixes and the attention
@@ -372,17 +342,16 @@ def encoder_hidden_batch(
     transparent one) this is the plain frozen backbone. Each example holds
     prompt_len + seq rows. With ``pooled`` the final layer computes only row
     ``prompt_len`` of each example (its keys and values still read every
-    row), and the result is those rows, one per example. Sequences of
-    different lengths raise ``ShapeError``.
+    row), and the result is those rows, one per example. A batch that is
+    not such an array, or holds an id outside the vocabulary, raises
+    ``ShapeError``.
     """
     hooks = adapter if adapter is not None else AdapterHooks()
     config = weights.config
     prompt = hooks.prompt_rows()
     prompt_len = 0 if prompt is None else prompt.shape[0]
-    batch = len(sequences)
-    if not batch:
-        raise ShapeError("batch has no sequences")
-    ids, seq_len = _batch_ids(config, sequences, prompt_len)
+    ids = _batch_ids(config, tokens, prompt_len)
+    batch, seq_len = tokens.shape
     total = prompt_len + seq_len
 
     x = gather_rows(weights.tok_emb, ids)
@@ -406,22 +375,23 @@ def encoder_hidden_batch(
 
 def encoder_hidden(
     weights: EncoderWeights,
-    tokens: Sequence[int],
+    tokens: np.ndarray,
     adapter: Optional[AdapterHooks] = None,
     pooled: bool = False,
 ) -> tuple[Tensor, int]:
-    """``encoder_hidden_batch`` for one sequence."""
-    return encoder_hidden_batch(weights, [tokens], adapter, pooled)
+    """``encoder_hidden_batch`` for one sequence, a 1-d integer array."""
+    return encoder_hidden_batch(weights, tokens[None] if isinstance(tokens, np.ndarray)
+                                else tokens, adapter, pooled)
 
 
 def encoder_forward_batch(
     weights: EncoderWeights,
-    sequences: Sequence[Sequence[int]],
+    tokens: np.ndarray,
     adapter=None,
     per_position: bool = False,
 ) -> Tensor:
-    """Run the full encoder and task head on a batch of equal-length
-    sequences, with optional tuning adapter.
+    """Run the full encoder and task head on an (N, T) integer array of token
+    ids, with optional tuning adapter.
 
     Returns batch x n_classes logits, each example pooled at its first token
     position (prompt rows shift that position but never replace it), or
@@ -429,10 +399,10 @@ def encoder_forward_batch(
     example, when ``per_position``. The pooled case runs the final layer on
     the pooled rows alone (``encoder_hidden_batch(..., pooled=True)``).
     """
-    hidden, prompt_len = encoder_hidden_batch(weights, sequences, adapter,
+    hidden, prompt_len = encoder_hidden_batch(weights, tokens, adapter,
                                               pooled=not per_position)
     if per_position and prompt_len:
-        total = hidden.shape[0] // len(sequences)
+        total = hidden.shape[0] // len(tokens)
         hidden = gather_rows(hidden, np.flatnonzero(np.arange(hidden.shape[0]) % total
                                                     >= prompt_len))
     return affine(hidden, weights.head_w, weights.head_b)
@@ -440,13 +410,14 @@ def encoder_forward_batch(
 
 def encoder_forward(
     weights: EncoderWeights,
-    tokens: Sequence[int],
+    tokens: np.ndarray,
     adapter=None,
     per_position: bool = False,
 ) -> Tensor:
-    """``encoder_forward_batch`` for one sequence: 1 x n_classes logits, or
-    seq x n_classes with ``per_position``."""
-    return encoder_forward_batch(weights, [tokens], adapter, per_position)
+    """``encoder_forward_batch`` for one sequence, a 1-d integer array: 1 x
+    n_classes logits, or seq x n_classes with ``per_position``."""
+    return encoder_forward_batch(weights, tokens[None] if isinstance(tokens, np.ndarray)
+                                 else tokens, adapter, per_position)
 
 
 def layer_param_counts(config: EncoderConfig) -> dict[str, int]:

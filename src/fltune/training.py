@@ -52,7 +52,6 @@ class TrainConfig:
     epochs: int = 1
     seed: int = 0
     optimizer: str = "adam"
-    smoothing_alpha: float = 0.99
     max_steps: Optional[int] = None
     loss_threshold: float = 0.5
     # adapter hyperparameters
@@ -65,12 +64,10 @@ class TrainConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not (0.0 <= self.smoothing_alpha < 1.0):
-            raise ValueError(f"smoothing_alpha must be in [0, 1), got {self.smoothing_alpha}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.optimizer not in ("adam", "sgd"):
@@ -395,7 +392,7 @@ def train(weights: EncoderWeights, adapter, task, config: TrainConfig,
                 lambda: batch_loss(weights, adapter, batch, task.kind),
                 trainable, optimizer, step + 1)
             step += 1
-            smoothed = smooth_loss(smoothed, loss_val, config.smoothing_alpha)
+            smoothed = smooth_loss(smoothed, loss_val)
             metrics.rows.append(StepRow(
                 step=step,
                 loss=loss_val,

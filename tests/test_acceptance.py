@@ -149,7 +149,7 @@ def test_c07_zero_init_transparency():
     rng = np.random.default_rng(112)
     identical = 0
     for _ in range(50):
-        tokens = rng.integers(0, config.vocab_size, size=12).tolist()
+        tokens = rng.integers(0, config.vocab_size, size=12)
         plain = encoder_forward(weights, tokens).data
         adapted = encoder_forward(weights, tokens, adapter=adapter).data
         identical += int(np.array_equal(plain, adapted))
@@ -248,7 +248,7 @@ def test_c11_persistence_round_trip(tmp_path):
     rng = np.random.default_rng(121)
     for e in registry.trainable_entries():
         e.tensor.data = e.tensor.data + rng.normal(0.0, 0.1, e.tensor.shape)
-    tokens = [5, 9, 2, 14, 3]
+    tokens = np.array([5, 9, 2, 14, 3])
     logits_before = encoder_forward(weights, tokens, adapter=adapter).data
     path = tmp_path / "trainable.flckpt"
     save_trainable(registry, path)

@@ -166,7 +166,7 @@ def test_adapter_round_trip_on_fresh_backbone_bitwise(tmp_path):
     rng = np.random.default_rng(7)
     for params in adapter.layers.values():
         params.w2.data = rng.normal(0.0, 0.1, params.w2.shape)
-    tokens = [9, 2, 7, 1]
+    tokens = np.array([9, 2, 7, 1])
     logits_before = encoder_forward(weights, tokens, adapter=adapter).data
 
     path = tmp_path / "trainable.flckpt"

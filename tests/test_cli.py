@@ -195,7 +195,10 @@ def test_gradcheck_refuses_wide_models(tmp_path, capsys):
     path = desk_config(tmp_path)
     assert main(["gradcheck", str(path), "--set", "encoder.d_m=64",
                  "--set", "encoder.d_k=32", "--set", "encoder.d_v=32"]) == EXIT_USAGE
-    assert "refusing" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: refusing d_m 64 > 32 "
+                            "(finite differences would be too slow)\n")
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +289,18 @@ def test_fewshot_oversized_request_is_usage_error(tmp_path, capsys):
                  "--sizes", "999"]) == EXIT_USAGE
 
 
-def test_fewshot_bad_sizes_is_usage_error(tmp_path):
+def test_fewshot_bad_sizes_is_usage_error(tmp_path, capsys):
     path = desk_config(tmp_path)
     assert main(["fewshot", str(path), "--out", str(tmp_path / "fs"),
                  "--sizes", "a,b"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: bad --sizes 'a,b'\n"
+
+
+def test_fewshot_empty_sizes_is_usage_error(tmp_path, capsys):
+    path = desk_config(tmp_path)
+    assert main(["fewshot", str(path), "--out", str(tmp_path / "fs"),
+                 "--sizes", ","]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --sizes is empty\n"
 
 
 def test_fewshot_duplicate_sizes_is_usage_error(tmp_path, capsys):
@@ -297,8 +308,7 @@ def test_fewshot_duplicate_sizes_is_usage_error(tmp_path, capsys):
     outdir = tmp_path / "fs"
     assert main(["fewshot", str(path), "--out", str(outdir), "--sizes", "8,16,8",
                  "--set", "train.max_steps=2"]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "duplicate size" in err and "Traceback" not in err
+    assert capsys.readouterr().err == "error: duplicate size in --sizes '8,16,8'\n"
     assert not outdir.exists()
 
 

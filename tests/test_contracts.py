@@ -319,15 +319,15 @@ def usage_error(capsys, argv) -> str:
 
 
 @pytest.mark.parametrize("epochs, message", [
-    (0, "config error: in config: train.epochs must be at least 1, got 0"),
-    (-1, "config error: in train: epochs must be nonnegative, got -1"),
+    (0, "config error: in train: epochs must be at least 1, got 0"),
+    (-1, "config error: in train: epochs must be at least 1, got -1"),
 ])
 def test_train_rejects_epochs_below_one_and_writes_nothing(run_config, tmp_path, capsys,
                                                            epochs, message):
     out = tmp_path / "out"
     err = usage_error(capsys, ["train", run_config, "--out", str(out),
                                "--set", f"train.epochs={epochs}"])
-    assert message in err
+    assert err == message + "\n"
     assert not out.exists()
 
 

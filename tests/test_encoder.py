@@ -1,12 +1,12 @@
 """Backbone tests: attention, FFN, full encoder, parameter-share claim."""
 
-import itertools
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import fltune.encoder as encoder_module
 from fltune.adapters import init_pv1_adapter
 from fltune.encoder import (
     AttentionLayer,
@@ -15,6 +15,8 @@ from fltune.encoder import (
     attention_forward,
     encoder_forward,
     encoder_forward_batch,
+    encoder_hidden,
+    encoder_hidden_batch,
     ffn_forward,
     ffn_parameter_share,
     init_encoder,
@@ -164,7 +166,7 @@ def test_ffn_width_mismatch_raises():
 
 def test_encoder_forward_deterministic():
     weights = init_encoder(small_config(), seed=7)
-    tokens = [3, 1, 4, 1, 5]
+    tokens = np.array([3, 1, 4, 1, 5])
     a = encoder_forward(weights, tokens)
     b = encoder_forward(weights, tokens)
     assert np.array_equal(a.data, b.data)
@@ -174,88 +176,109 @@ def test_encoder_forward_deterministic():
 def test_encoder_rejects_unknown_token():
     weights = init_encoder(small_config(), seed=7)
     with pytest.raises(ShapeError, match="unknown token id"):
-        encoder_forward(weights, [3, 99])
+        encoder_forward(weights, np.array([3, 99]))
 
 
 def test_encoder_rejects_overlong_sequence():
     weights = init_encoder(small_config(), seed=7)
     with pytest.raises(ShapeError, match="too long"):
-        encoder_forward(weights, list(range(13)))
+        encoder_forward(weights, np.arange(13))
 
 
-@pytest.mark.parametrize("sequences, prompt_len, message", [
-    ([[]], 0, "token sequence is empty"),
-    ([[3, 4], []], 0, "token sequence is empty"),
-    ([[3, -1]], 0, "unknown token id -1 for vocab size 16"),
-    ([[3, 4], [np.int64(5), np.int64(16)]], 0, "unknown token id 16 for vocab size 16"),
-    ([np.array([3, 4]), np.array([2, 99])], 0, "unknown token id 99 for vocab size 16"),
-    ([list(range(13))], 0, "sequence too long: 13 tokens + 0 prompt rows > max_seq_len 12"),
-    ([[1] * 10, [2] * 10], 3, "sequence too long: 10 tokens + 3 prompt rows > max_seq_len 12"),
-    ([[1, 2, 3], [4, 5]], 0, "batch sequences differ in length: [2, 3]"),
-    ([[1, 2], [4, 5, 99]], 0, "unknown token id 99 for vocab size 16"),
-    ([[3.7, 4, 5]], 0, "token 3.7 is not an integer"),
-    ([[3.0, 4]], 0, "token 3.0 is not an integer"),
-    (np.array([[3, 4]], dtype=np.float64), 0, "token np.float64(3.0) is not an integer"),
-    ([[np.uint64(3), 4]], 0, "token ids do not convert to one integer array"),
-    ([["3", "4", "5"]], 0, "token '3' is not an integer"),
-    ([[3, 4], [5, None]], 0, "token None is not an integer"),
-    ([[3, float("nan")]], 0, "token nan is not an integer"),
-    ([[float("inf"), 4]], 0, "token inf is not an integer"),
-    ([[True, False, 4]], 0, "token True is not an integer"),
-    ([np.array([True, False, True])], 0, "token np.True_ is not an integer"),
-    ([3, 4], 0, "batch element 0 is not a token sequence: 3"),
-    ([[3, 4], 5], 0, "batch element 1 is not a token sequence: 5"),
-    (np.array([3, 4]), 0, "batch element 0 is not a token sequence: np.int64(3)"),
+def not_a_batch(got):
+    return f"a token batch is an (N, T) integer array, got {got}"
+
+
+LIST_BATCH = not_a_batch("list")
+
+
+@pytest.mark.parametrize("tokens, prompt_len, message", [
+    (np.empty((1, 0), dtype=np.int64), 0, "token sequence is empty"),
+    ([[3, 4], []], 0, LIST_BATCH),
+    (np.array([[3, -1]]), 0, "unknown token id -1 for vocab size 16"),
+    (np.array([[3, 4], [5, 16]], dtype=np.int32), 0, "unknown token id 16 for vocab size 16"),
+    ([np.array([3, 4]), np.array([2, 99])], 0, LIST_BATCH),
+    (np.arange(13)[None], 0, "sequence too long: 13 tokens + 0 prompt rows > max_seq_len 12"),
+    (np.ones((2, 10), dtype=np.int64), 3,
+     "sequence too long: 10 tokens + 3 prompt rows > max_seq_len 12"),
+    ([[1, 2, 3], [4, 5]], 0, LIST_BATCH),
+    ([[1, 2], [4, 5, 99]], 0, LIST_BATCH),
+    (np.array([[3.7, 4, 5]]), 0, not_a_batch("2-d float64 array")),
+    (np.array([[3.0, 4]]), 0, not_a_batch("2-d float64 array")),
+    (np.array([[3, 4]], dtype=np.float32), 0, not_a_batch("2-d float32 array")),
+    ([[np.uint64(3), 4]], 0, LIST_BATCH),
+    (np.array([["3", "4", "5"]]), 0, not_a_batch("2-d <U1 array")),
+    (np.array([[3, 4], [5, None]]), 0, not_a_batch("2-d object array")),
+    (np.array([[3, np.nan]]), 0, not_a_batch("2-d float64 array")),
+    (np.array([[np.inf, 4]]), 0, not_a_batch("2-d float64 array")),
+    ([[True, False, 4]], 0, LIST_BATCH),
+    ([np.array([True, False, True])], 0, LIST_BATCH),
+    ([3, 4], 0, LIST_BATCH),
+    ([[3, 4], 5], 0, LIST_BATCH),
+    (np.array([3, 4]), 0, not_a_batch("1-d int64 array")),
     (np.array([[3, 16]]), 0, "unknown token id 16 for vocab size 16"),
     (np.array([[3, 4], [5, 6]])[:, :0], 0, "token sequence is empty"),
-    (np.array([[True, False]]), 0, "token np.True_ is not an integer"),
+    (np.array([[True, False]]), 0, not_a_batch("2-d bool array")),
+    (np.empty((0, 4), dtype=np.int64), 0, "batch has no sequences"),
+    (((3, 4), (5, 6)), 0, not_a_batch("tuple")),
+    (np.array([[[3, 4]]]), 0, not_a_batch("3-d int64 array")),
+    (np.array([[3, 4]], dtype=object), 0, not_a_batch("2-d object array")),
+    (np.array([[3, 2**63]], dtype=np.uint64), 0,
+     "unknown token id 9223372036854775808 for vocab size 16"),
+    (np.array([[3, 4, 16], [17, 5, 6]]).T, 0, "unknown token id 17 for vocab size 16"),
 ], ids=["empty", "empty-second", "negative", "numpy-int", "numpy-row", "too-long",
         "too-long-with-prompt", "lengths", "unknown-before-lengths", "float", "integral-float",
         "float64-array", "uint64-beside-int", "string",
         "none", "nan", "inf", "bool", "numpy-bool", "flat", "flat-second", "flat-array",
-        "int-array-unknown", "int-array-empty", "bool-array"])
-def test_malformed_batches_raise_the_per_token_message(sequences, prompt_len, message):
+        "int-array-unknown", "int-array-empty", "bool-array", "no-sequences", "tuple",
+        "3-d-array", "object-ints", "uint64-above-int64", "first-unknown-in-row-order"])
+def test_malformed_batches_raise_the_per_token_message(tokens, prompt_len, message):
+    # a list is refused whatever it holds; an array fault keeps its message
     config = small_config()
     weights = init_encoder(config, seed=7)
     adapter = init_pv1_adapter(config, prompt_len=prompt_len, seed=1) if prompt_len else None
     with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
-        encoder_forward_batch(weights, sequences, adapter)
+        encoder_forward_batch(weights, tokens, adapter)
 
 
-def test_batch_forms_of_the_same_tokens_give_the_same_logits_bitwise():
-    # each form converts to one integer array, the only batch accepted
+@pytest.mark.parametrize("forward", [encoder_forward, encoder_hidden, encoder_forward_batch,
+                                     encoder_hidden_batch])
+@pytest.mark.parametrize("tokens", [[3, 1, 4], ((3, 1, 4),)], ids=["list", "tuple"])
+def test_every_encoder_entry_refuses_a_python_sequence(forward, tokens):
     weights = init_encoder(small_config(), seed=7)
-    tokens = [[3, 1, 4, 1], [5, 9, 2, 6]]
-    want = encoder_forward_batch(weights, tokens, per_position=True).data
-    for form in ([tuple(t) for t in tokens], np.array(tokens), np.array(tokens, dtype=np.uint8),
-                 [np.array(t) for t in tokens]):
-        got = encoder_forward_batch(weights, form, per_position=True).data
-        assert got.tobytes() == want.tobytes()
+    message = not_a_batch(type(tokens).__name__)
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        forward(weights, tokens)
 
 
-def test_only_a_batch_that_is_not_an_ndarray_has_its_tokens_scanned(monkeypatch):
-    # an integer ndarray cannot hold a bool, so it skips the per-token scan
-    scanned = []
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
 
-    class chain(itertools.chain):
-        @classmethod
-        def from_iterable(cls, iterable):
-            scanned.append(iterable)
-            return itertools.chain.from_iterable(iterable)
 
-    monkeypatch.setattr(encoder_module, "chain", chain)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_batch_forms_of_the_same_tokens_give_the_same_logits_bitwise(data):
+    # every integer dtype, in C or Fortran order or as a strided view, is the
+    # same batch; the same values as bool, float or object are refused
     weights = init_encoder(small_config(), seed=7)
-    tokens = np.array([[3, 1, 4, 1], [5, 9, 2, 6]])
-    tokens.flags.writeable = False
-    want = encoder_forward_batch(weights, tokens).data
-    assert scanned == []
-    got = encoder_forward_batch(weights, tokens.tolist()).data
-    assert len(scanned) == 1 and got.tobytes() == want.tobytes()
+    n, t = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 12))
+    ids = data.draw(st.lists(st.integers(0, 15), min_size=n * t, max_size=n * t))
+    tokens = np.array(ids, dtype=np.int64).reshape(n, t)
+    per_position = data.draw(st.booleans())
+    want = encoder_forward_batch(weights, tokens, per_position=per_position).data
+    for dtype in INT_DTYPES:
+        wide = np.zeros((2 * n, 3 * t), dtype=dtype)
+        wide[::2, ::3] = tokens
+        for form in (tokens.astype(dtype), tokens.astype(dtype, order="F"), wide[::2, ::3]):
+            got = encoder_forward_batch(weights, form, per_position=per_position).data
+            assert got.tobytes() == want.tobytes(), (dtype, form.strides)
+    for other in (bool, np.float64, object):
+        with pytest.raises(ShapeError, match="^a token batch is an .* array, got 2-d"):
+            encoder_forward_batch(weights, tokens.astype(other), per_position=per_position)
 
 
 def test_encoder_per_position_logits_shape():
     weights = init_encoder(small_config(), seed=7)
-    out = encoder_forward(weights, [3, 1, 4], per_position=True)
+    out = encoder_forward(weights, np.array([3, 1, 4]), per_position=True)
     assert out.shape == (3, 3)
 
 
@@ -266,7 +289,7 @@ def test_encoder_golden_output_postnorm_regression():
     the overall composition; any layout change breaks these values.
     """
     weights = init_encoder(small_config(), seed=11)
-    logits = encoder_forward(weights, [2, 7, 1, 0]).data
+    logits = encoder_forward(weights, np.array([2, 7, 1, 0])).data
     expected = np.array([[-0.023503730496855897, -0.054240566835668864, 0.02230247287921916]])
     np.testing.assert_allclose(logits, expected, atol=1e-12, rtol=0)
 
@@ -274,7 +297,7 @@ def test_encoder_golden_output_postnorm_regression():
 def test_encoder_gradients_match_finite_differences():
     config = small_config()
     weights = init_encoder(config, seed=13)
-    tokens = [3, 1, 4, 1, 5, 9]
+    tokens = np.array([3, 1, 4, 1, 5, 9])
     label = [1]
 
     def loss_fn(_):

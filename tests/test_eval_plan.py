@@ -75,7 +75,7 @@ def one_pass_per_example(weights, adapter, examples, kind):
     per_position = kind == "tagging"
     correct = labels = 0
     losses, true_seqs, pred_seqs = [], [], []
-    for tokens, label in zip(examples.tokens.tolist(), examples.labels.tolist()):
+    for tokens, label in zip(examples.tokens, examples.labels.tolist()):
         logits = encoder_forward(weights, tokens, adapter, per_position=per_position)
         target = label if per_position else [label]
         losses.append(cross_entropy_mean(logits, target).item())

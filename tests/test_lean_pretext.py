@@ -41,8 +41,8 @@ def per_example_loss(weights, head_w, head_b, batch):
     """The pretext loss as one gather/mean/scale/add chain per example."""
     pairs = list(zip(*batch))
     hidden, _ = encoder_hidden_batch(
-        weights, [[MASK_ID if m else t for t, m in zip(tokens.tolist(), mask)]
-                  for tokens, mask in pairs])
+        weights, np.array([[MASK_ID if m else t for t, m in zip(tokens.tolist(), mask)]
+                           for tokens, mask in pairs]))
     logits = affine(hidden, head_w, head_b)
     loss = None
     for b, (tokens, mask) in enumerate(pairs):

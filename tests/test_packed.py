@@ -1,6 +1,8 @@
 """Packed batches: a minibatch runs as one stack of rows and gives the logits
 and gradients of one pass per example, with no example reading another."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -98,16 +100,18 @@ def test_examples_in_a_batch_do_not_read_each_other(mode, kind):
 
 
 def test_ragged_batch_raises_shape_error():
+    # an array cannot be ragged, so a ragged batch is a list of rows
     weights, adapter, _registry, task = build("fl", "classification")
     sequences = [task.train.tokens[0], task.train.tokens[1, :-1]]
-    with pytest.raises(ShapeError, match="differ in length"):
+    message = "a token batch is an (N, T) integer array, got list"
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
         encoder_forward_batch(weights, sequences, adapter)
 
 
 def test_empty_batch_raises_shape_error():
-    weights, _adapter, _registry, _task = build("finetune", "classification")
-    with pytest.raises(ShapeError, match="no sequences"):
-        encoder_forward_batch(weights, [])
+    weights, _adapter, _registry, task = build("finetune", "classification")
+    with pytest.raises(ShapeError, match="^batch has no sequences$"):
+        encoder_forward_batch(weights, task.train.tokens[:0])
 
 
 @pytest.mark.parametrize("which", [2, 3], ids=["qx", "kx"])

@@ -146,10 +146,10 @@ def test_fl_placement_is_not_a_config_key(config_path, capsys, assignment):
 
 @pytest.mark.parametrize("assignment", ["task.vocab_size=32", "task.n_classes=2",
                                         "train.beta1=0.9", "train.beta2=0.999",
-                                        "train.adam_eps=1e-8"])
+                                        "train.adam_eps=1e-8", "train.smoothing_alpha=0.99"])
 def test_single_value_settings_are_not_config_keys(config_path, capsys, assignment):
     # the task's vocabulary and classes are the encoder's; Adam's betas and
-    # epsilon are fixed
+    # epsilon, and the loss smoothing rate, are fixed
     assert main(["params", str(config_path), "--set", assignment]) == EXIT_USAGE
     assert f"unknown key(s): {assignment.partition('=')[0]}" in capsys.readouterr().err
 
@@ -204,7 +204,7 @@ def test_negative_seed_is_a_config_error_in_every_command(config_path, capsys, c
 @pytest.mark.parametrize("via", ["set", "file"])
 @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999",
                                   pytest.param("1" + "0" * 400, id="10**400")])
-@pytest.mark.parametrize("key", ["learning_rate", "smoothing_alpha", "loss_threshold"])
+@pytest.mark.parametrize("key", ["learning_rate", "loss_threshold"])
 def test_non_finite_float_exits_2_and_leaves_nothing(config_path, tmp_path, key, text, via):
     # json reads NaN and Infinity, 1e999 as inf, and an int beyond the largest float
     if via == "set":

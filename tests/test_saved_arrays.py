@@ -203,7 +203,7 @@ def test_encoder_frees_frozen_ffn_hidden_and_out_proj_outputs(monkeypatch):
 
     monkeypatch.setattr(encoder_module, "affine", traced)
     with Tape() as tape:
-        logits = encoder_forward_batch(weights, [[1, 2, 3, 4], [5, 6, 7, 8]], adapter)
+        logits = encoder_forward_batch(weights, np.array([[1, 2, 3, 4], [5, 6, 7, 8]]), adapter)
         loss = cross_entropy_mean(logits, [0, 2])
     del logits
     gc.collect()

@@ -68,7 +68,7 @@ def test_every_adapter_implements_the_hooks():
 
 def test_base_hooks_are_transparent():
     weights = init_encoder(small_config(), seed=1)
-    tokens = [3, 5, 7, 9, 11]
+    tokens = np.array([3, 5, 7, 9, 11])
     plain = encoder_forward(weights, tokens).data
     hooked = encoder_forward(weights, tokens, adapter=AdapterHooks()).data
     assert np.array_equal(plain, hooked)
@@ -86,7 +86,7 @@ def test_custom_adapter_overriding_one_hook_matches_fl_adapter():
         def ffn_units(self, i):
             return fl.layers[i]
 
-    tokens = [4, 6, 8, 10]
+    tokens = np.array([4, 6, 8, 10])
     assert np.array_equal(encoder_forward(weights, tokens, adapter=fl).data,
                           encoder_forward(weights, tokens, adapter=OnlyFFN()).data)
 

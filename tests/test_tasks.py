@@ -13,6 +13,7 @@ from fltune.data import (
     LABEL_FNS,
     MARKER_BASE,
     SEP_ID,
+    Split,
     generate_task,
     label_classification,
     label_pair,
@@ -21,6 +22,7 @@ from fltune.data import (
 )
 from fltune.encoder import EncoderConfig, init_encoder
 from fltune.adapters import tensor_content_hash
+from fltune.tensor import ShapeError
 from fltune.training import train_step
 
 
@@ -56,6 +58,21 @@ def test_splits_are_read_only_int64_arrays_of_the_configured_sizes():
         task.dev.labels[0] = 1
     with pytest.raises(ValueError, match="read-only"):
         task.train[np.array([0])].tokens[0, 0] = 7
+
+
+@pytest.mark.parametrize("kind, n_classes", [("classification", 2), ("tagging", 3)])
+def test_a_split_refuses_an_integer_index_and_iteration(kind, n_classes):
+    # split[0] would be one example's 1-d tokens, not a split
+    task = generate_task(kind, sizes=(6, 4, 3), seed=0, seq_len=9, n_classes=n_classes)
+    for index in (0, -1, np.int64(2)):
+        with pytest.raises(ShapeError, match=r"^a split holds \(N, T\) tokens and N label rows"):
+            task.train[index]
+    with pytest.raises(ShapeError):
+        list(task.train)
+    with pytest.raises(ShapeError, match=r"got tokens \(6, 9\) and labels \(5,"):
+        Split(task.train.tokens, task.train.labels[:5])
+    assert len(task.train[2:4]) == 2 and len(task.train[np.array([5, 0, 3])]) == 3
+    assert len(task.train[np.array([], dtype=np.int64)]) == 0
 
 
 def test_pretraining_leaves_the_task_bytes_unchanged():

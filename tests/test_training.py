@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fltune import encoder, training
+from fltune import training
 from fltune.adapters import build_registry, count_parameters, tensor_content_hash
-from fltune.data import generate_task, pretrain_backbone
+from fltune.data import generate_task
 from fltune.encoder import EncoderConfig, init_encoder
 from fltune.training import (
     Adam,
@@ -196,16 +196,6 @@ def test_span_f1_rejects_unpaired_labels(true_shape, pred_shape):
 # train loop basics
 # ---------------------------------------------------------------------------
 
-def test_zero_epochs_changes_nothing():
-    weights, adapter, task, config = small_setup(epochs=0)
-    registry = build_registry(weights, adapter)
-    before = {e.name: tensor_content_hash(e.tensor) for e in registry.entries}
-    metrics = train(weights, adapter, task, config, registry=registry)
-    assert metrics.rows == [] and metrics.final_dev is None
-    after = {e.name: tensor_content_hash(e.tensor) for e in registry.entries}
-    assert before == after
-
-
 def test_same_seed_gives_identical_metrics():
     rows = []
     for _ in range(2):
@@ -242,7 +232,7 @@ def test_full_batch_sgd_step_decreases_loss(mode):
 def test_smoothed_recurrence_holds_exactly():
     weights, adapter, task, config = small_setup(max_steps=12)
     metrics = train(weights, adapter, task, config)
-    alpha = config.smoothing_alpha
+    alpha = 0.99  # smooth_loss's default, the rate train uses
     prev = None
     for row in metrics.rows:
         expected = row.loss if prev is None else alpha * prev + (1.0 - alpha) * row.loss
@@ -311,29 +301,6 @@ def test_tagging_mode_trains_and_reports_f1():
     assert 0.0 <= metrics.final_dev.f1 <= 1.0
 
 
-@pytest.mark.parametrize("kind", ["classification", "pair", "tagging"])
-def test_program_batches_never_reach_the_fault_walk(monkeypatch, kind):
-    # every batch the program makes passes the one array check; the walk
-    # only names the fault of a batch that check refused
-    def walk(*args):
-        raise AssertionError("a program batch reached _batch_fault")
-
-    monkeypatch.setattr(encoder, "_batch_fault", walk)
-    n_classes = 3 if kind == "tagging" else 2
-    encoder_config = EncoderConfig(d_m=8, n_heads=2, n_layers=1, vocab_size=32,
-                                   max_seq_len=12, n_classes=n_classes)
-    task = generate_task(kind, sizes=(16, 8, 8), seed=2, vocab_size=32, seq_len=8,
-                         n_classes=n_classes)
-    weights = init_encoder(encoder_config, seed=7)
-    pretrain_backbone(weights, task, steps=1, seed=3)
-    for mode in ALL_MODES:
-        config = TrainConfig(mode=mode, d_a=4, prompt_len=3, d_a_prime=2, batch_size=8,
-                             max_steps=2, seed=6)
-        adapter = make_adapter(encoder_config, config)
-        assert train(weights, adapter, task, config).steps == 2
-        evaluate(weights, adapter, task.test, task.kind)
-
-
 def test_adam_and_sgd_update_shapes():
     from fltune.tensor import Tensor
     t = Tensor(np.ones((2, 2)), requires_grad=True)
@@ -353,8 +320,9 @@ def test_train_config_validation():
         TrainConfig(mode="nope")
     with pytest.raises(ValueError, match="learning_rate"):
         TrainConfig(learning_rate=0.0)
-    with pytest.raises(ValueError, match="smoothing_alpha"):
-        TrainConfig(smoothing_alpha=1.0)
+    for epochs in (0, -1):
+        with pytest.raises(ValueError, match=f"^epochs must be at least 1, got {epochs}$"):
+            TrainConfig(epochs=epochs)
     with pytest.raises(ValueError, match="optimizer"):
         TrainConfig(optimizer="rmsprop")
 
