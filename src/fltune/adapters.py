@@ -405,18 +405,17 @@ def verify_theorem1(trials: int = 200, tolerance: float = 1e-12, seed: int = 0,
     return _run_trials("ffn split equivalence", trials, tolerance, seed, trial)
 
 
-def verify_theorem2(trials: int = 200, tolerance: float = 1e-12, seed: int = 0,
-                    draw: Optional[Callable] = None) -> VerifyReport:
+def verify_theorem2(trials: int = 200, tolerance: float = 1e-12,
+                    seed: int = 0) -> VerifyReport:
     """Placement invariance of the expanded FFN.
 
     Prefix, suffix, and infix concatenated forms must agree pairwise; the
     infix index sweeps the boundary values 0 and d_o as well as random
     interior splits.
     """
-    draw = draw or _random_ffn_instance
 
     def trial(rng, t, fail):
-        layer, params, x = draw(rng)
+        layer, params, x = _random_ffn_instance(rng)
         d_o = layer.w1.shape[1]
         # always exercise both boundaries, then a random interior index
         if t % 3 == 0:

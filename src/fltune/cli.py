@@ -35,7 +35,7 @@ from .adapters import (
     verify_theorem2,
 )
 from .checkpoint import load_trainable, save_trainable
-from .data import generate_task, pretrain_backbone
+from .data import check_task, generate_task, pretrain_backbone
 from .encoder import EncoderConfig, ffn_parameter_share, init_encoder
 from .tensor import check_gradients
 from .training import (
@@ -87,18 +87,18 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Rules that span sections; the task takes its vocabulary and
-        classes from the encoder."""
-        enc, tc = self.encoder, self.train
-        if self.task.kind == "tagging" and enc.n_classes != 3:
-            raise ValueError(f"tagging tasks need encoder.n_classes 3, got {enc.n_classes}")
+        classes from the encoder, and ``check_task`` holds every task rule."""
+        enc, tc, task = self.encoder, self.train, self.task
+        check_task(task.kind, (task.train_size, task.dev_size, task.test_size), task.seq_len,
+                   enc.vocab_size, enc.n_classes)
         budget = enc.max_seq_len - (tc.prompt_len if tc.mode == "pv1" else 0)
-        if self.task.seq_len > budget:
+        if task.seq_len > budget:
             raise ValueError(
-                f"task seq_len {self.task.seq_len} exceeds the available budget {budget} "
+                f"task seq_len {task.seq_len} exceeds the available budget {budget} "
                 f"(max_seq_len {enc.max_seq_len}, mode {tc.mode})")
         if self.pretrain_steps < 0:
             raise ValueError(f"pretrain_steps must be nonnegative, got {self.pretrain_steps}")
-        for key, seed in (("task.seed", self.task.seed), ("backbone_seed", self.backbone_seed)):
+        for key, seed in (("task.seed", task.seed), ("backbone_seed", self.backbone_seed)):
             if seed < 0:
                 raise ValueError(f"{key} must be nonnegative, got {seed}")
 
@@ -206,10 +206,10 @@ def build_experiment(config: ExperimentConfig):
     return task, weights, adapter, registry
 
 
-def _resolve_outdir(args, config: Optional[ExperimentConfig], command: str) -> str:
+def _resolve_outdir(args, config: ExperimentConfig, command: str) -> str:
     if args.out:
         return args.out
-    if config is not None and config.output_dir:
+    if config.output_dir:
         return config.output_dir
     root = os.environ.get(OUTPUT_ROOT_ENV, "runs")
     return os.path.join(root, command)

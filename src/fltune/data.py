@@ -114,15 +114,29 @@ LABEL_FNS = {
 # ---------------------------------------------------------------------------
 
 def _filler_range(kind: str, vocab_size: int, n_classes: int) -> tuple[int, int]:
-    if kind == "tagging":
-        lo = max(ENTITY_INSIDE_IDS) + 1
-    else:
-        lo = MARKER_BASE + n_classes
-    if vocab_size - lo < 2:
-        raise ValueError(
-            f"vocab size {vocab_size} too small for the {kind} marker set "
-            f"(needs at least {lo + 2})")
+    """The ids a filler token takes: those after the kind's marker tokens."""
+    lo = max(ENTITY_INSIDE_IDS) + 1 if kind == "tagging" else MARKER_BASE + n_classes
     return lo, vocab_size
+
+
+def check_task(kind: str, sizes: Sequence[int], seq_len: int, vocab_size: int,
+               n_classes: int) -> None:
+    """Raise ValueError unless ``generate_task`` can build a task of these
+    settings; the experiment config calls it too, so it holds every task rule."""
+    if kind not in KINDS:
+        raise ValueError(f"task kind must be one of {KINDS}, got {kind!r}")
+    if len(sizes) != 3 or min(sizes) < 1:
+        raise ValueError(f"train, dev and test sizes must each be at least 1, got {sizes}")
+    min_len = 5 if kind == "pair" else 1
+    if seq_len < min_len:
+        raise ValueError(f"{kind} tasks need seq_len at least {min_len}, got {seq_len}")
+    classes = {"pair": 2, "tagging": 3}.get(kind, n_classes)
+    if n_classes != classes:
+        raise ValueError(f"{kind} tasks need n_classes {classes}, got {n_classes}")
+    lo, _ = _filler_range(kind, vocab_size, n_classes)
+    if vocab_size < lo + 2:
+        raise ValueError(f"vocab_size {vocab_size} is too small for {kind} tasks with "
+                         f"n_classes {n_classes} (needs at least {lo + 2})")
 
 
 def _gen_classification(rng, seq_len, n_classes, filler):
@@ -133,8 +147,6 @@ def _gen_classification(rng, seq_len, n_classes, filler):
 
 
 def _gen_pair(rng, seq_len, n_classes, filler):
-    if seq_len < 5:
-        raise ValueError(f"pair task needs seq_len >= 5, got {seq_len}")
     lo, hi = filler
     n_markers = n_classes  # marker alphabet; label is equality, not identity
     tokens = rng.integers(lo, hi, size=seq_len)
@@ -181,17 +193,7 @@ def generate_task(
     example can appear in two splits. Labels come from the kind's rule, which
     classifies every example perfectly by construction.
     """
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    if len(sizes) != 3 or any(s < 1 for s in sizes):
-        raise ValueError(f"sizes must be three positive counts, got {sizes}")
-    if seq_len < 1:
-        raise ValueError(f"seq_len must be at least 1, got {seq_len}")
-    if kind == "pair" and n_classes != 2:
-        raise ValueError("pair task is match/mismatch and needs n_classes=2")
-    if kind == "tagging" and n_classes != 3:
-        raise ValueError("tagging uses begin/inside/outside tags and needs n_classes=3")
-
+    check_task(kind, sizes, seq_len, vocab_size, n_classes)
     filler = _filler_range(kind, vocab_size, n_classes)
     gen = {"classification": _gen_classification, "pair": _gen_pair,
            "tagging": _gen_tagging}[kind]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -35,6 +35,7 @@ MODES = ("fl", "pv1", "pv2", "ma", "finetune")
 METRICS_HEADER = "step,loss,smoothed_loss,accuracy,wallclock_ms"
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's b1, b2 and eps
+SMOOTHING_ALPHA = 0.99  # weight of the previous value in the smoothed loss
 
 
 class DivergenceError(RuntimeError):
@@ -96,33 +97,30 @@ class EvalResult:
 
 @dataclass
 class RunMetrics:
-    rows: list[StepRow] = field(default_factory=list)
-    final_dev: Optional[EvalResult] = None
+    """A finished run: one row per step (at least one) and the final dev result."""
 
-    @property
-    def steps(self) -> int:
-        return len(self.rows)
+    rows: list[StepRow]
+    final_dev: EvalResult
 
 
-def smooth_loss(previous_smoothed: Optional[float], current: float, alpha: float = 0.99) -> float:
+def smooth_loss(previous_smoothed: Optional[float], current: float) -> float:
     """Exponential smoothing: alpha * previous + (1 - alpha) * current.
 
-    The first step has no previous value and seeds the series with the raw
-    loss. The complementary weight is computed as (1 - alpha).
+    alpha is ``SMOOTHING_ALPHA``, and the complementary weight is computed as
+    (1 - alpha). The first step has no previous value and seeds the series
+    with the raw loss.
     """
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     current = float(current)
     if previous_smoothed is None:
         return current
-    return alpha * float(previous_smoothed) + (1.0 - alpha) * current
+    return SMOOTHING_ALPHA * float(previous_smoothed) + (1.0 - SMOOTHING_ALPHA) * current
 
 
-def steps_to_threshold(metrics: RunMetrics, threshold: float) -> Optional[int]:
+def steps_to_threshold(rows: Sequence[StepRow], threshold: float) -> Optional[int]:
     """First step whose smoothed loss reached the threshold, if any."""
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
-    for row in metrics.rows:
+    for row in rows:
         if row.smoothed_loss <= threshold:
             return row.step
     return None
@@ -369,17 +367,19 @@ def train(weights: EncoderWeights, adapter, task, config: TrainConfig,
     The registry (built here unless supplied) freezes the backbone for
     adapter modes. ``train_step`` aborts on a non-finite loss or gradient.
     Metrics rows carry raw loss, the smoothed series, batch accuracy, and
-    cumulative wall-clock ms. When any step ran, the run ends with one
-    dev-split evaluation, ``final_dev``, which raises DivergenceError if the
-    last step left weights whose dev loss is not finite.
+    cumulative wall-clock ms. The run ends with one dev-split evaluation,
+    ``final_dev``, which raises DivergenceError if the last step left weights
+    whose dev loss is not finite. An empty train split raises ValueError.
     """
+    if not task.train:
+        raise ValueError("cannot train on an empty train split")
     if registry is None:
         registry = build_registry(weights, adapter)
     trainable = registry.trainable_entries()
     optimizer = make_optimizer(config)
     rng = np.random.default_rng([config.seed, 2])
 
-    metrics = RunMetrics()
+    rows: list[StepRow] = []
     smoothed: Optional[float] = None
     start = time.perf_counter()
     step = 0
@@ -393,7 +393,7 @@ def train(weights: EncoderWeights, adapter, task, config: TrainConfig,
                 trainable, optimizer, step + 1)
             step += 1
             smoothed = smooth_loss(smoothed, loss_val)
-            metrics.rows.append(StepRow(
+            rows.append(StepRow(
                 step=step,
                 loss=loss_val,
                 smoothed_loss=smoothed,
@@ -405,9 +405,7 @@ def train(weights: EncoderWeights, adapter, task, config: TrainConfig,
         if step == config.max_steps:
             break
 
-    if metrics.rows:
-        metrics.final_dev = evaluate(weights, adapter, task.dev, task.kind)
-    return metrics
+    return RunMetrics(rows, evaluate(weights, adapter, task.dev, task.kind))
 
 
 # ---------------------------------------------------------------------------
@@ -480,18 +478,17 @@ def run_summary(metrics: RunMetrics, registry: ParamRegistry, config: TrainConfi
                 task_kind: str, train_size: int) -> dict:
     """Deterministic run summary (no wall-clock fields)."""
     counts = count_parameters(registry)
-    final_dev = metrics.final_dev
     return {
         "mode": config.mode,
         "task_kind": task_kind,
         "train_size": train_size,
         "seed": config.seed,
-        "steps": metrics.steps,
-        "final_train_accuracy": metrics.rows[-1].accuracy if metrics.rows else None,
-        "final_dev_accuracy": final_dev.accuracy if final_dev else None,
-        "final_dev_f1": final_dev.f1 if final_dev else None,
+        "steps": len(metrics.rows),
+        "final_train_accuracy": metrics.rows[-1].accuracy,
+        "final_dev_accuracy": metrics.final_dev.accuracy,
+        "final_dev_f1": metrics.final_dev.f1,
         "loss_threshold": config.loss_threshold,
-        "steps_to_threshold": steps_to_threshold(metrics, config.loss_threshold),
+        "steps_to_threshold": steps_to_threshold(metrics.rows, config.loss_threshold),
         "params": {
             "total": counts.total,
             "trainable": counts.trainable,

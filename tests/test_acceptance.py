@@ -123,7 +123,7 @@ def test_c06_freezing_integrity():
         registry = build_registry(weights, adapter)
         metrics = train(weights, adapter, task, tc, registry=registry)
         violations = registry.frozen_violations()
-        ok = ok and metrics.steps == 100 and not violations
+        ok = ok and len(metrics.rows) == 100 and not violations
         if violations:
             detail.append(f"{mode}: {violations[:3]}")
 
@@ -179,7 +179,7 @@ def test_c08_learnability_vs_finetuning():
     elapsed = time.perf_counter() - start
     report(8, "expansion tuning reaches 0.99 train accuracy in 200 steps, "
               "dev within 2 points of fine-tuning",
-           fl_train_acc >= 0.99 and gap <= 0.02 and fl_metrics.steps <= 200
+           fl_train_acc >= 0.99 and gap <= 0.02 and len(fl_metrics.rows) <= 200
            and elapsed < 120.0,
            f"train acc {fl_train_acc:.3f}, dev gap {gap:.3f}, {elapsed:.1f}s")
 

@@ -1,13 +1,15 @@
 """Property-based robustness: wrong-typed config values and corrupted
 checkpoint bytes fail with the package's own errors and nothing else, a
-rejected or diverging ``train`` run leaves no output behind, and every op's
-gradient matches finite differences over random shapes."""
+rejected or diverging ``train`` run leaves no output behind, ``params`` and
+``train`` refuse the same task sections, and every op's gradient matches
+finite differences over random shapes."""
 
 import contextlib
 import dataclasses
 import inspect
 import io
 import json
+import shutil
 import typing
 
 import numpy as np
@@ -19,6 +21,7 @@ from fltune import tensor
 from fltune.checkpoint import CheckpointError, load_tensors, save_tensors
 from fltune.cli import (
     EXIT_CHECK_FAILED,
+    EXIT_OK,
     EXIT_USAGE,
     ConfigError,
     ExperimentConfig,
@@ -26,6 +29,7 @@ from fltune.cli import (
     load_experiment_config,
     main,
 )
+from fltune.data import KINDS
 from fltune.encoder import EncoderConfig
 from fltune.tensor import Tensor, check_gradients, matmul, sum_all
 from fltune.training import MODES, TrainConfig
@@ -159,7 +163,8 @@ def test_single_value_settings_are_not_config_keys(config_path, capsys, assignme
      "config error: in encoder: EncoderConfig.n_heads must be positive, got 0"),
     ("train", ["--set", "encoder.d_m=2", "--set", "encoder.n_heads=4"],
      "config error: in encoder: EncoderConfig.d_k must be positive, got 0"),
-    ("train", ["--set", "task.seq_len=0"], "error: seq_len must be at least 1, got 0"),
+    ("train", ["--set", "task.seq_len=0"],
+     "config error: in config: classification tasks need seq_len at least 1, got 0"),
     ("train", ["--set", "train.max_steps=0"],
      "config error: in train: max_steps must be at least 1 or null, got 0"),
     ("train", ["--set", "train.max_steps=-3"],
@@ -167,7 +172,7 @@ def test_single_value_settings_are_not_config_keys(config_path, capsys, assignme
     ("train", ["--set", "train.loss_threshold=0"],
      "config error: in train: loss_threshold must be positive, got 0"),
     ("train", ["--set", "task.kind=tagging"],
-     "config error: in config: tagging tasks need encoder.n_classes 3, got 2"),
+     "config error: in config: tagging tasks need n_classes 3, got 2"),
     ("fewshot", ["--sizes", "999"], "error: subset size 999 outside [1, 20]"),
     ("train", ["--set", "train.seed=-1"],
      "config error: in train: seed must be nonnegative, got -1"),
@@ -184,6 +189,80 @@ def test_rejected_run_exits_2_and_writes_nothing(config_path, tmp_path, capsys,
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, args", [
+    ("params", []), ("gradcheck", []), ("eval", ["--checkpoint", "missing.flckpt"]),
+    ("fewshot", []), ("train", [])])
+@pytest.mark.parametrize("assignments, message", [
+    (["task.kind=bogus"],
+     "task kind must be one of ('classification', 'pair', 'tagging'), got 'bogus'"),
+    (["task.kind=pair", "encoder.n_classes=3"], "pair tasks need n_classes 2, got 3"),
+    (["task.dev_size=0"], "train, dev and test sizes must each be at least 1, got (20, 0, 8)"),
+    (["task.seq_len=0"], "classification tasks need seq_len at least 1, got 0"),
+    (["task.kind=pair", "task.seq_len=4"], "pair tasks need seq_len at least 5, got 4"),
+    (["encoder.vocab_size=5"],
+     "vocab_size 5 is too small for classification tasks with n_classes 2 (needs at least 7)"),
+])
+def test_task_rule_is_a_config_error_in_every_command(config_path, tmp_path, monkeypatch, capsys,
+                                                      command, args, assignments, message):
+    # params reads no task, so only the config's rules can refuse these for it
+    monkeypatch.chdir(tmp_path)  # the default output root is ./runs
+    sets = [arg for assignment in assignments for arg in ("--set", assignment)]
+    assert main([command, str(config_path), *sets, *args]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"config error: in config: {message}\n")
+    assert not any(tmp_path.iterdir())
+
+
+# values on each side of a task rule's bound; an accepted seq_len of 4 or
+# more leaves room for six distinct examples at the smallest vocabulary
+TASK_VALUES = {
+    "task.kind": st.sampled_from(KINDS + ("bogus",)),
+    "task.train_size": st.integers(0, 2),
+    "task.dev_size": st.integers(0, 2),
+    "task.test_size": st.integers(0, 2),
+    "task.seq_len": st.sampled_from([0, 4, 5, 8]),
+    "encoder.n_classes": st.integers(1, 4),
+    "encoder.vocab_size": st.integers(5, 10),
+}
+
+
+@st.composite
+def task_sections(draw):
+    """A valid task section for a drawn kind, with the encoder's vocab_size
+    and n_classes, in which up to two values are then redrawn."""
+    kind = draw(st.sampled_from(KINDS))
+    section = {"task.kind": kind, "task.train_size": 2, "task.dev_size": 2,
+               "task.test_size": 2, "task.seq_len": 8, "encoder.vocab_size": 12,
+               "encoder.n_classes": {"pair": 2, "tagging": 3}.get(kind, 2)}
+    for key in draw(st.lists(st.sampled_from(sorted(TASK_VALUES)), max_size=2, unique=True)):
+        section[key] = draw(TASK_VALUES[key])
+    return section
+
+
+def run_main(args) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(section=task_sections())
+def test_params_and_train_agree_on_every_task_section(config_path, out_root, section):
+    sets = [arg for key, value in section.items()
+            for arg in ("--set", f"{key}={json.dumps(value)}")]
+    out = out_root / "agree"
+    params = run_main(["params", str(config_path), *sets])
+    train = run_main(["train", str(config_path), "--out", str(out), *sets])
+    if params[0] == EXIT_OK:
+        assert (train[0], train[2]) == (EXIT_OK, ""), train
+        shutil.rmtree(out)
+    else:
+        assert params[0] == train[0] == EXIT_USAGE
+        assert params[1:] == train[1:] == ("", params[2])
+        assert params[2].startswith("config error: ") and params[2].count("\n") == 1
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command, args", [("params", []), ("gradcheck", []),

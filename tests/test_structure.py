@@ -315,3 +315,43 @@ def test_every_name_perfbench_looks_up_exists(monkeypatch):
                     if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
                     and n.value.id in homes and not hasattr(homes[n.value.id], n.attr)]
     assert not missing, f"names perfbench looks up that the program lacks: {missing}"
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    # a default that no call overrides is a constant kept as a parameter. Like
+    # the check above this goes by name: a call counts for every public
+    # function or method of its name, a class call for the class's __init__,
+    # and a positional argument for the parameter in its place (after self)
+    repo = Path(__file__).resolve().parents[1]
+    package = repo / "src" / "fltune"
+    harness = [p for p in sorted((repo / "perfbench").glob("*.py"))
+               if not p.name.startswith("test_")]
+    functions = []  # (the name calls use, label, definition, leading self or not)
+    for path in sorted(package.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+                functions.append((stmt.name, f"{path.name}:{stmt.name}", stmt, 0))
+            elif isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+                functions += [(stmt.name if m.name == "__init__" else m.name,
+                               f"{path.name}:{stmt.name}.{m.name}", m, 1)
+                              for m in stmt.body if isinstance(m, ast.FunctionDef)
+                              and (m.name == "__init__" or not m.name.startswith("_"))]
+    keywords, positional = {}, {}
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    for path in sorted(package.glob("*.py")) + tests + harness:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+                positional[name] = max(positional.get(name, 0), len(node.args))
+    unpassed = []
+    for name, label, fn, skip in functions:
+        args = fn.args.posonlyargs + fn.args.args
+        first = len(args) - len(fn.args.defaults)
+        passed = keywords.get(name, set())
+        unpassed += [f"{label}({a.arg}=)" for i, a in enumerate(args[first:], first)
+                     if a.arg not in passed and positional.get(name, 0) <= i - skip]
+        unpassed += [f"{label}({a.arg}=)"
+                     for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                     if d is not None and a.arg not in passed]
+    assert not unpassed, f"defaulted parameters no call passes: {unpassed}"

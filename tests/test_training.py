@@ -14,7 +14,6 @@ from fltune.encoder import EncoderConfig, init_encoder
 from fltune.training import (
     Adam,
     DivergenceError,
-    RunMetrics,
     SGD,
     StepRow,
     TrainConfig,
@@ -51,34 +50,23 @@ def small_setup(mode="fl", **config_overrides):
 # smoothing
 # ---------------------------------------------------------------------------
 
-def test_smooth_loss_alpha_zero_returns_current():
-    assert smooth_loss(5.0, 1.25, alpha=0.0) == 1.25
-
-
 def test_smooth_loss_paper_substitution():
-    assert smooth_loss(1.0, 0.0, alpha=0.99) == 0.99
+    assert smooth_loss(1.0, 0.0) == 0.99
 
 
 def test_smooth_loss_constant_fixed_point():
     value = None
     for _ in range(50):
-        value = smooth_loss(value, 0.625, alpha=0.99)
+        value = smooth_loss(value, 0.625)
         assert value == 0.625
-
-
-def test_smooth_loss_rejects_bad_alpha():
-    for alpha in (-0.1, 1.0, 1.5):
-        with pytest.raises(ValueError, match="alpha"):
-            smooth_loss(1.0, 1.0, alpha=alpha)
 
 
 def test_steps_to_threshold():
     rows = [StepRow(i + 1, 0.0, s, 0.0, 0.0) for i, s in enumerate([2.0, 1.0, 0.5])]
-    metrics = RunMetrics(rows=rows)
-    assert steps_to_threshold(metrics, 0.6) == 3
-    assert steps_to_threshold(metrics, 0.4) is None
+    assert steps_to_threshold(rows, 0.6) == 3
+    assert steps_to_threshold(rows, 0.4) is None
     with pytest.raises(ValueError, match="threshold"):
-        steps_to_threshold(metrics, 0.0)
+        steps_to_threshold(rows, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +220,7 @@ def test_full_batch_sgd_step_decreases_loss(mode):
 def test_smoothed_recurrence_holds_exactly():
     weights, adapter, task, config = small_setup(max_steps=12)
     metrics = train(weights, adapter, task, config)
-    alpha = 0.99  # smooth_loss's default, the rate train uses
+    alpha = 0.99  # SMOOTHING_ALPHA, the rate train uses
     prev = None
     for row in metrics.rows:
         expected = row.loss if prev is None else alpha * prev + (1.0 - alpha) * row.loss
@@ -265,6 +253,15 @@ def test_training_improves_dev_loss():
     assert metrics.final_dev.accuracy >= start.accuracy
 
 
+def test_train_refuses_an_empty_train_split():
+    # the config's task rules give every program run a step; an empty split
+    # can come only from a library caller
+    weights, adapter, task, config = small_setup()
+    task.train = task.train[:0]
+    with pytest.raises(ValueError, match="^cannot train on an empty train split$"):
+        train(weights, adapter, task, config)
+
+
 def test_train_evaluates_dev_once_after_its_last_step(monkeypatch):
     weights, adapter, task, config = small_setup(epochs=3)
     calls = []
@@ -275,7 +272,7 @@ def test_train_evaluates_dev_once_after_its_last_step(monkeypatch):
 
     monkeypatch.setattr(training, "evaluate", counted)
     metrics = train(weights, adapter, task, config)
-    assert metrics.steps == 3 * 8 and len(calls) == 1
+    assert len(metrics.rows) == 3 * 8 and len(calls) == 1
     direct = evaluate(weights, adapter, task.dev, task.kind)
     got = metrics.final_dev
     assert (got.accuracy.hex(), got.mean_loss.hex(), got.f1) == (
@@ -433,7 +430,7 @@ def test_fl_vs_pv2_convergence_diagnostic(capsys):
             mode=mode, d_a=8, prompt_len=8, learning_rate=3e-3,
             epochs=4, batch_size=16, loss_threshold=0.6)
         metrics = train(weights, adapter, task, config)
-        results[mode] = steps_to_threshold(metrics, config.loss_threshold)
+        results[mode] = steps_to_threshold(metrics.rows, config.loss_threshold)
     print(f"steps to smoothed-loss 0.6: fl={results['fl']} pv2={results['pv2']}")
     if results["fl"] and results["pv2"]:
         print(f"ratio pv2/fl = {results['pv2'] / results['fl']:.2f}")
