@@ -144,8 +144,6 @@ def init_fl_adapter(config: EncoderConfig, d_a: int = 160, seed: int = 0) -> FLA
     w1 is Gaussian, b1 and w2 start at zero, so the adapter is transparent:
     the first forward pass reproduces the frozen backbone exactly.
     """
-    if d_a < 0:
-        raise ValueError(f"d_a must be nonnegative, got {d_a}")
     rng = np.random.default_rng(seed)
     return FLAdapter(layers={
         i: FLLayerParams(
@@ -160,9 +158,6 @@ def init_fl_adapter(config: EncoderConfig, d_a: int = 160, seed: int = 0) -> FLA
 def init_pv1_adapter(config: EncoderConfig, prompt_len: int = 160, seed: int = 0) -> PromptAdapter:
     """Input-level continuous prompt. Prompt rows consume sequence budget:
     inputs may be at most max_seq_len - prompt_len tokens."""
-    if not (1 <= prompt_len <= config.max_seq_len - 1):
-        raise ValueError(
-            f"prompt_len must be in [1, {config.max_seq_len - 1}], got {prompt_len}")
     rng = np.random.default_rng(seed)
     return PromptAdapter(
         prompt=Tensor(rng.normal(0.0, INIT_STD, (prompt_len, config.d_m)), requires_grad=True),
@@ -171,8 +166,6 @@ def init_pv1_adapter(config: EncoderConfig, prompt_len: int = 160, seed: int = 0
 
 def init_pv2_adapter(config: EncoderConfig, prompt_len: int = 160, seed: int = 0) -> PromptAdapter:
     """Per-layer trainable key/value prefix rows, drawn head by head."""
-    if prompt_len < 1:
-        raise ValueError(f"prompt_len must be positive, got {prompt_len}")
     rng = np.random.default_rng(seed)
     draw = lambda cols: rng.normal(0.0, INIT_STD, (prompt_len, cols))
     prefixes = [
@@ -189,8 +182,6 @@ def init_ma_adapter(config: EncoderConfig, d_a_prime: int = 160, seed: int = 0) 
     and the output contributions vanish at initialization and the adapter is
     transparent, mirroring the FFN expansion's zero-start.
     """
-    if d_a_prime < 0:
-        raise ValueError(f"d_a_prime must be nonnegative, got {d_a_prime}")
     rng = np.random.default_rng(seed)
     shape = (config.d_m, d_a_prime)
     head = lambda: (rng.normal(0.0, INIT_STD, shape), np.zeros(shape),

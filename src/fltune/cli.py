@@ -277,13 +277,13 @@ def cmd_params(args) -> int:
     weights = init_encoder(config.encoder, seed=config.backbone_seed)
     rows = {}
     for mode in MODES:
-        tc = dataclasses.replace(config.train, mode=mode)
         try:
-            adapter = make_adapter(config.encoder, tc)
+            run = dataclasses.replace(config, train=dataclasses.replace(config.train, mode=mode))
         except ValueError as exc:
-            # e.g. a prompt length that does not fit this encoder's budget
+            # the config rule that refuses `train` in this mode
             rows[mode] = {"error": str(exc)}
             continue
+        adapter = make_adapter(run.encoder, run.train)
         registry = build_registry(weights, adapter)
         overall = count_parameters(registry)
         blocks = count_parameters(registry, groups=("block", "adapter"))
@@ -404,6 +404,9 @@ def cmd_fewshot(args) -> int:
     if len(set(sizes)) != len(sizes):
         # each size writes its own size_NNNN/, so a repeat would overwrite it
         raise ValueError(f"duplicate size in --sizes {args.sizes!r}")
+    for size in sizes:  # fewshot_subsample's rule, before the task is drawn
+        if not 1 <= size <= config.task.train_size:
+            raise ValueError(f"subset size {size} outside [1, {config.task.train_size}]")
     outdir = _resolve_outdir(args, config, "fewshot")
     task, weights, _adapter, _registry = build_experiment(config)
     subsets = fewshot_subsample(task, sizes, seed=config.task.seed)

@@ -122,7 +122,9 @@ def _filler_range(kind: str, vocab_size: int, n_classes: int) -> tuple[int, int]
 def check_task(kind: str, sizes: Sequence[int], seq_len: int, vocab_size: int,
                n_classes: int) -> None:
     """Raise ValueError unless ``generate_task`` can build a task of these
-    settings; the experiment config calls it too, so it holds every task rule."""
+    settings; the experiment config calls it too, so it holds every task rule.
+    Only a tagging task near its count of distinct rows can still exhaust
+    ``generate_task``'s draw attempts, as that generator is not uniform."""
     if kind not in KINDS:
         raise ValueError(f"task kind must be one of {KINDS}, got {kind!r}")
     if len(sizes) != 3 or min(sizes) < 1:
@@ -137,6 +139,24 @@ def check_task(kind: str, sizes: Sequence[int], seq_len: int, vocab_size: int,
     if vocab_size < lo + 2:
         raise ValueError(f"vocab_size {vocab_size} is too small for {kind} tasks with "
                          f"n_classes {n_classes} (needs at least {lo + 2})")
+    # The distinct rows the kind's generator can draw, in Python ints (the
+    # count overflows int64 at seq_len 64). Each position at least doubles
+    # the count, so counting stops 3 positions past the total's bit length,
+    # where the count already exceeds the total.
+    total, fillers = sum(sizes), vocab_size - lo
+    length = min(seq_len, total.bit_length() + 3)
+    if kind == "classification":
+        rows = n_classes * fillers ** (length - 1)
+    elif kind == "pair":
+        rows = n_classes ** 2 * fillers ** (length - 3)
+    else:  # runs of fillers and entities: a begin id, then up to two inside ids
+        rows, rows1, rows2 = 1, 0, 0  # rows of lengths L, L-1 and L-2, from L = 0
+        for _ in range(length):
+            rows, rows1, rows2 = (fillers + 2) * rows + 4 * rows1 + 8 * rows2, rows, rows1
+    if rows < total:
+        raise ValueError(f"{kind} tasks of seq_len {seq_len} with vocab_size {vocab_size} and "
+                         f"n_classes {n_classes} have {rows} distinct examples, fewer than "
+                         f"the {total} the three splits need")
 
 
 def _gen_classification(rng, seq_len, n_classes, filler):
@@ -169,7 +189,7 @@ def _gen_tagging(rng, seq_len, n_classes, filler):
     tokens: list[int] = []
     while len(tokens) < seq_len:
         room = seq_len - len(tokens)
-        if room >= 1 and rng.random() < 0.25:
+        if rng.random() < 0.25:
             tokens.append(ENTITY_BEGIN_IDS[int(rng.integers(0, len(ENTITY_BEGIN_IDS)))])
             inside = int(rng.integers(0, min(2, room - 1) + 1))
             for _ in range(inside):

@@ -77,6 +77,13 @@ class TrainConfig:
             raise ValueError(f"max_steps must be at least 1 or null, got {self.max_steps}")
         if self.loss_threshold <= 0:
             raise ValueError(f"loss_threshold must be positive, got {self.loss_threshold}")
+        # the selected mode's adapter size (pv1's upper bound is the sequence budget)
+        if self.mode == "fl" and self.d_a < 0:
+            raise ValueError(f"d_a must be nonnegative, got {self.d_a}")
+        if self.mode == "ma" and self.d_a_prime < 0:
+            raise ValueError(f"d_a_prime must be nonnegative, got {self.d_a_prime}")
+        if self.mode in ("pv1", "pv2") and self.prompt_len < 1:
+            raise ValueError(f"prompt_len must be positive, got {self.prompt_len}")
 
 
 @dataclass
@@ -204,8 +211,6 @@ def make_optimizer(config: TrainConfig):
 def make_adapter(encoder_config: EncoderConfig, config: TrainConfig):
     """Build the trainable delta selected by config.mode (None for finetune)."""
     seed = [config.seed, 1]
-    if config.mode == "finetune":
-        return None
     if config.mode == "fl":
         return init_fl_adapter(encoder_config, d_a=config.d_a, seed=seed)
     if config.mode == "pv1":
@@ -214,7 +219,7 @@ def make_adapter(encoder_config: EncoderConfig, config: TrainConfig):
         return init_pv2_adapter(encoder_config, prompt_len=config.prompt_len, seed=seed)
     if config.mode == "ma":
         return init_ma_adapter(encoder_config, d_a_prime=config.d_a_prime, seed=seed)
-    raise ValueError(f"unknown mode {config.mode!r}")
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Property-based robustness: wrong-typed config values and corrupted
 checkpoint bytes fail with the package's own errors and nothing else, a
 rejected or diverging ``train`` run leaves no output behind, ``params`` and
-``train`` refuse the same task sections, and every op's gradient matches
-finite differences over random shapes."""
+``train`` refuse the same task and train sections, and every op's gradient
+matches finite differences over random shapes."""
 
 import contextlib
 import dataclasses
 import inspect
 import io
+import itertools
 import json
+import re
 import shutil
 import typing
 
@@ -29,7 +31,7 @@ from fltune.cli import (
     load_experiment_config,
     main,
 )
-from fltune.data import KINDS
+from fltune.data import KINDS, check_task
 from fltune.encoder import EncoderConfig
 from fltune.tensor import Tensor, check_gradients, matmul, sum_all
 from fltune.training import MODES, TrainConfig
@@ -214,14 +216,15 @@ def test_task_rule_is_a_config_error_in_every_command(config_path, tmp_path, mon
     assert not any(tmp_path.iterdir())
 
 
-# values on each side of a task rule's bound; an accepted seq_len of 4 or
-# more leaves room for six distinct examples at the smallest vocabulary
+# values on each side of a task rule's bound, including the count of
+# distinct examples, which seq_len 1-3 brings below the splits' total (listed
+# first, so the derandomized draws include such a section)
 TASK_VALUES = {
     "task.kind": st.sampled_from(KINDS + ("bogus",)),
     "task.train_size": st.integers(0, 2),
     "task.dev_size": st.integers(0, 2),
     "task.test_size": st.integers(0, 2),
-    "task.seq_len": st.sampled_from([0, 4, 5, 8]),
+    "task.seq_len": st.sampled_from([1, 2, 3, 0, 4, 5, 8]),
     "encoder.n_classes": st.integers(1, 4),
     "encoder.vocab_size": st.integers(5, 10),
 }
@@ -263,6 +266,107 @@ def test_params_and_train_agree_on_every_task_section(config_path, out_root, sec
         assert params[1:] == train[1:] == ("", params[2])
         assert params[2].startswith("config error: ") and params[2].count("\n") == 1
         assert not out.exists()
+
+
+@pytest.mark.parametrize("seq_len", [1, 2, 3, 4])
+def test_tagging_example_count_matches_a_regex_oracle(seq_len):
+    # at vocab_size 9, ids 3-4 begin an entity, 5-6 continue one and 7-8 are
+    # fillers; the generator draws fillers and entities of a begin id and up
+    # to two inside ids, so its rows are those the regex matches
+    letters = "xxxbbiiff"
+    rows = sum(re.fullmatch(r"(f|bi{0,2})*", "".join(letters[t] for t in row)) is not None
+               for row in itertools.product(range(9), repeat=seq_len))
+    check_task("tagging", (rows - 2, 1, 1), seq_len, 9, 3)
+    with pytest.raises(ValueError, match=f" have {rows} distinct examples, fewer than the "
+                                         f"{rows + 1} the three splits need$"):
+        check_task("tagging", (rows - 1, 1, 1), seq_len, 9, 3)
+
+
+EVERY_COMMAND = [("params", []), ("gradcheck", []), ("eval", ["--checkpoint", "missing.flckpt"]),
+                 ("fewshot", []), ("train", [])]
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test if a command draws a task or pretrains a backbone."""
+    def reached(*_args, **_kwargs):
+        raise AssertionError("a refused run drew a task or pretrained a backbone")
+    monkeypatch.setattr("fltune.cli.generate_task", reached)
+    monkeypatch.setattr("fltune.cli.pretrain_backbone", reached)
+
+
+@pytest.mark.parametrize("command, args", EVERY_COMMAND)
+@pytest.mark.parametrize("mode, assignment, message", [
+    ("fl", "d_a=-1", "d_a must be nonnegative, got -1"),
+    ("ma", "d_a_prime=-1", "d_a_prime must be nonnegative, got -1"),
+    ("pv1", "prompt_len=0", "prompt_len must be positive, got 0"),
+    ("pv2", "prompt_len=0", "prompt_len must be positive, got 0"),
+])
+def test_adapter_size_rule_is_a_config_error_in_every_command(
+        config_path, tmp_path, monkeypatch, capsys, no_work, command, args, mode, assignment,
+        message):
+    monkeypatch.chdir(tmp_path)  # the default output root is ./runs
+    sets = ["--set", f"train.mode={mode}", "--set", f"train.{assignment}",
+            "--set", "pretrain_steps=1"]
+    assert main([command, str(config_path), *sets, *args]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"config error: in train: {message}\n")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, args, message", [
+    ("fewshot", ["--sizes", "5000"], "error: subset size 5000 outside [1, 20]"),
+    ("fewshot", ["--sizes", "4,0"], "error: subset size 0 outside [1, 20]"),
+    *((command, [*args, "--set", "task.seq_len=1"],
+       "config error: in config: classification tasks of seq_len 1 with vocab_size 32 and "
+       "n_classes 2 have 2 distinct examples, fewer than the 36 the three splits need")
+      for command, args in EVERY_COMMAND),
+])
+def test_run_refused_before_the_task_is_drawn(config_path, tmp_path, monkeypatch, capsys,
+                                              no_work, command, args, message):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, str(config_path), "--set", "pretrain_steps=1", *args]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", message + "\n")
+    assert not any(tmp_path.iterdir())
+
+
+# each adapter size on both sides of its rule; BASE_CONFIG leaves pv1 a
+# sequence budget of 16 - 8 = 8 prompt rows
+TRAIN_VALUES = {
+    "train.mode": st.sampled_from(MODES),
+    "train.d_a": st.integers(-1, 1),
+    "train.d_a_prime": st.integers(-1, 1),
+    "train.prompt_len": st.sampled_from([-1, 0, 1, 8, 9]),
+}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(section=st.fixed_dictionaries(TRAIN_VALUES))
+def test_params_and_train_agree_mode_by_mode(config_path, out_root, section):
+    sets = [arg for key, value in section.items()
+            for arg in ("--set", f"{key}={json.dumps(value)}")]
+    out = out_root / "modes"
+    params = run_main(["params", str(config_path), "--json", *sets])
+    train = run_main(["train", str(config_path), "--out", str(out), *sets])
+    if params[0] != EXIT_OK:
+        assert params[0] == train[0] == EXIT_USAGE
+        assert params[1:] == train[1:] == ("", params[2])
+        assert params[2].startswith("config error: ") and params[2].count("\n") == 1
+        assert not out.exists()
+        return
+    assert (train[0], train[2]) == (EXIT_OK, ""), train
+    shutil.rmtree(out)
+    rows = json.loads(params[1])["modes"]
+    for mode in MODES:
+        code, stdout, stderr = run_main(["params", str(config_path), "--json", *sets,
+                                         "--set", f"train.mode={mode}"])
+        if "error" in rows[mode]:
+            # the row carries the message of the rule that refuses the mode
+            assert (code, stdout) == (EXIT_USAGE, "")
+            assert stderr in {f"config error: in {where}: {rows[mode]['error']}\n"
+                              for where in ("train", "config")}
+        else:
+            assert (code, stderr) == (EXIT_OK, "")
+            assert json.loads(stdout)["modes"] == rows
 
 
 @pytest.mark.parametrize("command, args", [("params", []), ("gradcheck", []),

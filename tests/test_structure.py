@@ -6,6 +6,7 @@ import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import types
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 import fltune
+import fltune.adapters as adapters_module
 import fltune.encoder as encoder_module
 from fltune.adapters import (
     FLAdapter,
@@ -31,6 +33,7 @@ from fltune.encoder import (
     init_encoder,
 )
 import fltune.tensor as tensor_module
+import fltune.training as training_module
 from fltune.tensor import Tensor
 from fltune.training import TrainConfig
 
@@ -115,6 +118,22 @@ def test_adapters_hold_only_their_tensors():
     assert field_names(PromptAdapter) == ["prompt", "prefixes"]
     assert field_names(MAAdapter) == ["layers"]
     assert not {"position", "infix_index"} & set(field_names(TrainConfig))
+
+
+def test_adapter_builders_leave_the_size_rules_to_the_config():
+    # TrainConfig holds each mode's adapter-size rule, so every command
+    # refuses a bad size before it draws a task; a raise in a builder would
+    # be a second copy of a rule, reached only after that work
+    builders = []
+    for module, pattern in ((adapters_module, r"init_\w+_adapter"),
+                            (training_module, "make_adapter")):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        builders += [(Path(module.__file__).name, fn) for fn in tree.body
+                     if isinstance(fn, ast.FunctionDef) and re.fullmatch(pattern, fn.name)]
+    assert len(builders) == 5
+    raises = [f"{file}:{node.lineno} in {fn.name}" for file, fn in builders
+              for node in ast.walk(fn) if isinstance(node, ast.Raise)]
+    assert not raises, f"adapter builders that raise: {raises}"
 
 
 def test_attention_joins_no_weights_per_forward():
