@@ -409,12 +409,7 @@ def verify_theorem2(trials: int = 200, tolerance: float = 1e-12,
         layer, params, x = _random_ffn_instance(rng)
         d_o = layer.w1.shape[1]
         # always exercise both boundaries, then a random interior index
-        if t % 3 == 0:
-            infix = 0
-        elif t % 3 == 1:
-            infix = d_o
-        else:
-            infix = int(rng.integers(0, d_o + 1))
+        infix = (0, d_o)[t % 3] if t % 3 < 2 else int(rng.integers(0, d_o + 1))
         outs = [ffn_fl_concat(layer, params, x, position="prefix"),
                 ffn_fl_concat(layer, params, x, position="infix", infix_index=infix),
                 ffn_fl_concat(layer, params, x, position="suffix")]
@@ -558,12 +553,6 @@ def build_registry(weights: EncoderWeights, adapter=None) -> ParamRegistry:
 def count_parameters(registry: ParamRegistry,
                      groups: Optional[Sequence[str]] = None) -> ParamCounts:
     """Exact element counts over the registry, optionally restricted to groups."""
-    total = trainable = 0
-    for e in registry.entries:
-        if groups is not None and e.group not in groups:
-            continue
-        n = e.tensor.size
-        total += n
-        if not e.frozen:
-            trainable += n
-    return ParamCounts(total=total, trainable=trainable)
+    picked = [e for e in registry.entries if groups is None or e.group in groups]
+    return ParamCounts(total=sum(e.tensor.size for e in picked),
+                       trainable=sum(e.tensor.size for e in picked if not e.frozen))

@@ -34,7 +34,7 @@ from .adapters import (
     verify_theorem1,
     verify_theorem2,
 )
-from .checkpoint import load_trainable, save_trainable
+from .checkpoint import load_checkpoint, load_trainable, save_trainable
 from .data import check_task, generate_task, pretrain_backbone
 from .encoder import EncoderConfig, ffn_parameter_share, init_encoder
 from .tensor import check_gradients
@@ -92,6 +92,9 @@ class ExperimentConfig:
         check_task(task.kind, (task.train_size, task.dev_size, task.test_size), task.seq_len,
                    enc.vocab_size, enc.n_classes)
         budget = enc.max_seq_len - (tc.prompt_len if tc.mode == "pv1" else 0)
+        if budget < 1:
+            raise ValueError(f"prompt_len {tc.prompt_len} leaves no room for tokens in "
+                             f"max_seq_len {enc.max_seq_len} (mode {tc.mode})")
         if task.seq_len > budget:
             raise ValueError(
                 f"task seq_len {task.seq_len} exceeds the available budget {budget} "
@@ -437,6 +440,7 @@ def cmd_fewshot(args) -> int:
 
 def cmd_eval(args) -> int:
     config = load_experiment_config(args.config, args.set, args.seed)
+    load_checkpoint(args.checkpoint)  # refuse an unreadable file before any work
     task, weights, adapter, registry = build_experiment(config)
     load_trainable(args.checkpoint, registry, config_echo=config.encoder.to_dict())
     dev = evaluate(weights, adapter, task.dev, task.kind)

@@ -91,15 +91,8 @@ def label_pair(tokens: Sequence[int]) -> int:
 
 def label_tagging(tokens: Sequence[int]) -> tuple[int, ...]:
     """Begin/inside/outside tag per position, read off the token identity."""
-    tags = []
-    for t in tokens:
-        if t in ENTITY_BEGIN_IDS:
-            tags.append(TAG_BEGIN)
-        elif t in ENTITY_INSIDE_IDS:
-            tags.append(TAG_INSIDE)
-        else:
-            tags.append(TAG_OUTSIDE)
-    return tuple(tags)
+    return tuple(TAG_BEGIN if t in ENTITY_BEGIN_IDS else TAG_INSIDE if t in ENTITY_INSIDE_IDS
+                 else TAG_OUTSIDE for t in tokens)
 
 
 LABEL_FNS = {
@@ -272,7 +265,7 @@ def _pretext_loss(weights: EncoderWeights, head_w: Tensor, head_b: Tensor,
     bit; only the rounding of the loss value differs.
     """
     tokens, mask = batch
-    hidden, _ = encoder_hidden_batch(weights, np.where(mask, MASK_ID, tokens))
+    hidden = encoder_hidden_batch(weights, np.where(mask, MASK_ID, tokens))
     logits = affine(hidden, head_w, head_b)
     counts = mask.sum(axis=1)
     return cross_entropy_mean(gather_rows(logits, np.flatnonzero(mask)), tokens[mask],

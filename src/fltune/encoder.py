@@ -14,11 +14,12 @@ treats rows independently, and attention
 one example and one head, so an example's output does not depend on the rest
 of its batch.
 
-When only the pooled row is read (classification and pair tasks), the final
-layer computes only that row of each example: its keys and values still come
-from every row, but its queries, attention row, output projection, layer
-norms and FFN run on the pooled rows. The pooled logits therefore equal those
-of the all-rows pass up to float rounding.
+Prompt rows never leave the encoder: the final layer computes only the rows
+the head reads, each example's first token row when pooled (classification
+and pair tasks), else every token row. Its keys and values still read every
+row, prompt rows included, while its queries, attention rows, output
+projection, layer norms and FFN run on the read rows alone, so the logits
+equal those of an all-rows pass up to float rounding.
 
 A forward/backward pass runs on the calling thread; independent batches may
 run concurrently as long as each uses its own tape, with weight tensors
@@ -331,20 +332,20 @@ def encoder_hidden_batch(
     tokens: np.ndarray,
     adapter: Optional[AdapterHooks] = None,
     pooled: bool = False,
-) -> tuple[Tensor, int]:
+) -> Tensor:
     """Hidden states after the final layer for an (N, T) integer array of
-    token ids, packed example after example, plus the prompt row count.
+    token ids: one row per token, example after example, or with ``pooled``
+    each example's first token row, one per example.
 
     Every ``AdapterHooks`` hook is consulted: prompt rows are prepended to
     each example's embedding rows, key/value prefixes and the attention
     expansion enter each attention sublayer, and added FFN units contribute
     to each FFN output through the split form. With no adapter (or a
     transparent one) this is the plain frozen backbone. Each example holds
-    prompt_len + seq rows. With ``pooled`` the final layer computes only row
-    ``prompt_len`` of each example (its keys and values still read every
-    row), and the result is those rows, one per example. A batch that is
-    not such an array, or holds an id outside the vocabulary, raises
-    ``ShapeError``.
+    prompt_len + T rows in every layer but the last, which computes only the
+    returned rows (its keys and values still read every row), so prompt rows
+    never leave the encoder. A batch that is not such an array, or holds an
+    id outside the vocabulary, raises ``ShapeError``.
     """
     hooks = adapter if adapter is not None else AdapterHooks()
     config = weights.config
@@ -359,10 +360,12 @@ def encoder_hidden_batch(
         x = _prepend_rows(prompt, x, batch)
     x = add(x, gather_rows(weights.pos_emb, np.tile(np.arange(total), batch)))
 
+    # the rows the final layer computes: token rows, or the first of each example
+    read = (total * np.arange(batch)[:, None] + prompt_len
+            + np.arange(1 if pooled else seq_len)).ravel()
     last = len(weights.layers) - 1
     for i, layer in enumerate(weights.layers):
-        rows = (gather_rows(x, total * np.arange(batch) + prompt_len)
-                if pooled and i == last else x)
+        rows = gather_rows(x, read) if i == last and read.size < x.shape[0] else x
         attn_out = attention_forward(layer.attn, x, kv_prefix=hooks.kv_prefix(i),
                                      expansion=hooks.attn_expansion(i), queries=rows,
                                      batch=batch)
@@ -370,7 +373,7 @@ def encoder_hidden_batch(
         units = hooks.ffn_units(i)
         ffn_out = ffn_forward(layer.ffn, x) if units is None else ffn_fl_split(layer.ffn, units, x)
         x = layer_norm(x, layer.norm2.gain, layer.norm2.bias, residual=ffn_out)
-    return x, prompt_len
+    return x
 
 
 def encoder_hidden(
@@ -378,7 +381,7 @@ def encoder_hidden(
     tokens: np.ndarray,
     adapter: Optional[AdapterHooks] = None,
     pooled: bool = False,
-) -> tuple[Tensor, int]:
+) -> Tensor:
     """``encoder_hidden_batch`` for one sequence, a 1-d integer array."""
     return encoder_hidden_batch(weights, tokens[None] if isinstance(tokens, np.ndarray)
                                 else tokens, adapter, pooled)
@@ -396,16 +399,11 @@ def encoder_forward_batch(
     Returns batch x n_classes logits, each example pooled at its first token
     position (prompt rows shift that position but never replace it), or
     (batch·seq) x n_classes logits, one row per input token, example after
-    example, when ``per_position``. The pooled case runs the final layer on
-    the pooled rows alone (``encoder_hidden_batch(..., pooled=True)``).
+    example, when ``per_position``. The head reads exactly the rows
+    ``encoder_hidden_batch`` returns.
     """
-    hidden, prompt_len = encoder_hidden_batch(weights, tokens, adapter,
-                                              pooled=not per_position)
-    if per_position and prompt_len:
-        total = hidden.shape[0] // len(tokens)
-        hidden = gather_rows(hidden, np.flatnonzero(np.arange(hidden.shape[0]) % total
-                                                    >= prompt_len))
-    return affine(hidden, weights.head_w, weights.head_b)
+    return affine(encoder_hidden_batch(weights, tokens, adapter, pooled=not per_position),
+                  weights.head_w, weights.head_b)
 
 
 def encoder_forward(

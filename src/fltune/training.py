@@ -13,7 +13,8 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from itertools import islice
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -365,6 +366,15 @@ def train_step(loss_fn: Callable[[], tuple], trainable: Sequence[RegistryEntry],
     return (loss_val, *extras)
 
 
+def _batches(split, config: TrainConfig, rng) -> Iterator:
+    """Every epoch's minibatches in order; an epoch draws its permutation
+    when its first batch is taken."""
+    for _epoch in range(config.epochs):
+        order = rng.permutation(len(split))
+        for lo in range(0, len(order), config.batch_size):
+            yield split[order[lo:lo + config.batch_size]]
+
+
 def train(weights: EncoderWeights, adapter, task, config: TrainConfig,
           registry: Optional[ParamRegistry] = None) -> RunMetrics:
     """Deterministic training of the trainable tensors selected by the mode.
@@ -387,29 +397,13 @@ def train(weights: EncoderWeights, adapter, task, config: TrainConfig,
     rows: list[StepRow] = []
     smoothed: Optional[float] = None
     start = time.perf_counter()
-    step = 0
-
-    for _epoch in range(config.epochs):
-        order = rng.permutation(len(task.train))
-        for lo in range(0, len(order), config.batch_size):
-            batch = task.train[order[lo:lo + config.batch_size]]
-            loss_val, correct, labels = train_step(
-                lambda: batch_loss(weights, adapter, batch, task.kind),
-                trainable, optimizer, step + 1)
-            step += 1
-            smoothed = smooth_loss(smoothed, loss_val)
-            rows.append(StepRow(
-                step=step,
-                loss=loss_val,
-                smoothed_loss=smoothed,
-                accuracy=correct / labels,
-                wallclock_ms=(time.perf_counter() - start) * 1000.0,
-            ))
-            if step == config.max_steps:
-                break
-        if step == config.max_steps:
-            break
-
+    for step, batch in enumerate(islice(_batches(task.train, config, rng), config.max_steps), 1):
+        loss_val, correct, labels = train_step(
+            lambda: batch_loss(weights, adapter, batch, task.kind), trainable, optimizer, step)
+        smoothed = smooth_loss(smoothed, loss_val)
+        rows.append(StepRow(step=step, loss=loss_val, smoothed_loss=smoothed,
+                            accuracy=correct / labels,
+                            wallclock_ms=(time.perf_counter() - start) * 1000.0))
     return RunMetrics(rows, evaluate(weights, adapter, task.dev, task.kind))
 
 

@@ -122,6 +122,19 @@ def test_seq_len_budget_validated_for_pv1(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("prompt_len, message", [
+    (12, "task seq_len 8 exceeds the available budget 4 (max_seq_len 16, mode pv1)"),
+    (16, "prompt_len 16 leaves no room for tokens in max_seq_len 16 (mode pv1)"),
+    (160, "prompt_len 160 leaves no room for tokens in max_seq_len 16 (mode pv1)"),
+])
+def test_seq_len_budget_message_never_names_a_negative_budget(tmp_path, capsys, prompt_len,
+                                                              message):
+    path = desk_config(tmp_path, mode="pv1", prompt_len=prompt_len)
+    for command in ("params", "train"):
+        assert main([command, str(path), "--set", "train.mode=pv1"]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"config error: in config: {message}\n"
+
+
 def test_set_override_and_seed_flag(tmp_path):
     path = desk_config(tmp_path)
     config = load_experiment_config(path, overrides=["train.learning_rate=0.5"], seed=42)
@@ -244,6 +257,30 @@ def test_eval_reloads_checkpoint(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert 0.0 <= payload["test"]["accuracy"] <= 1.0
     assert payload["dev"]["f1"] is None
+
+
+@pytest.mark.parametrize("fault", ["missing", "directory", "bad-magic", "truncated"])
+def test_eval_refuses_a_bad_checkpoint_before_any_work(tmp_path, capsys, monkeypatch, fault):
+    path = desk_config(tmp_path)
+    ckpt = tmp_path / "trainable.flckpt"
+    if fault == "directory":
+        ckpt.mkdir()
+    elif fault == "bad-magic":
+        ckpt.write_bytes(b"not a checkpoint\n{}\n===BINARY===\n")
+    elif fault == "truncated":
+        checkpoint.save_tensors(ckpt, [("w", [[1.0, 2.0]])])
+        ckpt.write_bytes(ckpt.read_bytes()[:-1])
+    with pytest.raises(checkpoint.CheckpointError) as refused:
+        checkpoint.load_checkpoint(ckpt)
+
+    def no_work(_config):
+        raise AssertionError("build_experiment reached")
+
+    monkeypatch.setattr(cli, "build_experiment", no_work)
+    assert main(["eval", str(path), "--checkpoint", str(ckpt)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {refused.value}\n"
 
 
 def test_train_respects_output_root_env(tmp_path, monkeypatch):

@@ -40,7 +40,7 @@ LR, B1, B2, EPS = 1e-3, 0.9, 0.999, 1e-8
 def per_example_loss(weights, head_w, head_b, batch):
     """The pretext loss as one gather/mean/scale/add chain per example."""
     pairs = list(zip(*batch))
-    hidden, _ = encoder_hidden_batch(
+    hidden = encoder_hidden_batch(
         weights, np.array([[MASK_ID if m else t for t, m in zip(tokens.tolist(), mask)]
                            for tokens, mask in pairs]))
     logits = affine(hidden, head_w, head_b)

@@ -1,5 +1,6 @@
-"""Pooled-row pruning: when only the pooled row is read, the final layer
-computes only that row, with the logits and gradients of the all-rows pass."""
+"""Final-layer row pruning: the final layer computes only the rows the head
+reads (the pooled row, or every token row but no prompt row), with the logits
+and gradients of the all-rows pass."""
 
 import numpy as np
 import pytest
@@ -7,8 +8,28 @@ import pytest
 import fltune.encoder as encoder_module
 from fltune.adapters import build_registry
 from fltune.data import PRETRAIN_BATCH_SIZE, generate_task, pretrain_backbone
-from fltune.encoder import EncoderConfig, encoder_forward, encoder_hidden, init_encoder
-from fltune.tensor import Tape, add, check_gradients, cross_entropy_mean, matmul, row_slice
+from fltune.encoder import (
+    AdapterHooks,
+    EncoderConfig,
+    attention_forward,
+    encoder_forward,
+    encoder_forward_batch,
+    encoder_hidden,
+    ffn_fl_split,
+    ffn_forward,
+    init_encoder,
+)
+from fltune.tensor import (
+    Tape,
+    add,
+    affine,
+    check_gradients,
+    cross_entropy_mean,
+    gather_rows,
+    layer_norm,
+    matmul,
+    row_slice,
+)
 from fltune.training import TrainConfig, evaluate, make_adapter
 
 MODES = ("fl", "pv1", "pv2", "ma", "finetune")
@@ -35,11 +56,43 @@ def build(mode, kind, seed=0):
     return weights, adapter, registry, task
 
 
+def all_rows_hidden(weights, tokens, adapter):
+    """The layer loop with no row pruning: every row of every example, prompt
+    rows included, through every layer. Returns the rows and the prompt
+    row count."""
+    hooks = adapter if adapter is not None else AdapterHooks()
+    prompt = hooks.prompt_rows()
+    prompt_len = 0 if prompt is None else prompt.shape[0]
+    tokens = np.atleast_2d(tokens)
+    batch, seq_len = tokens.shape
+    x = gather_rows(weights.tok_emb, tokens.ravel())
+    if prompt_len:
+        x = encoder_module._prepend_rows(prompt, x, batch)
+    x = add(x, gather_rows(weights.pos_emb, np.tile(np.arange(prompt_len + seq_len), batch)))
+    for i, layer in enumerate(weights.layers):
+        attn_out = attention_forward(layer.attn, x, kv_prefix=hooks.kv_prefix(i),
+                                     expansion=hooks.attn_expansion(i), batch=batch)
+        x = layer_norm(x, layer.norm1.gain, layer.norm1.bias, residual=attn_out)
+        units = hooks.ffn_units(i)
+        ffn_out = ffn_forward(layer.ffn, x) if units is None else ffn_fl_split(layer.ffn, units, x)
+        x = layer_norm(x, layer.norm2.gain, layer.norm2.bias, residual=ffn_out)
+    return x, prompt_len
+
+
 def all_rows_logits(weights, tokens, adapter):
     """The head applied to the pooled row of the full hidden states."""
-    hidden, prompt_len = encoder_hidden(weights, tokens, adapter)
+    hidden, prompt_len = all_rows_hidden(weights, tokens, adapter)
     pooled = row_slice(hidden, prompt_len, prompt_len + 1)
     return add(matmul(pooled, weights.head_w), weights.head_b)
+
+
+def all_rows_tagging_logits(weights, tokens, adapter):
+    """The head applied to every token row of the full hidden states, the
+    prompt rows dropped after the final layer."""
+    hidden, prompt_len = all_rows_hidden(weights, tokens, adapter)
+    total = prompt_len + tokens.shape[1]
+    keep = np.flatnonzero(np.arange(hidden.shape[0]) % total >= prompt_len)
+    return affine(gather_rows(hidden, keep), weights.head_w, weights.head_b)
 
 
 def tape_grads(registry, loss_fn) -> dict:
@@ -59,7 +112,7 @@ def tape_grads(registry, loss_fn) -> dict:
 def test_pooled_logits_match_all_rows(mode, kind):
     weights, adapter, _registry, task = build(mode, kind)
     for tokens in task.train.tokens:
-        hidden, _ = encoder_hidden(weights, tokens, adapter, pooled=True)
+        hidden = encoder_hidden(weights, tokens, adapter, pooled=True)
         assert hidden.shape == (1, weights.config.d_m)
         pooled = encoder_forward(weights, tokens, adapter).data
         full = all_rows_logits(weights, tokens, adapter).data
@@ -79,6 +132,31 @@ def test_pooled_gradients_match_all_rows(mode, kind):
     assert "head.weight" in pooled
     for name in full:
         np.testing.assert_allclose(pooled[name], full[name], rtol=0, atol=1e-12,
+                                   err_msg=name)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_tagging_logits_match_all_rows(mode):
+    weights, adapter, _registry, task = build(mode, "tagging")
+    tokens = task.train.tokens
+    got = encoder_forward_batch(weights, tokens, adapter, per_position=True).data
+    assert got.shape == (tokens.size, weights.config.n_classes)
+    want = all_rows_tagging_logits(weights, tokens, adapter).data
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_tagging_gradients_match_all_rows(mode):
+    weights, adapter, registry, task = build(mode, "tagging")
+    tokens, labels = task.train.tokens[:2], task.train.labels[:2].ravel()
+    pruned = tape_grads(registry, lambda: cross_entropy_mean(
+        encoder_forward_batch(weights, tokens, adapter, per_position=True), labels))
+    full = tape_grads(registry, lambda: cross_entropy_mean(
+        all_rows_tagging_logits(weights, tokens, adapter), labels))
+    assert pruned.keys() == full.keys()
+    assert "head.weight" in pruned
+    for name in full:
+        np.testing.assert_allclose(pruned[name], full[name], rtol=0, atol=1e-12,
                                    err_msg=name)
 
 
@@ -134,14 +212,15 @@ def test_last_layer_ffn_gets_one_row_for_classification(monkeypatch, mode, promp
     assert seen == {"inner": {n * (SEQ_LEN + prompt_rows)}, "last": {n}}
 
 
+# Tagging reads every token row: the final layer computes those and no
+# prompt row, while the inner layers compute every row.
 @pytest.mark.parametrize("mode, prompt_rows", [("fl", 0), ("pv1", PROMPT_LEN)])
 def test_tagging_ffn_gets_every_row(monkeypatch, mode, prompt_rows):
     weights, adapter, _registry, task = build(mode, "tagging")
     seen = ffn_rows_by_layer(monkeypatch, weights)
     evaluate(weights, adapter, task.dev, task.kind)
     n = len(task.dev)
-    assert seen == {"inner": {n * (SEQ_LEN + prompt_rows)},
-                    "last": {n * (SEQ_LEN + prompt_rows)}}
+    assert seen == {"inner": {n * (SEQ_LEN + prompt_rows)}, "last": {n * SEQ_LEN}}
 
 
 def test_pretraining_ffn_gets_every_row(monkeypatch):
