@@ -334,6 +334,8 @@ def _run_trials(name: str, trials: int, tolerance: float, seed: int,
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if not 0 <= tolerance < np.inf:
         raise ValueError(f"tolerance must be a finite float >= 0, got {tolerance}")
     rng = np.random.default_rng(seed)

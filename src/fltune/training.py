@@ -1,5 +1,5 @@
-"""Optimizers, deterministic training loop, loss smoothing, and the few-shot
-subsampling protocol.
+"""Optimizers, deterministic training loop, loss smoothing, the convergence
+step, and the few-shot subsampling protocol.
 
 Every run is a pure function of (weights, adapter, task, config): data order
 comes from the config seed, there is no dropout, and wall-clock time is the
@@ -37,6 +37,8 @@ METRICS_HEADER = "step,loss,smoothed_loss,accuracy,wallclock_ms"
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's b1, b2 and eps
 SMOOTHING_ALPHA = 0.99  # weight of the previous value in the smoothed loss
+CONVERGENCE_WINDOW = 0.1  # a loss window's share of the run's steps, in convergence_step
+CONVERGENCE_BAND = 0.1  # the settled band's share of |first window mean - last window mean|
 
 
 class DivergenceError(RuntimeError):
@@ -55,7 +57,6 @@ class TrainConfig:
     seed: int = 0
     optimizer: str = "adam"
     max_steps: Optional[int] = None
-    loss_threshold: float = 0.5
     # adapter hyperparameters
     d_a: int = 160
     prompt_len: int = 160
@@ -76,8 +77,6 @@ class TrainConfig:
             raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
         if self.max_steps is not None and self.max_steps < 1:
             raise ValueError(f"max_steps must be at least 1 or null, got {self.max_steps}")
-        if self.loss_threshold <= 0:
-            raise ValueError(f"loss_threshold must be positive, got {self.loss_threshold}")
         # the selected mode's adapter size (pv1's upper bound is the sequence budget)
         if self.mode == "fl" and self.d_a < 0:
             raise ValueError(f"d_a must be nonnegative, got {self.d_a}")
@@ -124,14 +123,17 @@ def smooth_loss(previous_smoothed: Optional[float], current: float) -> float:
     return SMOOTHING_ALPHA * float(previous_smoothed) + (1.0 - SMOOTHING_ALPHA) * current
 
 
-def steps_to_threshold(rows: Sequence[StepRow], threshold: float) -> Optional[int]:
-    """First step whose smoothed loss reached the threshold, if any."""
-    if threshold <= 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
-    for row in rows:
-        if row.smoothed_loss <= threshold:
-            return row.step
-    return None
+def convergence_step(losses: Sequence[float]) -> Optional[int]:
+    """The first step j from which the run stays settled, or None.
+
+    m_k is the mean of the raw losses of steps k..k+w-1, w = ceil(CONVERGENCE_WINDOW·n).
+    j is the first k such that every m_i with i >= k lies within
+    CONVERGENCE_BAND·|m_1 - m_last| of m_last. None unless one more window follows j (j <= n - 2w + 1)."""
+    w = int(np.ceil(CONVERGENCE_WINDOW * len(losses)))
+    means = np.lib.stride_tricks.sliding_window_view(np.asarray(losses, float), w).mean(axis=1)
+    far = np.flatnonzero(np.abs(means - means[-1]) > CONVERGENCE_BAND * abs(means[0] - means[-1]))
+    step = int(far[-1]) + 2 if far.size else 1
+    return step if step <= len(losses) - 2 * w + 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +308,7 @@ def evaluate(weights, adapter, examples, kind: str) -> EvalResult:
     DivergenceError.
     """
     if not examples:
-        raise ValueError("cannot evaluate an empty example list")
+        raise ValueError("cannot evaluate an empty split")
     per_position = kind == "tagging"
     loss_sum = 0.0
     preds = []
@@ -486,8 +488,7 @@ def run_summary(metrics: RunMetrics, registry: ParamRegistry, config: TrainConfi
         "final_train_accuracy": metrics.rows[-1].accuracy,
         "final_dev_accuracy": metrics.final_dev.accuracy,
         "final_dev_f1": metrics.final_dev.f1,
-        "loss_threshold": config.loss_threshold,
-        "steps_to_threshold": steps_to_threshold(metrics.rows, config.loss_threshold),
+        "convergence_step": convergence_step([r.loss for r in metrics.rows]),
         "params": {
             "total": counts.total,
             "trainable": counts.trainable,

@@ -59,6 +59,11 @@ def test_verify_zero_trials_is_usage_error(capsys):
     assert "trials" in capsys.readouterr().err
 
 
+def test_verify_negative_seed_is_usage_error(capsys):
+    assert main(["verify", "--seed", "-1"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: seed must be nonnegative, got -1\n")
+
+
 def test_unknown_subcommand_is_usage_error():
     assert main(["frobnicate"]) == EXIT_USAGE
 
@@ -232,6 +237,24 @@ def test_train_writes_outputs(tmp_path, capsys):
     assert [r.step for r in rows] == [1, 2, 3, 4, 5]
 
 
+def readme_summary_keys() -> set:
+    """The keys listed under "summary.json", a nested one as ``outer.inner``."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = re.search(r"### summary\.json\n(.*?)\n## ", text, re.S).group(1)
+    return set(re.findall(r"^- `([\w.]+)`:", section, re.M))
+
+
+def test_readme_summary_keys_match_run_summary(tmp_path):
+    path = desk_config(tmp_path)
+    outdir = tmp_path / "run"
+    assert main(["train", str(path), "--out", str(outdir)]) == EXIT_OK
+    summary = json.loads((outdir / "summary.json").read_text(encoding="utf-8"))
+    keys = set()
+    for key, value in summary.items():
+        keys |= {f"{key}.{inner}" for inner in value} if isinstance(value, dict) else {key}
+    assert readme_summary_keys() == keys
+
+
 def test_train_outputs_reproducible_except_wallclock(tmp_path):
     path = desk_config(tmp_path)
     dirs = [tmp_path / "a", tmp_path / "b"]
@@ -316,7 +339,8 @@ def test_fewshot_writes_five_summaries(tmp_path):
     assert len(payload["runs"]) == 5
     for size, run in zip(payload["sizes"], payload["runs"]):
         assert run["train_size"] == size
-        assert (outdir / f"size_{size:04d}" / "metrics.csv").exists()
+        rows = read_metrics_csv(outdir / f"size_{size:04d}" / "metrics.csv")
+        assert run["convergence_step"] == training.convergence_step([r.loss for r in rows])
         assert (outdir / f"size_{size:04d}" / "summary.json").exists()
 
 

@@ -171,8 +171,8 @@ def test_single_value_settings_are_not_config_keys(config_path, capsys, assignme
      "config error: in train: max_steps must be at least 1 or null, got 0"),
     ("train", ["--set", "train.max_steps=-3"],
      "config error: in train: max_steps must be at least 1 or null, got -3"),
-    ("train", ["--set", "train.loss_threshold=0"],
-     "config error: in train: loss_threshold must be positive, got 0"),
+    ("train", ["--set", "train.loss_threshold=0.5"],
+     "config error: unknown key(s): train.loss_threshold"),
     ("train", ["--set", "task.kind=tagging"],
      "config error: in config: tagging tasks need n_classes 3, got 2"),
     ("fewshot", ["--sizes", "999"], "error: subset size 999 outside [1, 20]"),
@@ -387,7 +387,7 @@ def test_negative_seed_is_a_config_error_in_every_command(config_path, capsys, c
 @pytest.mark.parametrize("via", ["set", "file"])
 @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999",
                                   pytest.param("1" + "0" * 400, id="10**400")])
-@pytest.mark.parametrize("key", ["learning_rate", "loss_threshold"])
+@pytest.mark.parametrize("key", ["learning_rate"])
 def test_non_finite_float_exits_2_and_leaves_nothing(config_path, tmp_path, key, text, via):
     # json reads NaN and Infinity, 1e999 as inf, and an int beyond the largest float
     if via == "set":
