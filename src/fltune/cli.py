@@ -57,6 +57,9 @@ EXIT_USAGE = 2
 
 OUTPUT_ROOT_ENV = "FLTUNE_OUTPUT_ROOT"
 
+GRADCHECK_EPS = 1e-5        # central-difference step of gradcheck
+GRADCHECK_THRESHOLD = 1e-4  # largest relative error gradcheck passes
+
 
 class ConfigError(ValueError):
     """Bad experiment configuration (parse error, unknown key, bad value)."""
@@ -230,12 +233,10 @@ def _write_json(payload: dict, path) -> None:
 
 def cmd_verify(args) -> int:
     reports = [
-        verify_theorem1(trials=args.trials, tolerance=args.tolerance, seed=args.seed),
-        verify_theorem2(trials=args.trials, tolerance=args.tolerance, seed=args.seed),
-        verify_ma_equivalence(trials=max(1, args.trials // 2),
-                              tolerance=args.tolerance, seed=args.seed),
-        verify_prefix_attention_rows(trials=max(1, args.trials // 4),
-                                     tolerance=args.tolerance, seed=args.seed),
+        verify_theorem1(trials=args.trials, seed=args.seed),
+        verify_theorem2(trials=args.trials, seed=args.seed),
+        verify_ma_equivalence(trials=max(1, args.trials // 2), seed=args.seed),
+        verify_prefix_attention_rows(trials=max(1, args.trials // 4), seed=args.seed),
     ]
     for report in reports:
         print(report.summary())
@@ -252,26 +253,20 @@ def cmd_gradcheck(args) -> int:
     if config.encoder.d_m > 32:
         raise ValueError(f"refusing d_m {config.encoder.d_m} > 32 "
                          "(finite differences would be too slow)")
-    if args.examples < 1:
-        raise ValueError(f"--examples must be at least 1, got {args.examples}")
-    if args.examples > config.task.train_size:
-        raise ValueError(f"--examples {args.examples} exceeds the train split's "
-                         f"{config.task.train_size} examples")
-    if not 0 < args.threshold < np.inf:
-        raise ValueError(f"--threshold must be a finite float > 0, got {args.threshold}")
     task, weights, adapter, registry = build_experiment(config)
-    loss_fn = _gradcheck_loss_fn(weights, adapter, task.train[:args.examples], task.kind)
+    # the first two training examples, or the whole split if it holds one
+    loss_fn = _gradcheck_loss_fn(weights, adapter, task.train[:2], task.kind)
     rng = np.random.default_rng([config.train.seed, 5])
     worst = 0.0
     failed = False
     for entry in registry.trainable_entries():
-        err = check_gradients(loss_fn, entry.tensor, eps=args.eps, rng=rng)
+        err = check_gradients(loss_fn, entry.tensor, eps=GRADCHECK_EPS, rng=rng)
         worst = float(np.maximum(worst, err))  # NaN-sticky, unlike max()
-        ok = err < args.threshold  # False for NaN
+        ok = err < GRADCHECK_THRESHOLD  # False for NaN
         print(f"{entry.name}: max relative error {err:.3e} [{'ok' if ok else 'FAIL'}]")
         failed = failed or not ok
     print(f"worst over {len(registry.trainable_entries())} trainable tensors: {worst:.3e} "
-          f"(threshold {args.threshold:g})")
+          f"(threshold {GRADCHECK_THRESHOLD:g})")
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
@@ -474,16 +469,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the equivalence and normalization suites")
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--tolerance", type=float, default=1e-12)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every trainable tensor")
     _add_config_args(p)
-    p.add_argument("--eps", type=float, default=1e-5)
-    p.add_argument("--threshold", type=float, default=1e-4)
-    p.add_argument("--examples", type=int, default=2,
-                   help="training examples in the probe batch")
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("params", help="parameter counts and trainable fractions per mode")

@@ -51,8 +51,8 @@ INIT_STD = 0.02  # std of every Gaussian-initialized backbone and adapter matrix
 
 @dataclass
 class EncoderConfig:
-    """Shape of the backbone. d_k, d_v, d_o default to the standard relations
-    d_k = d_v = d_m / n_heads and d_o = 4 * d_m."""
+    """Shape of the backbone. Every head is d_k = d_v = d_m // n_heads wide,
+    and d_o defaults to 4 * d_m."""
 
     d_m: int
     n_heads: int
@@ -60,24 +60,28 @@ class EncoderConfig:
     vocab_size: int
     max_seq_len: int
     n_classes: int
-    d_k: Optional[int] = None
-    d_v: Optional[int] = None
     d_o: Optional[int] = None
 
     def __post_init__(self):
-        # Declaration order: the given fields, n_heads among them, are checked
-        # before d_k/d_v/d_o are derived from them, and derived values are
-        # checked too (d_m 2 with n_heads 4 gives d_k 0).
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None:
-                value = 4 * self.d_m if f.name == "d_o" else self.d_m // self.n_heads
-                setattr(self, f.name, value)
+        if self.d_o is None:
+            self.d_o = 4 * self.d_m
+        # d_k is checked after the fields it derives from (d_m 2 with n_heads
+        # 4 gives 0), so a bad n_heads is named before it is divided by
+        names = [f.name for f in fields(self)]
+        for name in names[:-1] + ["d_k", names[-1]]:
+            value = getattr(self, name)
             if value < 1:
-                raise ValueError(f"EncoderConfig.{f.name} must be positive, got {value}")
+                raise ValueError(f"EncoderConfig.{name} must be positive, got {value}")
+
+    @property
+    def d_k(self) -> int:
+        """Width of each head's queries, keys and values."""
+        return self.d_m // self.n_heads
+
+    d_v = d_k
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "d_k": self.d_k, "d_v": self.d_v}
 
 
 @dataclass

@@ -229,8 +229,7 @@ def make_adapter(encoder_config: EncoderConfig, config: TrainConfig):
 # Evaluation
 # ---------------------------------------------------------------------------
 
-EVAL_CHUNK = 16   # fewest examples per packed forward pass in evaluate
-EVAL_ROWS = 1024  # rows a pass packs when EVAL_CHUNK examples hold fewer
+EVAL_ROWS = 1024  # most rows an evaluate pass packs, unless one example holds more
 
 
 def _batch_forward(weights, adapter, split, per_position: bool):
@@ -300,8 +299,9 @@ def evaluate(weights, adapter, examples, kind: str) -> EvalResult:
     """Accuracy (token-level for tagging) and mean loss over a ``data.Split``;
     span F1 for tagging.
 
-    Runs packed passes of ``max(EVAL_CHUNK, EVAL_ROWS // rows)`` examples,
-    where ``rows`` is the sequence length plus the adapter's prompt rows.
+    Runs packed passes of ``max(1, EVAL_ROWS // rows)`` examples, where
+    ``rows`` is the sequence length plus the adapter's prompt rows, so a pass
+    exceeds ``EVAL_ROWS`` rows only when one example does.
     Packed examples never mix, so the pass plan leaves accuracy and F1 as one
     pass per example gives them; ``mean_loss`` adds up per-pass means, so its
     last bits depend on the plan. A non-finite mean loss raises
@@ -314,7 +314,7 @@ def evaluate(weights, adapter, examples, kind: str) -> EvalResult:
     preds = []
     prompt = None if adapter is None else adapter.prompt_rows()
     rows = examples.tokens.shape[1] + (0 if prompt is None else prompt.shape[0])
-    chunk_size = max(EVAL_CHUNK, EVAL_ROWS // max(rows, 1))
+    chunk_size = max(1, EVAL_ROWS // max(rows, 1))
     # As in train_step: weights that overflowed are reported once, as the
     # DivergenceError below, not as floating-point warnings.
     with np.errstate(over="ignore", invalid="ignore"):

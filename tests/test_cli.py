@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, config validation, file outputs."""
 
+import argparse
 import json
 import math
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from fltune import checkpoint, cli, training
+from fltune.adapters import verify_theorem1
 from fltune.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -49,9 +51,29 @@ def test_verify_default_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_verify_impossible_tolerance_fails(capsys):
-    assert main(["verify", "--trials", "10", "--tolerance", "1e-30"]) == EXIT_CHECK_FAILED
-    assert "FAIL" in capsys.readouterr().out
+def test_verify_failing_suite_fails(capsys, monkeypatch):
+    def failing(**kwargs):
+        report = verify_theorem1(**kwargs)
+        report.failures.append("trial 0: forced")
+        return report
+
+    monkeypatch.setattr(cli, "verify_theorem1", failing)
+    assert main(["verify", "--trials", "10"]) == EXIT_CHECK_FAILED
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("ffn split equivalence: ") and out[0].endswith(": FAIL")
+    assert [line.rpartition(": ")[2] for line in out[1:]] == ["PASS"] * 3
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("verify", "--tolerance", "1e-12"), ("gradcheck", "--eps", "1e-5"),
+    ("gradcheck", "--threshold", "1e-4"), ("gradcheck", "--examples", "2")])
+def test_fixed_check_bounds_are_not_flags(tmp_path, capsys, command, flag, value):
+    # verify runs at 1e-12; gradcheck probes two examples at eps 1e-5 against 1e-4
+    argv = [command] if command == "verify" else [command, str(desk_config(tmp_path))]
+    assert main([*argv, flag, value]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
 
 
 def test_verify_zero_trials_is_usage_error(capsys):
@@ -111,6 +133,29 @@ def test_readme_config_keys_match_the_schema():
               "train.": TrainConfig}
     assert readme_config_keys() == {prefix: set(typing.get_type_hints(cls))
                                     for prefix, cls in schema.items()}
+
+
+def readme_cli_flags() -> dict[str, set]:
+    """Subcommand -> the flags its lines in the README's CLI block pass; a
+    line for ``{a,b}`` counts for both, and comments are not read."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    flags: dict[str, set] = {}
+    for line in block.splitlines():
+        words = line.partition("#")[0].split()
+        if words[:1] == ["fltune"]:
+            for command in words[1].strip("{}").split(","):
+                flags.setdefault(command, set()).update(w for w in words if w.startswith("--"))
+    return flags
+
+
+def test_readme_cli_flags_match_the_parser():
+    commands = next(action.choices for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    parser_flags = {name: {flag for action in parser._actions for flag in action.option_strings}
+                    for name, parser in commands.items()}
+    assert readme_cli_flags() == {name: flags - {"-h", "--help"}
+                                  for name, flags in parser_flags.items()}
 
 
 def test_parse_error_reports_line_and_column(tmp_path, capsys):
@@ -201,9 +246,11 @@ def test_params_reports_unfittable_mode_instead_of_crashing(tmp_path, capsys):
 # gradcheck
 # ---------------------------------------------------------------------------
 
-def test_gradcheck_passes_on_small_config(tmp_path, capsys):
+@pytest.mark.parametrize("args", [[], ["--set", "task.train_size=1"]])
+def test_gradcheck_passes_on_small_config(tmp_path, capsys, args):
+    # a one-example split is probed whole, as train uses it
     path = desk_config(tmp_path)
-    assert main(["gradcheck", str(path)]) == EXIT_OK
+    assert main(["gradcheck", str(path), *args]) == EXIT_OK
     out = capsys.readouterr().out
     assert "adapter.layer00.w1" in out
     assert "FAIL" not in out
@@ -211,8 +258,7 @@ def test_gradcheck_passes_on_small_config(tmp_path, capsys):
 
 def test_gradcheck_refuses_wide_models(tmp_path, capsys):
     path = desk_config(tmp_path)
-    assert main(["gradcheck", str(path), "--set", "encoder.d_m=64",
-                 "--set", "encoder.d_k=32", "--set", "encoder.d_v=32"]) == EXIT_USAGE
+    assert main(["gradcheck", str(path), "--set", "encoder.d_m=64"]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("error: refusing d_m 64 > 32 "

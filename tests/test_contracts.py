@@ -331,39 +331,23 @@ def test_train_rejects_epochs_below_one_and_writes_nothing(run_config, tmp_path,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("examples", ["0", "-1"])
-def test_gradcheck_rejects_examples_below_one(run_config, capsys, examples):
-    err = usage_error(capsys, ["gradcheck", run_config, "--examples", examples])
-    assert f"error: --examples must be at least 1, got {examples}" in err
-
-
-def test_gradcheck_rejects_examples_above_the_train_split_size(run_config, capsys):
-    # train_size 20: 20 examples probe the whole split, 21 cannot be had
-    assert main(["gradcheck", run_config, "--examples", "20", "--threshold", "1e300"]) == 0
-    capsys.readouterr()
-    err = usage_error(capsys, ["gradcheck", run_config, "--examples", "21"])
-    assert "error: --examples 21 exceeds the train split's 20 examples" in err
-
-
-FLOAT_FLAG_RULES = {
-    "--eps": ("gradcheck", "eps must be a finite float > 0"),
-    "--threshold": ("gradcheck", "--threshold must be a finite float > 0"),
-    "--tolerance": ("verify", "tolerance must be a finite float >= 0"),
+FLOAT_RULES = {
+    "eps": (lambda eps: check_gradients(sum_all, Tensor(np.ones((1, 2))), eps=eps),
+            "eps must be a finite float > 0"),
+    "tolerance": (lambda tolerance: verify_theorem1(trials=1, tolerance=tolerance),
+                  "tolerance must be a finite float >= 0"),
 }
 
 
-@pytest.mark.parametrize("flag, value, shown", [
-    ("--eps", "nan", "nan"), ("--eps", "inf", "inf"), ("--eps", "0", "0.0"),
-    ("--threshold", "nan", "nan"), ("--threshold", "inf", "inf"), ("--threshold", "0", "0.0"),
-    ("--tolerance", "nan", "nan"), ("--tolerance", "inf", "inf"), ("--tolerance", "-1", "-1.0"),
+@pytest.mark.parametrize("name, value, shown", [
+    ("eps", "nan", "nan"), ("eps", "inf", "inf"), ("eps", "0", "0.0"),
+    ("tolerance", "nan", "nan"), ("tolerance", "inf", "inf"), ("tolerance", "-1", "-1.0"),
 ])
-def test_out_of_range_float_flags_are_usage_errors(run_config, capsys, flag, value, shown):
-    command, rule = FLOAT_FLAG_RULES[flag]
-    argv = [command, run_config] if command == "gradcheck" else [command]
-    assert main([*argv, flag, value]) == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [f"error: {rule}, got {shown}"]
+def test_out_of_range_eps_and_tolerance_raise_value_error(name, value, shown):
+    call, rule = FLOAT_RULES[name]
+    with pytest.raises(ValueError) as info:
+        call(float(value))
+    assert str(info.value) == f"{rule}, got {shown}"
 
 
 def test_check_gradients_reports_a_nan_backward():

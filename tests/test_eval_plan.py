@@ -1,6 +1,6 @@
 """Row-packed evaluation: each ``evaluate`` pass holds
-``max(EVAL_CHUNK, EVAL_ROWS // rows)`` examples, counting prompt rows, and the
-plan leaves accuracy and F1 as one pass per example gives them."""
+``max(1, EVAL_ROWS // rows)`` examples, counting prompt rows, and the plan
+leaves accuracy and F1 as one pass per example gives them."""
 
 import math
 import re
@@ -13,7 +13,7 @@ import fltune.training as training
 from fltune.data import Split, generate_task
 from fltune.encoder import EncoderConfig, encoder_forward, init_encoder
 from fltune.tensor import ShapeError, cross_entropy_mean
-from fltune.training import EVAL_CHUNK, EVAL_ROWS, TrainConfig, evaluate, make_adapter, span_f1
+from fltune.training import EVAL_ROWS, TrainConfig, evaluate, make_adapter, span_f1
 
 MODES = ("fl", "pv1", "pv2", "ma", "finetune")
 KINDS = ("classification", "pair", "tagging")
@@ -56,15 +56,16 @@ def recorded_passes(monkeypatch, weights, adapter, task) -> list:
     ("fl", 16, 0, 64),           # 1024 // 16
     ("pv1", 16, 8, 42),          # 1024 // (16 + 8): prompt rows count
     ("finetune", 10, 0, 102),    # 1024 // 10
-    ("fl", 64, 0, 16),           # 1024 // 64: the floor itself
-    ("pv1", 16, 160, 16),        # 176 rows, raised to the floor
+    ("fl", 64, 0, 16),           # 1024 // 64
+    ("pv1", 16, 160, 5),         # 1024 // 176
+    ("fl", 1100, 0, 1),          # one example holds more than EVAL_ROWS rows
 ])
 def test_passes_cover_the_split_in_order(monkeypatch, mode, seq_len, prompt_len, per_pass):
-    assert per_pass == max(EVAL_CHUNK, EVAL_ROWS // (seq_len + prompt_len))
-    weights, adapter, task = build(mode, "classification", seq_len, 2 * per_pass + 5,
+    assert per_pass == max(1, EVAL_ROWS // (seq_len + prompt_len))
+    weights, adapter, task = build(mode, "classification", seq_len, 2 * per_pass + 1,
                                    prompt_len=prompt_len)
     passes = recorded_passes(monkeypatch, weights, adapter, task)
-    assert [len(p) for p in passes] == [per_pass, per_pass, 5]
+    assert [len(p) for p in passes] == [per_pass, per_pass, 1]
     # each pass is a view of the split's rows, in order, not a copy
     assert np.array_equal(np.concatenate(passes), task.dev.tokens)
     assert all(p.base is task.dev.tokens.base for p in passes)
@@ -104,7 +105,7 @@ def test_evaluate_matches_one_pass_per_example(mode, kind):
 def test_readme_pass_plan_numbers_match_training():
     text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     stated = dict(re.findall(r"`training\.(EVAL_\w+)` = (\d+)", text))
-    assert stated == {"EVAL_CHUNK": str(EVAL_CHUNK), "EVAL_ROWS": str(EVAL_ROWS)}
+    assert stated == {"EVAL_ROWS": str(EVAL_ROWS)}
 
 
 def test_empty_sequence_raises_the_encoder_error():

@@ -200,8 +200,8 @@ def ffn_rows_by_layer(monkeypatch, weights) -> dict:
     return seen
 
 
-# evaluate packs the whole dev split (3 examples, fewer than the EVAL_CHUNK
-# floor of a pass) into one pass: n examples of SEQ_LEN + prompt rows each.
+# evaluate packs the whole dev split (3 examples, far under EVAL_ROWS rows)
+# into one pass: n examples of SEQ_LEN + prompt rows each.
 @pytest.mark.parametrize("mode, prompt_rows", [("fl", 0), ("pv1", PROMPT_LEN),
                                                ("finetune", 0)])
 def test_last_layer_ffn_gets_one_row_for_classification(monkeypatch, mode, prompt_rows):

@@ -152,10 +152,12 @@ def test_fl_placement_is_not_a_config_key(config_path, capsys, assignment):
 
 @pytest.mark.parametrize("assignment", ["task.vocab_size=32", "task.n_classes=2",
                                         "train.beta1=0.9", "train.beta2=0.999",
-                                        "train.adam_eps=1e-8", "train.smoothing_alpha=0.99"])
+                                        "train.adam_eps=1e-8", "train.smoothing_alpha=0.99",
+                                        "encoder.d_k=8", "encoder.d_v=8"])
 def test_single_value_settings_are_not_config_keys(config_path, capsys, assignment):
     # the task's vocabulary and classes are the encoder's; Adam's betas and
-    # epsilon, and the loss smoothing rate, are fixed
+    # epsilon, the loss smoothing rate and each head's width (d_m // n_heads)
+    # are fixed
     assert main(["params", str(config_path), "--set", assignment]) == EXIT_USAGE
     assert f"unknown key(s): {assignment.partition('=')[0]}" in capsys.readouterr().err
 
@@ -514,8 +516,7 @@ TRAINED_CONFIG = dict(BASE_CONFIG, pretrain_steps=2,
 # Other values of these keys build another model, which no checkpoint fits.
 MODEL_KEYS = {"encoder.d_m": [4, 12], "encoder.n_heads": [1, 4], "encoder.n_layers": [2],
               "encoder.vocab_size": [24, 40], "encoder.max_seq_len": [12, 20],
-              "encoder.n_classes": [3], "encoder.d_k": [2, 6], "encoder.d_v": [2, 6],
-              "encoder.d_o": [16, 24]}
+              "encoder.n_classes": [3], "encoder.d_o": [16, 24]}
 # These change only the frozen backbone, which a finetune checkpoint holds in full.
 BACKBONE_KEYS = {"backbone_seed": [1, 7], "pretrain_steps": [0, 1, 3], "task.seed": [0, 9]}
 RUN_KEYS = {"train.seed": [3, 8], "train.learning_rate": [0.5, 1e-5]}

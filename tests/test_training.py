@@ -457,10 +457,10 @@ def test_fl_vs_pv2_convergence_diagnostic(capsys):
     for mode in ("fl", "pv2"):
         weights, adapter, task, config = small_setup(
             mode=mode, d_a=8, prompt_len=8, learning_rate=3e-3,
-            epochs=4, batch_size=16)
+            epochs=16, batch_size=16)
         metrics = train(weights, adapter, task, config)
         results[mode] = convergence_step([r.loss for r in metrics.rows])
     print(f"convergence step: fl={results['fl']} pv2={results['pv2']}")
-    if results["fl"] and results["pv2"]:
-        print(f"ratio pv2/fl = {results['pv2'] / results['fl']:.2f}")
-    assert set(results) == {"fl", "pv2"}
+    # 64 steps are enough for both losses to settle
+    assert results["fl"] is not None and results["pv2"] is not None
+    print(f"ratio pv2/fl = {results['pv2'] / results['fl']:.2f}")
