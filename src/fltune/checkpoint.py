@@ -71,8 +71,8 @@ def save_tensors(path, named: Sequence[tuple[str, np.ndarray]],
 
 
 def load_checkpoint(path) -> tuple[dict, bytes]:
-    """Parse manifest and payload, validating magic, sentinel, version, and
-    payload length against the tensor table."""
+    """Parse manifest and payload, validating magic, sentinel, version, kind
+    (``trainable``) and payload length against the tensor table."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -94,6 +94,9 @@ def load_checkpoint(path) -> tuple[dict, bytes]:
     if version != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported format version {version!r} (expected {FORMAT_VERSION})")
+    if manifest.get("kind") != KIND:
+        raise CheckpointError(
+            f"{path}: checkpoint kind {manifest.get('kind')!r}, expected {KIND!r}")
     expected_bytes = _validate_table(path, manifest.get("tensors"))
     if len(payload) != expected_bytes:
         raise CheckpointError(
@@ -135,14 +138,11 @@ def load_tensors(path, expected: dict[str, tuple[int, ...]]
                  ) -> tuple[dict, dict[str, np.ndarray]]:
     """The manifest and the tensors, validated against expected name -> shape.
 
-    The file must be of kind ``trainable``. Every expected tensor must be
-    present with the exact shape, and the file may not contain extras; errors
-    name the offending tensor. Nothing is installed anywhere by this function.
+    Every expected tensor must be present with the exact shape, and the file
+    may not contain extras; errors name the offending tensor. Nothing is
+    installed anywhere by this function.
     """
     manifest, payload = load_checkpoint(path)
-    if manifest.get("kind") != KIND:
-        raise CheckpointError(
-            f"{path}: checkpoint kind {manifest.get('kind')!r}, expected {KIND!r}")
     table = {row["name"]: row for row in manifest["tensors"]}
     missing = sorted(set(expected) - set(table))
     if missing:
@@ -182,9 +182,10 @@ def save_trainable(registry: ParamRegistry, path,
 def load_trainable(path, registry: ParamRegistry,
                    config_echo: Optional[dict] = None) -> None:
     """Install a checkpoint into the registry's trainable tensors. After the
-    name and shape checks, its config echo must equal ``config_echo`` (if
-    given; finetune has no frozen entries to fingerprint) and its backbone
-    fingerprint the registry's, or CheckpointError is raised first."""
+    name and shape checks, its config echo must equal ``config_echo`` (compared
+    only when one is given) and its backbone fingerprint the registry's, or
+    CheckpointError is raised first. A finetune registry has no frozen
+    entries, so its fingerprint is that of an empty list."""
     expected = {e.name: e.tensor.shape for e in registry.trainable_entries()}
     manifest, loaded = load_tensors(path, expected)
     if config_echo is not None and manifest.get("config") != config_echo:

@@ -435,7 +435,7 @@ def cmd_fewshot(args) -> int:
 
 def cmd_eval(args) -> int:
     config = load_experiment_config(args.config, args.set, args.seed)
-    load_checkpoint(args.checkpoint)  # refuse an unreadable file before any work
+    load_checkpoint(args.checkpoint)  # refuse an unreadable or non-trainable file before any work
     task, weights, adapter, registry = build_experiment(config)
     load_trainable(args.checkpoint, registry, config_echo=config.encoder.to_dict())
     dev = evaluate(weights, adapter, task.dev, task.kind)

@@ -267,8 +267,6 @@ def attention_forward(
     v = matmul(x, layer.wv)
     if kv_prefix is not None:
         e0, e1 = kv_prefix
-        if e0.shape[0] != e1.shape[0]:
-            raise ShapeError(f"kv_prefix row counts disagree: {e0.shape} vs {e1.shape}")
         k = _prepend_rows(e0, k, batch)
         v = _prepend_rows(e1, v, batch)
     qx = kx = None
@@ -287,8 +285,6 @@ def attention_forward(
 
 def ffn_forward(layer: FFNLayer, x: Tensor) -> Tensor:
     """Position-wise feed-forward: relu(x @ w1 + b1) @ w2 + b2."""
-    if x.shape[1] != layer.w1.shape[0]:
-        raise ShapeError(f"ffn input width {x.shape} does not match w1 {layer.w1.shape}")
     return affine(affine(x, layer.w1, layer.b1, relu=True), layer.w2, layer.b2)
 
 
@@ -300,7 +296,6 @@ def ffn_fl_split(layer: FFNLayer, params, x: Tensor) -> Tensor:
     units second. This is the production path for training; it never
     touches the frozen matrices.
     """
-    params.added_units()
     backbone = ffn_forward(layer, x)
     hidden = affine(x, params.w1, params.b1, relu=True)
     return add(backbone, matmul(hidden, params.w2))

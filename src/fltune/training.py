@@ -232,14 +232,6 @@ def make_adapter(encoder_config: EncoderConfig, config: TrainConfig):
 EVAL_ROWS = 1024  # most rows an evaluate pass packs, unless one example holds more
 
 
-def _batch_forward(weights, adapter, split, per_position: bool):
-    """One packed forward pass over ``split``: the mean loss over every label
-    row and the predicted label of each row."""
-    logits = encoder_forward_batch(weights, split.tokens, adapter=adapter,
-                                   per_position=per_position)
-    return cross_entropy_mean(logits, split.labels.ravel()), logits.data.argmax(axis=1)
-
-
 def _span_ends(tags: np.ndarray) -> np.ndarray:
     """Per position, the half-open end of the span that starts there, or -1.
 
@@ -281,18 +273,19 @@ def span_f1(true: np.ndarray, pred: np.ndarray) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def batch_loss(weights, adapter, examples, kind: str) -> tuple[Tensor, int, int]:
-    """Mean loss over a batch (a ``data.Split``), plus its correct and total
-    label counts.
+def batch_loss(weights, adapter, examples, kind: str) -> tuple[Tensor, np.ndarray]:
+    """Mean loss over a batch (a ``data.Split``) and the predicted label of
+    each label row, flat, example after example.
 
-    The batch runs as one packed pass. Every example has the same number of
-    label rows, so the mean over all rows is the mean of per-example means.
+    The batch runs as one packed pass, the one forward pass of training,
+    evaluation and gradcheck. Every example has the same number of label
+    rows, so the mean over all rows is the mean of per-example means.
     """
     if not examples:
         raise ValueError("cannot take the loss of an empty batch")
-    loss, pred = _batch_forward(weights, adapter, examples, kind == "tagging")
-    labels = examples.labels
-    return loss, int(np.count_nonzero(pred == labels.ravel())), labels.size
+    logits = encoder_forward_batch(weights, examples.tokens, adapter=adapter,
+                                   per_position=kind == "tagging")
+    return cross_entropy_mean(logits, examples.labels.ravel()), logits.data.argmax(axis=1)
 
 
 def evaluate(weights, adapter, examples, kind: str) -> EvalResult:
@@ -309,7 +302,6 @@ def evaluate(weights, adapter, examples, kind: str) -> EvalResult:
     """
     if not examples:
         raise ValueError("cannot evaluate an empty split")
-    per_position = kind == "tagging"
     loss_sum = 0.0
     preds = []
     prompt = None if adapter is None else adapter.prompt_rows()
@@ -320,7 +312,7 @@ def evaluate(weights, adapter, examples, kind: str) -> EvalResult:
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(examples), chunk_size):
             chunk = examples[lo:lo + chunk_size]
-            loss, pred = _batch_forward(weights, adapter, chunk, per_position)
+            loss, pred = batch_loss(weights, adapter, chunk, kind)
             loss_sum += loss.item() * len(chunk)
             preds.append(pred)
     mean_loss = loss_sum / len(examples)
@@ -329,7 +321,7 @@ def evaluate(weights, adapter, examples, kind: str) -> EvalResult:
                               "examples; the weights have diverged")
     labels = examples.labels
     pred = np.concatenate(preds).reshape(labels.shape)
-    f1 = span_f1(labels, pred) if per_position else None
+    f1 = span_f1(labels, pred) if kind == "tagging" else None
     return EvalResult(accuracy=int(np.count_nonzero(pred == labels)) / labels.size,
                       mean_loss=mean_loss, f1=f1)
 
@@ -400,11 +392,12 @@ def train(weights: EncoderWeights, adapter, task, config: TrainConfig,
     smoothed: Optional[float] = None
     start = time.perf_counter()
     for step, batch in enumerate(islice(_batches(task.train, config, rng), config.max_steps), 1):
-        loss_val, correct, labels = train_step(
+        loss_val, pred = train_step(
             lambda: batch_loss(weights, adapter, batch, task.kind), trainable, optimizer, step)
         smoothed = smooth_loss(smoothed, loss_val)
         rows.append(StepRow(step=step, loss=loss_val, smoothed_loss=smoothed,
-                            accuracy=correct / labels,
+                            accuracy=int(np.count_nonzero(pred == batch.labels.ravel()))
+                            / batch.labels.size,
                             wallclock_ms=(time.perf_counter() - start) * 1000.0))
     return RunMetrics(rows, evaluate(weights, adapter, task.dev, task.kind))
 

@@ -47,7 +47,7 @@ def grad_config():
 
 def test_c01_split_equivalence():
     start = time.perf_counter()
-    result = verify_theorem1(trials=200, tolerance=1e-12, seed=101)
+    result = verify_theorem1(trials=200, seed=101)
     elapsed = time.perf_counter() - start
     report(1, "split form equals concatenated form within 1e-12 over 200 trials",
            result.passed and result.max_deviation < 1e-12 and elapsed < 5.0,
@@ -56,7 +56,7 @@ def test_c01_split_equivalence():
 
 def test_c02_placement_invariance():
     start = time.perf_counter()
-    result = verify_theorem2(trials=200, tolerance=1e-12, seed=102)
+    result = verify_theorem2(trials=200, seed=102)
     elapsed = time.perf_counter() - start
     report(2, "prefix/infix/suffix forms agree within 1e-12 incl. boundary indices",
            result.passed and result.max_deviation < 1e-12 and elapsed < 5.0,

@@ -95,17 +95,6 @@ def test_concat_scalar_hand_case():
         np.testing.assert_array_equal(out, [[3.0]])
 
 
-def test_split_inconsistent_adapter_widths_raise():
-    layer = FFNLayer(w1=Tensor(np.zeros((3, 5))), b1=Tensor(np.zeros((1, 5))),
-                     w2=Tensor(np.zeros((5, 3))), b2=Tensor(np.zeros((1, 3))))
-    bad = FLLayerParams(w1=Tensor(np.zeros((3, 4))), b1=Tensor(np.zeros((1, 2))),
-                        w2=Tensor(np.zeros((4, 3))))
-    with pytest.raises(ShapeError, match="inconsistent"):
-        ffn_fl_split(layer, bad, Tensor(np.zeros((2, 3))))
-    with pytest.raises(ShapeError, match="inconsistent"):
-        ffn_fl_concat(layer, bad, Tensor(np.zeros((2, 3))))
-
-
 # ---------------------------------------------------------------------------
 # concat oracle and the equivalence theorems
 # ---------------------------------------------------------------------------
@@ -134,7 +123,7 @@ def test_concat_matches_split_random_shapes():
 
 
 def test_theorem1_200_random_trials():
-    report = verify_theorem1(trials=200, tolerance=1e-12, seed=3)
+    report = verify_theorem1(trials=200, seed=3)
     assert report.passed, report.failures[:3]
     assert report.max_deviation < 1e-12
 
@@ -184,7 +173,7 @@ def test_theorem2_boundary_indices_identical_to_prefix_suffix():
 
 
 def test_theorem2_200_random_trials():
-    report = verify_theorem2(trials=200, tolerance=1e-12, seed=7)
+    report = verify_theorem2(trials=200, seed=7)
     assert report.passed, report.failures[:3]
     assert report.max_deviation < 1e-12
 
@@ -274,12 +263,12 @@ def test_ma_split_matches_concat_reference():
 
 
 def test_ma_equivalence_suite():
-    report = verify_ma_equivalence(trials=100, tolerance=1e-12, seed=13)
+    report = verify_ma_equivalence(trials=100, seed=13)
     assert report.passed, report.failures[:3]
 
 
 def test_prefix_attention_suite():
-    report = verify_prefix_attention_rows(trials=50, tolerance=1e-12, seed=14)
+    report = verify_prefix_attention_rows(trials=50, seed=14)
     assert report.passed, report.failures[:3]
 
 

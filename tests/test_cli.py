@@ -352,6 +352,24 @@ def test_eval_refuses_a_bad_checkpoint_before_any_work(tmp_path, capsys, monkeyp
     assert captured.err == f"error: {refused.value}\n"
 
 
+def test_eval_refuses_a_checkpoint_of_another_kind_before_any_work(tmp_path, capsys,
+                                                                    monkeypatch):
+    path = desk_config(tmp_path)
+    ckpt = tmp_path / "backbone.flckpt"
+    checkpoint.save_tensors(ckpt, [("w", [[1.0, 2.0]])])
+    ckpt.write_bytes(ckpt.read_bytes().replace(b'"kind": "trainable"', b'"kind": "backbone"'))
+
+    def no_work(_config):
+        raise AssertionError("build_experiment reached")
+
+    monkeypatch.setattr(cli, "build_experiment", no_work)
+    assert main(["eval", str(path), "--checkpoint", str(ckpt),
+                 "--set", "pretrain_steps=300"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {ckpt}: checkpoint kind 'backbone', expected 'trainable'\n"
+
+
 def test_train_respects_output_root_env(tmp_path, monkeypatch):
     # the run directory is --out, else the config's output_dir, else
     # $FLTUNE_OUTPUT_ROOT/<command>; each run adds only its own directory

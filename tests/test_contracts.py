@@ -334,14 +334,11 @@ def test_train_rejects_epochs_below_one_and_writes_nothing(run_config, tmp_path,
 FLOAT_RULES = {
     "eps": (lambda eps: check_gradients(sum_all, Tensor(np.ones((1, 2))), eps=eps),
             "eps must be a finite float > 0"),
-    "tolerance": (lambda tolerance: verify_theorem1(trials=1, tolerance=tolerance),
-                  "tolerance must be a finite float >= 0"),
 }
 
 
 @pytest.mark.parametrize("name, value, shown", [
     ("eps", "nan", "nan"), ("eps", "inf", "inf"), ("eps", "0", "0.0"),
-    ("tolerance", "nan", "nan"), ("tolerance", "inf", "inf"), ("tolerance", "-1", "-1.0"),
 ])
 def test_out_of_range_eps_and_tolerance_raise_value_error(name, value, shown):
     call, rule = FLOAT_RULES[name]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fltune.adapters import init_pv1_adapter
+from fltune.adapters import FLLayerParams, init_pv1_adapter
 from fltune.encoder import (
     AttentionLayer,
     EncoderConfig,
@@ -17,6 +17,7 @@ from fltune.encoder import (
     encoder_forward_batch,
     encoder_hidden,
     encoder_hidden_batch,
+    ffn_fl_split,
     ffn_forward,
     ffn_parameter_share,
     init_encoder,
@@ -117,12 +118,37 @@ def test_attention_prefix_rows_normalized():
     np.testing.assert_allclose(a.data.sum(axis=1), np.ones(10), atol=1e-12, rtol=0)
 
 
-def test_attention_prefix_length_mismatch_raises():
-    rng = np.random.default_rng(3)
-    layer = random_attention_layer(rng)
+def _ffn():
+    return FFNLayer(w1=Tensor(np.zeros((3, 5))), b1=Tensor(np.zeros((1, 5))),
+                    w2=Tensor(np.zeros((5, 3))), b2=Tensor(np.zeros((1, 3))))
+
+
+def _fl(w1, b1, w2):
+    return FLLayerParams(*(Tensor(np.zeros(shape)) for shape in (w1, b1, w2)))
+
+
+def _prefix_rows_disagree(batch):
+    layer = random_attention_layer(np.random.default_rng(3))
     bad = (Tensor(np.zeros((2, 2 * 3))), Tensor(np.zeros((3, 2 * 4))))
-    with pytest.raises(ShapeError, match="row counts"):
-        attention_forward(layer, Tensor(rng.uniform(-1, 1, (4, 6))), kv_prefix=bad)
+    return attention_forward(layer, Tensor(np.zeros((4 * batch, 6))), kv_prefix=bad,
+                             batch=batch)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ffn_forward(_ffn(), Tensor(np.zeros((2, 4)))),
+     "affine inner dimensions disagree: (2, 4) x (3, 5)"),
+    (lambda: ffn_fl_split(_ffn(), _fl((3, 4), (1, 2), (4, 3)), Tensor(np.zeros((2, 3)))),
+     "affine bias must be (1, 4), got (1, 2)"),
+    (lambda: ffn_fl_split(_ffn(), _fl((3, 4), (1, 4), (2, 3)), Tensor(np.zeros((2, 3)))),
+     "matmul inner dimensions disagree: (2, 4) x (2, 3)"),
+    (lambda: _prefix_rows_disagree(1), "attention_values weights (8, 6) do not match"),
+    (lambda: _prefix_rows_disagree(2), "attention_values weights (16, 6) do not match"),
+], ids=["ffn-input-width", "fl-b1-units", "fl-w2-units", "kv-prefix-rows-batch1",
+        "kv-prefix-rows-batch2"])
+def test_malformed_layer_inputs_raise_shape_error_from_the_op(call, message):
+    # the sublayers state no shape rule of their own: the tensor op refuses
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}"):
+        call()
 
 
 # ---------------------------------------------------------------------------
