@@ -6,8 +6,8 @@ fewshot (nested subset sweep), eval (re-evaluate a saved run).
 
 Exit codes: 0 success, 1 check failure or diverged run, 2 usage, config or
 output error. Runs are configured by a JSON file; --set key.path=value
-overrides individual entries and --seed overrides the training seed.
-FLTUNE_OUTPUT_ROOT sets the default output root.
+overrides individual entries, seeds included. A run writes to --out, else to
+$FLTUNE_OUTPUT_ROOT/<command> (runs/<command> when it is unset).
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     pretrain_steps: int = 0
     backbone_seed: int = 0
-    output_dir: Optional[str] = None
 
     def __post_init__(self):
         """Rules that span sections; the task takes its vocabulary and
@@ -170,9 +169,8 @@ def _apply_override(raw: dict, assignment: str) -> None:
     node[keys[-1]] = value
 
 
-def load_experiment_config(path, overrides: Sequence[str] = (),
-                           seed: Optional[int] = None) -> ExperimentConfig:
-    """Parse and validate a JSON experiment file; flags override file values."""
+def load_experiment_config(path, overrides: Sequence[str] = ()) -> ExperimentConfig:
+    """Parse and validate a JSON experiment file; ``--set`` overrides file values."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -187,8 +185,6 @@ def load_experiment_config(path, overrides: Sequence[str] = (),
 
     for assignment in overrides:
         _apply_override(raw, assignment)
-    if seed is not None:
-        _apply_override(raw, f"train.seed={seed}")
 
     return _build_section("", ExperimentConfig, raw)
 
@@ -212,13 +208,8 @@ def build_experiment(config: ExperimentConfig):
     return task, weights, adapter, registry
 
 
-def _resolve_outdir(args, config: ExperimentConfig, command: str) -> str:
-    if args.out:
-        return args.out
-    if config.output_dir:
-        return config.output_dir
-    root = os.environ.get(OUTPUT_ROOT_ENV, "runs")
-    return os.path.join(root, command)
+def _resolve_outdir(args, command: str) -> str:
+    return args.out or os.path.join(os.environ.get(OUTPUT_ROOT_ENV, "runs"), command)
 
 
 def _write_json(payload: dict, path) -> None:
@@ -249,7 +240,7 @@ def _gradcheck_loss_fn(weights, adapter, examples, kind):
 
 
 def cmd_gradcheck(args) -> int:
-    config = load_experiment_config(args.config, args.set, args.seed)
+    config = load_experiment_config(args.config, args.set)
     if config.encoder.d_m > 32:
         raise ValueError(f"refusing d_m {config.encoder.d_m} > 32 "
                          "(finite differences would be too slow)")
@@ -271,7 +262,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_params(args) -> int:
-    config = load_experiment_config(args.config, args.set, args.seed)
+    config = load_experiment_config(args.config, args.set)
     weights = init_encoder(config.encoder, seed=config.backbone_seed)
     rows = {}
     for mode in MODES:
@@ -378,8 +369,8 @@ def _install(staged) -> None:
 
 
 def cmd_train(args) -> int:
-    config = load_experiment_config(args.config, args.set, args.seed)
-    outdir = _resolve_outdir(args, config, "train")
+    config = load_experiment_config(args.config, args.set)
+    outdir = _resolve_outdir(args, "train")
     task, weights, adapter, registry = build_experiment(config)
     with _removed_on_error() as created:
         summary, staged = _train_and_stage(config, task, weights, adapter, registry, outdir,
@@ -392,7 +383,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_fewshot(args) -> int:
-    config = load_experiment_config(args.config, args.set, args.seed)
+    config = load_experiment_config(args.config, args.set)
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError:
@@ -405,7 +396,7 @@ def cmd_fewshot(args) -> int:
     for size in sizes:  # fewshot_subsample's rule, before the task is drawn
         if not 1 <= size <= config.task.train_size:
             raise ValueError(f"subset size {size} outside [1, {config.task.train_size}]")
-    outdir = _resolve_outdir(args, config, "fewshot")
+    outdir = _resolve_outdir(args, "fewshot")
     task, weights, _adapter, _registry = build_experiment(config)
     subsets = fewshot_subsample(task, sizes, seed=config.task.seed)
     snapshot = [(name, t.data.copy()) for name, t, _g in weights.named_tensors()]
@@ -434,7 +425,7 @@ def cmd_fewshot(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = load_experiment_config(args.config, args.set, args.seed)
+    config = load_experiment_config(args.config, args.set)
     load_checkpoint(args.checkpoint)  # refuse an unreadable or non-trainable file before any work
     task, weights, adapter, registry = build_experiment(config)
     load_trainable(args.checkpoint, registry, config_echo=config.encoder.to_dict())
@@ -457,7 +448,6 @@ def _add_config_args(parser) -> None:
     parser.add_argument("config", help="experiment config JSON file")
     parser.add_argument("--set", action="append", default=[], metavar="KEY.PATH=VALUE",
                         help="override one config entry (JSON-parsed value)")
-    parser.add_argument("--seed", type=int, default=None, help="override the training seed")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -76,6 +76,38 @@ def test_fixed_check_bounds_are_not_flags(tmp_path, capsys, command, flag, value
     assert f"unrecognized arguments: {flag} {value}" in captured.err
 
 
+CONFIG_COMMANDS = {"gradcheck": [], "params": [], "train": [], "fewshot": [],
+                   "eval": ["--checkpoint", "missing.flckpt"]}
+
+
+@pytest.mark.parametrize("command, route", [
+    *[(command, route) for route in ("--seed", "output_dir") for command in CONFIG_COMMANDS],
+    ("verify", "--seed")])
+def test_each_setting_has_one_route(tmp_path, monkeypatch, capsys, command, route):
+    # the training seed is --set train.seed=N and the run directory is --out,
+    # else $FLTUNE_OUTPUT_ROOT/<command>; verify's --seed seeds its suites
+    monkeypatch.setenv("FLTUNE_OUTPUT_ROOT", str(tmp_path / "root"))
+    monkeypatch.chdir(tmp_path)
+    if command == "verify":
+        assert main(["verify", "--seed", "3", "--trials", "2"]) == EXIT_OK
+        return
+    path = desk_config(tmp_path)
+    argv = [command, str(path), *CONFIG_COMMANDS[command]]
+    if route == "--seed":
+        argv += ["--seed", "7"]
+        expected = "fltune: error: unrecognized arguments: --seed 7\n"
+    else:
+        config = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**config, "output_dir": str(tmp_path / "out")}),
+                        encoding="utf-8")
+        expected = "config error: unknown key(s): output_dir\n"
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.endswith(expected)
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_verify_zero_trials_is_usage_error(capsys):
     assert main(["verify", "--trials", "0"]) == EXIT_USAGE
     assert "trials" in capsys.readouterr().err
@@ -187,7 +219,7 @@ def test_seq_len_budget_message_never_names_a_negative_budget(tmp_path, capsys, 
 
 def test_set_override_and_seed_flag(tmp_path):
     path = desk_config(tmp_path)
-    config = load_experiment_config(path, overrides=["train.learning_rate=0.5"], seed=42)
+    config = load_experiment_config(path, overrides=["train.learning_rate=0.5", "train.seed=42"])
     assert config.train.learning_rate == 0.5
     assert config.train.seed == 42
 
@@ -371,17 +403,12 @@ def test_eval_refuses_a_checkpoint_of_another_kind_before_any_work(tmp_path, cap
 
 
 def test_train_respects_output_root_env(tmp_path, monkeypatch):
-    # the run directory is --out, else the config's output_dir, else
-    # $FLTUNE_OUTPUT_ROOT/<command>; each run adds only its own directory
+    # the run directory is --out, else $FLTUNE_OUTPUT_ROOT/<command>; each run
+    # adds only its own directory
     plain = desk_config(tmp_path)
-    with_dir = tmp_path / "with_dir.json"
-    config = json.loads(plain.read_text(encoding="utf-8"))
-    with_dir.write_text(json.dumps({**config, "output_dir": str(tmp_path / "from_config")}),
-                        encoding="utf-8")
     monkeypatch.setenv("FLTUNE_OUTPUT_ROOT", str(tmp_path / "root"))
     monkeypatch.chdir(tmp_path)
-    for argv, written in [([str(with_dir), "--out", str(tmp_path / "from_flag")], "from_flag"),
-                          ([str(with_dir)], "from_config"),
+    for argv, written in [([str(plain), "--out", str(tmp_path / "from_flag")], "from_flag"),
                           ([str(plain)], "root/train")]:
         before = {p.name for p in tmp_path.iterdir()}
         assert main(["train", *argv]) == EXIT_OK

@@ -180,7 +180,8 @@ def test_single_value_settings_are_not_config_keys(config_path, capsys, assignme
     ("fewshot", ["--sizes", "999"], "error: subset size 999 outside [1, 20]"),
     ("train", ["--set", "train.seed=-1"],
      "config error: in train: seed must be nonnegative, got -1"),
-    ("train", ["--seed", "-3"], "config error: in train: seed must be nonnegative, got -3"),
+    ("train", ["--set", "train.seed=-3"],
+     "config error: in train: seed must be nonnegative, got -3"),
     ("train", ["--set", "task.seed=-1"],
      "config error: in config: task.seed must be nonnegative, got -1"),
     ("fewshot", ["--set", "backbone_seed=-1"],
