@@ -12,8 +12,8 @@ verify_* suites, every trial within ``VERIFY_TOLERANCE`` (1e-12). The
 parameter registry with frozen-content hashing and the budget accounting
 live here too.
 
-Adapters are safe to read concurrently; only the single-threaded optimizer
-step mutates them.
+The oracles multiply with plain ``@``, never ``tensor._product``'s row split.
+Adapters are safe to read concurrently; only the optimizer step mutates them.
 """
 
 from __future__ import annotations

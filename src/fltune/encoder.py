@@ -21,9 +21,9 @@ row, prompt rows included, while its queries, attention rows, output
 projection, layer norms and FFN run on the read rows alone, so the logits
 equal those of an all-rows pass up to float rounding.
 
-A forward/backward pass runs on the calling thread; independent batches may
-run concurrently as long as each uses its own tape, with weight tensors
-read-only while adapters train.
+A pass runs on the calling thread, but for the trailing rows of large
+projection and FFN products (``tensor._product``); independent batches may run
+concurrently, each on its own tape, with weights read-only while adapters train.
 """
 
 from __future__ import annotations

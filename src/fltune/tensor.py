@@ -33,6 +33,14 @@ zeros would. The softmax shifts of ``attention_weights`` and
 NumPy reduces all rows in one vectorized pass instead of one short loop per
 row; a max is exact in any order.
 
+``matmul`` and ``affine`` form their forward and both backward products in
+``_product``. If, at import, BLAS runs one thread (``OPENBLAS_NUM_THREADS``,
+else ``OMP_NUM_THREADS``, is 1) and ``os.sched_getaffinity`` holds two CPUs or
+more (``taskset -c 0`` holds one), a product of at least 2^22 multiply-adds
+(the measured break-even) and 48 rows splits: a daemon worker thread computes
+its trailing rows under the caller's ``np.geterr``. Splits fall on multiples
+of 24 rows, so each row keeps its kind of dgemm tile, and so its bits (README.md).
+
 Importing this module tunes the C allocator of the whole process, on Linux
 with glibc only and with no setting to turn it off. Every other fltune module
 imports this one, so importing any of them tunes it; a bare ``import fltune``
@@ -51,7 +59,9 @@ glibc nothing is set.
 from __future__ import annotations
 
 import ctypes
+import os
 import platform
+import threading
 from contextvars import ContextVar
 from typing import Callable, Optional, Sequence
 
@@ -227,6 +237,46 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], needs: tuple[bool, ...],
     return out
 
 
+_SPLIT_MIN, _SPLIT_ROWS = 1 << 22, 24  # row-split products: see the module docstring
+_CAN_SPLIT = (len(getattr(os, "sched_getaffinity", lambda _: ())(0)) >= 2 and (
+    os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")) == "1")
+_worker: dict = {}  # "jobs": the worker thread's queue, once one runs here
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_worker.clear)
+
+
+def _work(jobs) -> None:
+    while True:
+        a, b, out, err, call, done = jobs.get()
+        try:
+            with np.errstate(call=call, **err):
+                np.matmul(a, b, out=out)
+            done.put(None)
+        except Exception as exc:  # re-raised by the caller
+            done.put(exc)
+        del a, b, out, done  # hold no job's arrays while waiting for the next
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` of 2-d arrays, bit for bit (see the module docstring)."""
+    if not _CAN_SPLIT or len(a) < 2 * _SPLIT_ROWS or a.size * b.shape[1] < _SPLIT_MIN:
+        return a @ b
+    import queue  # only here: a run that never splits imports nothing new
+    fresh = queue.SimpleQueue()  # the worker's queue if no worker runs yet
+    if _worker.setdefault("jobs", fresh) is fresh:  # one winner if threads race
+        threading.Thread(target=_work, args=(fresh,), daemon=True).start()
+    h = _SPLIT_ROWS * round(len(a) / (2 * _SPLIT_ROWS))
+    out, done = np.empty((len(a), b.shape[1])), queue.SimpleQueue()
+    _worker["jobs"].put((a[h:], b, out[h:], np.geterr(), np.geterrcall(), done))
+    try:
+        np.matmul(a[:h], b, out=out[:h])
+    finally:
+        error = done.get()
+    if error is not None:
+        raise error
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Primitive ops
 # ---------------------------------------------------------------------------
@@ -237,7 +287,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs 2-d operands, got {a.data.shape} and {b.data.shape}")
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}")
-    out = Tensor(a.data @ b.data)
+    out = Tensor(_product(a.data, b.data))
     needs = _needs(a, b)
     if needs is None:
         return out
@@ -246,8 +296,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     bd = b.data if need_a else None
 
     def bw(g):
-        return (g @ bd.T if need_a else None,
-                ad.T @ g if need_b else None)
+        return (_product(g, bd.T) if need_a else None,
+                _product(ad.T, g) if need_b else None)
 
     return _record(out, (a, b), needs, bw)
 
@@ -267,7 +317,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
         raise ShapeError(f"affine inner dimensions disagree: {x.data.shape} x {w.data.shape}")
     if b.data.shape != (1, w.data.shape[1]):
         raise ShapeError(f"affine bias must be (1, {w.data.shape[1]}), got {b.data.shape}")
-    y = x.data @ w.data
+    y = _product(x.data, w.data)
     y += b.data
     if relu:
         np.maximum(y, 0.0, out=y)
@@ -283,8 +333,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     def bw(g):
         if mask is not None:
             g = g * mask
-        return (g @ wd.T if need_x else None,
-                xd.T @ g if need_w else None,
+        return (_product(g, wd.T) if need_x else None,
+                _product(xd.T, g) if need_w else None,
                 g.sum(axis=0, keepdims=True) if need_b else None)
 
     return _record(out, (x, w, b), needs, bw)

@@ -3,9 +3,9 @@ step, and the few-shot subsampling protocol.
 
 Every run is a pure function of (weights, adapter, task, config): data order
 comes from the config seed, there is no dropout, and wall-clock time is the
-only nondeterministic output column. One run is single-threaded; parallelism
-comes from launching independent runs in separate processes with disjoint
-output paths.
+only nondeterministic output column. A run's one helper thread computes the
+trailing rows of its large matrix products (``tensor._product``), bit for bit;
+parallel runs go in separate processes with disjoint output paths.
 """
 
 from __future__ import annotations

@@ -217,7 +217,7 @@ def test_seq_len_budget_message_never_names_a_negative_budget(tmp_path, capsys, 
         assert capsys.readouterr().err == f"config error: in config: {message}\n"
 
 
-def test_set_override_and_seed_flag(tmp_path):
+def test_set_overrides_land(tmp_path):
     path = desk_config(tmp_path)
     config = load_experiment_config(path, overrides=["train.learning_rate=0.5", "train.seed=42"])
     assert config.train.learning_rate == 0.5
