@@ -30,7 +30,7 @@ from .adapters import (
     build_registry,
     count_parameters,
     verify_ma_equivalence,
-    verify_prefix_attention_rows,
+    verify_prefix_gate,
     verify_theorem1,
     verify_theorem2,
 )
@@ -153,10 +153,10 @@ def _build_section(prefix: str, cls, data) -> object:
 
 
 def _apply_override(raw: dict, assignment: str) -> None:
-    if "=" not in assignment:
-        raise ConfigError(f"--set needs key.path=value, got {assignment!r}")
-    dotted, _, value_text = assignment.partition("=")
+    dotted, equals, value_text = assignment.partition("=")
     keys = dotted.strip().split(".")
+    if not equals or "" in keys:
+        raise ConfigError(f"--set needs key.path=value, got {assignment!r}")
     try:
         value = json.loads(value_text)
     except json.JSONDecodeError:
@@ -227,7 +227,7 @@ def cmd_verify(args) -> int:
         verify_theorem1(trials=args.trials, seed=args.seed),
         verify_theorem2(trials=args.trials, seed=args.seed),
         verify_ma_equivalence(trials=max(1, args.trials // 2), seed=args.seed),
-        verify_prefix_attention_rows(trials=max(1, args.trials // 4), seed=args.seed),
+        verify_prefix_gate(trials=max(1, args.trials // 4), seed=args.seed),
     ]
     for report in reports:
         print(report.summary())
@@ -457,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "feed-forward layer tuning over a frozen encoder")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="run the equivalence and normalization suites")
+    p = sub.add_parser("verify", help="run the equivalence suites")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_verify)

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .adapters import build_registry
-from .encoder import EncoderWeights, encoder_hidden_batch
+from .encoder import INIT_STD, EncoderWeights, encoder_hidden_batch
 from .tensor import ShapeError, Tensor, affine, cross_entropy_mean, gather_rows
 from .training import Adam, train_step
 
@@ -297,7 +297,7 @@ def pretrain_backbone(
 
     config = weights.config
     rng = np.random.default_rng([seed, 4])
-    pre_head_w = Tensor(rng.normal(0.0, 0.02, (config.d_m, config.vocab_size)),
+    pre_head_w = Tensor(rng.normal(0.0, INIT_STD, (config.d_m, config.vocab_size)),
                         requires_grad=True)
     pre_head_b = Tensor(np.zeros((1, config.vocab_size)), requires_grad=True)
 

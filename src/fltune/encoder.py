@@ -233,7 +233,6 @@ def attention_forward(
     layer: AttentionLayer,
     x: Tensor,
     kv_prefix: Optional[tuple[Tensor, Tensor]] = None,
-    return_weights: bool = False,
     expansion=None,
     queries: Optional[Tensor] = None,
     batch: int = 1,
@@ -248,15 +247,13 @@ def attention_forward(
 
     ``kv_prefix`` optionally supplies trainable rows (e0, e1), packed like
     ``wk`` and ``wv``, that are prepended to every example's keys and values,
-    so every attention row becomes a distribution over seq + prefix_len keys.
+    so every attention row becomes a distribution over seq + prefix_len keys
+    (the gate identity of ``adapters.prefix_gate_reference`` states the output).
     ``expansion`` optionally widens each head's inner dimensions: scores
     become q·k + (x·dwq)(x·dwk)ᵀ under the frozen 1/sqrt(d_k) scaling, and
     the extra value columns, mapped to model width by dwo, are summed in after
     the frozen output projection; its dwq side takes the query rows. dwq, dwk
-    and dwv are packed like ``wq`` and dwo like ``out_proj``. With
-    ``return_weights`` the softmax probabilities are returned as well, as
-    ``attention_weights`` gives them: (batch·heads·Tq, Tk), ordered by
-    example, then head, then query row.
+    and dwv are packed like ``wq`` and dwo like ``out_proj``.
     """
     n_heads = layer.n_heads
     d_k = layer.wq.shape[1] // n_heads
@@ -278,8 +275,6 @@ def attention_forward(
     if expansion is not None:
         xv = matmul(x, expansion.dwv)
         out = add(out, matmul(attention_values(a, xv, batch, n_heads), expansion.dwo))
-    if return_weights:
-        return out, a
     return out
 
 

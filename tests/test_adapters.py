@@ -6,7 +6,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from fltune import adapters
 from fltune.adapters import (
+    VERIFY_TOLERANCE,
     FLLayerParams,
     MALayerParams,
     ParamRegistry,
@@ -21,7 +23,7 @@ from fltune.adapters import (
     ma_forward,
     tensor_content_hash,
     verify_ma_equivalence,
-    verify_prefix_attention_rows,
+    verify_prefix_gate,
     verify_theorem1,
     verify_theorem2,
 )
@@ -268,8 +270,23 @@ def test_ma_equivalence_suite():
 
 
 def test_prefix_attention_suite():
-    report = verify_prefix_attention_rows(trials=50, seed=14)
+    report = verify_prefix_gate(trials=50, seed=14)
     assert report.passed, report.failures[:3]
+
+
+def test_prefix_gate_suite_fails_doubled_prefix_values(monkeypatch):
+    # doubled prefix values leave every attention row summing to 1, so only
+    # the gate identity can tell them apart
+    plain = adapters.attention_forward
+
+    def doubled(layer, x, kv_prefix, **kwargs):
+        e0, e1 = kv_prefix
+        return plain(layer, x, kv_prefix=(e0, Tensor(2.0 * e1.data)), **kwargs)
+
+    monkeypatch.setattr(adapters, "attention_forward", doubled)
+    report = verify_prefix_gate(trials=50, seed=14)
+    assert not report.passed
+    assert report.max_deviation > VERIFY_TOLERANCE
 
 
 # ---------------------------------------------------------------------------

@@ -46,9 +46,11 @@ def desk_config(tmp_path, **train_overrides):
 
 def test_verify_default_passes(capsys):
     assert main(["verify", "--trials", "50"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert out.count("PASS") == 4
-    assert "FAIL" not in out
+    out = capsys.readouterr().out.splitlines()
+    assert [line.partition(": ")[0] for line in out] == [
+        "ffn split equivalence", "ffn placement invariance",
+        "attention expansion equivalence", "prefix gate identity"]
+    assert [line.rpartition(": ")[2] for line in out] == ["PASS"] * 4
 
 
 def test_verify_failing_suite_fails(capsys, monkeypatch):
@@ -224,9 +226,12 @@ def test_set_overrides_land(tmp_path):
     assert config.train.seed == 42
 
 
-def test_bad_set_assignment_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("assignment", ["no_equals_sign", "=3", ".x=1", "train..seed=1",
+                                        "train.=1"])
+def test_bad_set_assignment_rejected(tmp_path, capsys, assignment):
     path = desk_config(tmp_path)
-    assert main(["params", str(path), "--set", "no_equals_sign"]) == EXIT_USAGE
+    assert main(["params", str(path), "--set", assignment]) == EXIT_USAGE
+    assert f"--set needs key.path=value, got {assignment!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, args", [("params", []), ("gradcheck", []),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fltune.adapters import FLLayerParams, init_pv1_adapter
+from fltune.adapters import FLLayerParams, init_pv1_adapter, prefix_gate_reference
 from fltune.encoder import (
     AttentionLayer,
     EncoderConfig,
@@ -107,15 +107,17 @@ def test_attention_empty_prefix_bitwise_equal():
     assert np.array_equal(plain.data, with_empty.data)
 
 
-def test_attention_prefix_rows_normalized():
+def test_attention_prefix_matches_gate_identity():
+    # for arbitrary prefix values the identity implies that every attention
+    # row over the 5 keys + 4 prefix rows sums to 1
     rng = np.random.default_rng(2)
     layer = random_attention_layer(rng)
     x = Tensor(rng.uniform(-1, 1, (5, 6)))
     heads = [(rng.uniform(-1, 1, (4, 3)), rng.uniform(-1, 1, (4, 4))) for _ in range(2)]
     prefix = tuple(Tensor(np.concatenate(blocks, axis=1)) for blocks in zip(*heads))
-    _, a = attention_forward(layer, x, kv_prefix=prefix, return_weights=True)
-    assert a.shape == (2 * 5, 9)  # (heads·Tq, 5 keys + 4 prefix rows)
-    np.testing.assert_allclose(a.data.sum(axis=1), np.ones(10), atol=1e-12, rtol=0)
+    out = attention_forward(layer, x, kv_prefix=prefix)
+    np.testing.assert_allclose(out.data, prefix_gate_reference(layer, prefix, x),
+                               atol=1e-12, rtol=0)
 
 
 def _ffn():

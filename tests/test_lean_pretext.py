@@ -19,7 +19,7 @@ from fltune.data import (
     generate_task,
     pretrain_backbone,
 )
-from fltune.encoder import encoder_hidden_batch, init_encoder
+from fltune.encoder import INIT_STD, encoder_hidden_batch, init_encoder
 from fltune.tensor import (
     ShapeError,
     Tape,
@@ -84,7 +84,7 @@ def demo_heads(weights, seed):
     that trains it and every backbone tensor, and the pretext generator."""
     enc = weights.config
     rng = np.random.default_rng([seed, 4])
-    head_w = Tensor(rng.normal(0.0, 0.02, (enc.d_m, enc.vocab_size)), requires_grad=True)
+    head_w = Tensor(rng.normal(0.0, INIT_STD, (enc.d_m, enc.vocab_size)), requires_grad=True)
     head_b = Tensor(np.zeros((1, enc.vocab_size)), requires_grad=True)
     registry = build_registry(weights)
     registry.register("pretext.weight", head_w, frozen=False, group="pretext")

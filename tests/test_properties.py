@@ -1,8 +1,9 @@
 """Property-based robustness: wrong-typed config values and corrupted
 checkpoint bytes fail with the package's own errors and nothing else, a
 rejected or diverging ``train`` run leaves no output behind, ``params`` and
-``train`` refuse the same task and train sections, and every op's gradient
-matches finite differences over random shapes."""
+``train`` refuse the same task and train sections, every op's gradient
+matches finite differences over random shapes, and packed prefix attention
+over a subset of query rows matches the gate-form oracle example by example."""
 
 import contextlib
 import dataclasses
@@ -31,9 +32,10 @@ from fltune.cli import (
     load_experiment_config,
     main,
 )
+from fltune.adapters import VERIFY_TOLERANCE, prefix_gate_reference
 from fltune.data import KINDS, check_task
-from fltune.encoder import EncoderConfig
-from fltune.tensor import Tensor, check_gradients, matmul, sum_all
+from fltune.encoder import AttentionLayer, EncoderConfig, attention_forward
+from fltune.tensor import Tensor, check_gradients, gather_rows, matmul, sum_all
 from fltune.training import MODES, TrainConfig
 
 BASE_CONFIG = {
@@ -481,6 +483,31 @@ def test_op_gradients_match_finite_differences(data):
     for i, x in enumerate(operands):
         err = check_gradients(loss, x, eps=1e-6, max_coords=x.size, rng=rng)
         assert err < 1e-6, f"{name} operand {i} of shapes {[a.shape for a in arrays]}: {err:.3e}"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_packed_prefix_attention_matches_gate_oracle(data):
+    # the path pv2's last layer runs: several examples packed, key/value
+    # prefix rows, and only some rows of each example as queries
+    batch, heads = data.draw(st.integers(1, 3), label="batch"), data.draw(st.integers(1, 2))
+    l, T = data.draw(st.integers(0, 6), label="prefix_len"), data.draw(st.integers(1, 5))
+    d_m, d_k, d_v = (data.draw(st.integers(1, 6), label="dim") for _ in range(3))
+    n_rows = data.draw(st.integers(1, T), label="query rows per example")
+    rows = [data.draw(st.lists(st.integers(0, T - 1), min_size=n_rows, max_size=n_rows,
+                               unique=True), label="rows") for _ in range(batch)]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    u = lambda *shape: Tensor(rng.uniform(-1.0, 1.0, shape))
+    layer = AttentionLayer(n_heads=heads, wq=u(d_m, heads * d_k), wk=u(d_m, heads * d_k),
+                           wv=u(d_m, heads * d_v), out_proj=u(heads * d_v, d_m),
+                           out_bias=u(1, d_m))
+    prefix = (u(l, heads * d_k), u(l, heads * d_v))
+    x = u(batch * T, d_m)
+    queries = gather_rows(x, [b * T + r for b, picked in enumerate(rows) for r in picked])
+    got = attention_forward(layer, x, kv_prefix=prefix, queries=queries, batch=batch).data
+    want = np.concatenate([prefix_gate_reference(layer, prefix, x.data[b * T:(b + 1) * T])[picked]
+                           for b, picked in enumerate(rows)])
+    assert np.max(np.abs(got - want)) <= VERIFY_TOLERANCE
 
 
 CHECKPOINT_TENSORS = {"adapter.w1": (2, 3), "adapter.b1": (1, 3), "empty": (0, 2), "scalar": ()}
