@@ -340,10 +340,9 @@ class VerifyReport:
 def _run_trials(name: str, trials: int, seed: int, trial: Callable) -> VerifyReport:
     """The trial loop shared by the verify_* suites.
 
-    ``trial(rng, t, fail)`` runs trial ``t`` and returns its deviation and
-    the label naming it in a failure message; it may report failures of its
-    own through ``fail(message)``. A deviation above ``VERIFY_TOLERANCE``,
-    NaN included, is a failure.
+    ``trial(rng, t)`` runs trial ``t`` and returns its deviation and the
+    label naming it in a failure message. A deviation above
+    ``VERIFY_TOLERANCE``, NaN included, is a failure.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -352,7 +351,7 @@ def _run_trials(name: str, trials: int, seed: int, trial: Callable) -> VerifyRep
     rng = np.random.default_rng(seed)
     report = VerifyReport(name, trials, 0.0)
     for t in range(trials):
-        dev, label = trial(rng, t, lambda msg: report.failures.append(f"trial {t}: {msg}"))
+        dev, label = trial(rng, t)
         # NaN-sticky, unlike max()
         report.max_deviation = float(np.maximum(report.max_deviation, dev))
         if not dev <= VERIFY_TOLERANCE:
@@ -397,7 +396,7 @@ def verify_theorem1(trials: int = 200, seed: int = 0,
     """
     draw = draw or _random_ffn_instance
 
-    def trial(rng, t, fail):
+    def trial(rng, t):
         layer, params, x = draw(rng)
         position = POSITIONS[int(rng.integers(0, 3))]
         infix = int(rng.integers(0, layer.w1.shape[1] + 1))
@@ -417,7 +416,7 @@ def verify_theorem2(trials: int = 200, seed: int = 0) -> VerifyReport:
     interior splits.
     """
 
-    def trial(rng, t, fail):
+    def trial(rng, t):
         layer, params, x = _random_ffn_instance(rng)
         d_o = layer.w1.shape[1]
         # always exercise both boundaries, then a random interior index
@@ -435,7 +434,7 @@ def verify_theorem2(trials: int = 200, seed: int = 0) -> VerifyReport:
 def verify_ma_equivalence(trials: int = 100, seed: int = 0) -> VerifyReport:
     """Additive-split attention expansion vs its materialized-concat oracle."""
 
-    def trial(rng, t, fail):
+    def trial(rng, t):
         d_m = int(rng.integers(4, 17))
         d_k = int(rng.integers(2, 9))
         d_v = int(rng.integers(2, 9))
@@ -459,7 +458,7 @@ def verify_prefix_gate(trials: int = 50, seed: int = 0) -> VerifyReport:
     """Attention with key/value prefixes vs its gate-form oracle
     (``prefix_gate_reference``); prefix length 0 is among the cases."""
 
-    def trial(rng, t, fail):
+    def trial(rng, t):
         d_m = int(rng.integers(4, 17))
         d_k = int(rng.integers(2, 9))
         d_v = int(rng.integers(2, 9))

@@ -288,18 +288,7 @@ def cmd_params(args) -> int:
         "ffn_share_per_layer": ffn_parameter_share(config.encoder),
         "modes": rows,
     }
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(f"per-layer ffn share: {payload['ffn_share_per_layer']:.4f}")
-        header = f"{'mode':<10}{'total':>14}{'trainable':>14}{'fraction':>12}{'block frac':>12}"
-        print(header)
-        for mode, row in rows.items():
-            if "error" in row:
-                print(f"{mode:<10}  n/a ({row['error']})")
-            else:
-                print(f"{mode:<10}{row['total']:>14}{row['trainable']:>14}"
-                      f"{row['fraction']:>12.6f}{row['encoder_block_fraction']:>12.6f}")
+    print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -468,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("params", help="parameter counts and trainable fractions per mode")
     _add_config_args(p)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(fn=cmd_params)
 
     p = sub.add_parser("train", help="one training run with metrics and checkpoint")

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .adapters import build_registry
-from .encoder import INIT_STD, EncoderWeights, encoder_hidden_batch
+from .encoder import INIT_STD, EncoderWeights, encoder_hidden
 from .tensor import ShapeError, Tensor, affine, cross_entropy_mean, gather_rows
 from .training import Adam, train_step
 
@@ -265,7 +265,7 @@ def _pretext_loss(weights: EncoderWeights, head_w: Tensor, head_b: Tensor,
     bit; only the rounding of the loss value differs.
     """
     tokens, mask = batch
-    hidden = encoder_hidden_batch(weights, np.where(mask, MASK_ID, tokens))
+    hidden = encoder_hidden(weights, np.where(mask, MASK_ID, tokens))
     logits = affine(hidden, head_w, head_b)
     counts = mask.sum(axis=1)
     return cross_entropy_mean(gather_rows(logits, np.flatnonzero(mask)), tokens[mask],

@@ -7,9 +7,8 @@ head pooled at the first token position. Tuning methods plug in through
 ``AdapterHooks``.
 
 A batch is an (N, T) integer array of token ids, N examples of T tokens, and
-runs as one packed stack of rows, example after example; the single-sequence
-functions take a 1-d array and run a batch of one. Every step but attention
-treats rows independently, and attention
+runs as one packed stack of rows, example after example. Every step but
+attention treats rows independently, and attention
 (``tensor.attention_weights``/``attention_values``) mixes rows only within
 one example and one head, so an example's output does not depend on the rest
 of its batch.
@@ -321,7 +320,7 @@ def _batch_ids(config: EncoderConfig, tokens: np.ndarray, prompt_len: int) -> np
     return tokens.ravel()
 
 
-def encoder_hidden_batch(
+def encoder_hidden(
     weights: EncoderWeights,
     tokens: np.ndarray,
     adapter: Optional[AdapterHooks] = None,
@@ -370,46 +369,21 @@ def encoder_hidden_batch(
     return x
 
 
-def encoder_hidden(
-    weights: EncoderWeights,
-    tokens: np.ndarray,
-    adapter: Optional[AdapterHooks] = None,
-    pooled: bool = False,
-) -> Tensor:
-    """``encoder_hidden_batch`` for one sequence, a 1-d integer array."""
-    return encoder_hidden_batch(weights, tokens[None] if isinstance(tokens, np.ndarray)
-                                else tokens, adapter, pooled)
-
-
-def encoder_forward_batch(
-    weights: EncoderWeights,
-    tokens: np.ndarray,
-    adapter=None,
-    per_position: bool = False,
-) -> Tensor:
-    """Run the full encoder and task head on an (N, T) integer array of token
-    ids, with optional tuning adapter.
-
-    Returns batch x n_classes logits, each example pooled at its first token
-    position (prompt rows shift that position but never replace it), or
-    (batch·seq) x n_classes logits, one row per input token, example after
-    example, when ``per_position``. The head reads exactly the rows
-    ``encoder_hidden_batch`` returns.
-    """
-    return affine(encoder_hidden_batch(weights, tokens, adapter, pooled=not per_position),
-                  weights.head_w, weights.head_b)
-
-
 def encoder_forward(
     weights: EncoderWeights,
     tokens: np.ndarray,
     adapter=None,
-    per_position: bool = False,
+    pooled: bool = False,
 ) -> Tensor:
-    """``encoder_forward_batch`` for one sequence, a 1-d integer array: 1 x
-    n_classes logits, or seq x n_classes with ``per_position``."""
-    return encoder_forward_batch(weights, tokens[None] if isinstance(tokens, np.ndarray)
-                                 else tokens, adapter, per_position)
+    """Run the full encoder and task head on an (N, T) integer array of token
+    ids, with optional tuning adapter.
+
+    Returns (N·T) x n_classes logits, one row per input token, example after
+    example, or with ``pooled`` N x n_classes logits, each example pooled at
+    its first token position (prompt rows shift that position but never
+    replace it). The head reads exactly the rows ``encoder_hidden`` returns.
+    """
+    return affine(encoder_hidden(weights, tokens, adapter, pooled), weights.head_w, weights.head_b)
 
 
 def layer_param_counts(config: EncoderConfig) -> dict[str, int]:

@@ -28,7 +28,7 @@ from .adapters import (
     init_pv1_adapter,
     init_pv2_adapter,
 )
-from .encoder import EncoderConfig, EncoderWeights, encoder_forward_batch
+from .encoder import EncoderConfig, EncoderWeights, encoder_forward
 from .tensor import Tape, Tensor, cross_entropy_mean
 
 MODES = ("fl", "pv1", "pv2", "ma", "finetune")
@@ -283,8 +283,8 @@ def batch_loss(weights, adapter, examples, kind: str) -> tuple[Tensor, np.ndarra
     """
     if not examples:
         raise ValueError("cannot take the loss of an empty batch")
-    logits = encoder_forward_batch(weights, examples.tokens, adapter=adapter,
-                                   per_position=kind == "tagging")
+    logits = encoder_forward(weights, examples.tokens, adapter=adapter,
+                             pooled=kind != "tagging")
     return cross_entropy_mean(logits, examples.labels.ravel()), logits.data.argmax(axis=1)
 
 

@@ -149,9 +149,9 @@ def test_c07_zero_init_transparency():
     rng = np.random.default_rng(112)
     identical = 0
     for _ in range(50):
-        tokens = rng.integers(0, config.vocab_size, size=12)
-        plain = encoder_forward(weights, tokens).data
-        adapted = encoder_forward(weights, tokens, adapter=adapter).data
+        tokens = rng.integers(0, config.vocab_size, size=(1, 12))
+        plain = encoder_forward(weights, tokens, pooled=True).data
+        adapted = encoder_forward(weights, tokens, adapter=adapter, pooled=True).data
         identical += int(np.array_equal(plain, adapted))
     report(7, "zero-started expansion is bitwise transparent on 50 random inputs",
            identical == 50, f"{identical}/50 bitwise equal")
@@ -248,8 +248,8 @@ def test_c11_persistence_round_trip(tmp_path):
     rng = np.random.default_rng(121)
     for e in registry.trainable_entries():
         e.tensor.data = e.tensor.data + rng.normal(0.0, 0.1, e.tensor.shape)
-    tokens = np.array([5, 9, 2, 14, 3])
-    logits_before = encoder_forward(weights, tokens, adapter=adapter).data
+    tokens = np.array([[5, 9, 2, 14, 3]])
+    logits_before = encoder_forward(weights, tokens, adapter=adapter, pooled=True).data
     path = tmp_path / "trainable.flckpt"
     save_trainable(registry, path)
 
@@ -257,7 +257,7 @@ def test_c11_persistence_round_trip(tmp_path):
     fresh_adapter = init_fl_adapter(config, d_a=4, seed=999)
     fresh = build_registry(rebuilt, fresh_adapter)
     load_trainable(path, fresh)
-    logits_after = encoder_forward(rebuilt, tokens, adapter=fresh_adapter).data
+    logits_after = encoder_forward(rebuilt, tokens, adapter=fresh_adapter, pooled=True).data
 
     # every tensor of the model, frozen and trainable, equals the original bitwise
     bitwise = [e.name for e in registry.entries] == [e.name for e in fresh.entries] and all(

@@ -297,9 +297,9 @@ def test_fl_zero_units_matches_no_adapter_bitwise():
     config = small_config()
     weights = init_encoder(config, seed=20)
     adapter = init_fl_adapter(config, d_a=0, seed=21)
-    tokens = np.array([3, 1, 4, 1, 5])
-    plain = encoder_forward(weights, tokens)
-    with_adapter = encoder_forward(weights, tokens, adapter=adapter)
+    tokens = np.array([[3, 1, 4, 1, 5]])
+    plain = encoder_forward(weights, tokens, pooled=True)
+    with_adapter = encoder_forward(weights, tokens, adapter=adapter, pooled=True)
     assert np.array_equal(plain.data, with_adapter.data)
 
 
@@ -309,9 +309,9 @@ def test_fl_zero_init_transparent_bitwise():
     adapter = init_fl_adapter(config, d_a=8, seed=23)  # w2 starts at zero
     rng = np.random.default_rng(24)
     for _ in range(10):
-        tokens = rng.integers(0, config.vocab_size, size=6)
-        plain = encoder_forward(weights, tokens)
-        with_adapter = encoder_forward(weights, tokens, adapter=adapter)
+        tokens = rng.integers(0, config.vocab_size, size=(1, 6))
+        plain = encoder_forward(weights, tokens, pooled=True)
+        with_adapter = encoder_forward(weights, tokens, adapter=adapter, pooled=True)
         assert np.array_equal(plain.data, with_adapter.data)
 
 
@@ -319,9 +319,9 @@ def test_fl_zero_units_argmax_invariant():
     config = small_config()
     weights = init_encoder(config, seed=25)
     adapter = init_fl_adapter(config, d_a=0, seed=26)
-    tokens = np.array([9, 2, 7])
-    a = encoder_forward(weights, tokens).data
-    b = encoder_forward(weights, tokens, adapter=adapter).data
+    tokens = np.array([[9, 2, 7]])
+    a = encoder_forward(weights, tokens, pooled=True).data
+    b = encoder_forward(weights, tokens, adapter=adapter, pooled=True).data
     assert np.argmax(a) == np.argmax(b)
 
 
@@ -330,10 +330,10 @@ def test_pv1_consumes_sequence_budget():
     weights = init_encoder(config, seed=28)
     adapter = init_pv1_adapter(config, prompt_len=4, seed=29)
     # 8 tokens + 4 prompt rows == max_seq_len, fine
-    out = encoder_forward(weights, np.arange(8), adapter=adapter)
+    out = encoder_forward(weights, np.arange(8)[None], adapter=adapter, pooled=True)
     assert out.shape == (1, 3)
     with pytest.raises(ShapeError, match="too long"):
-        encoder_forward(weights, np.arange(9), adapter=adapter)
+        encoder_forward(weights, np.arange(9)[None], adapter=adapter, pooled=True)
 
 
 def test_pv2_encoder_gradients_for_prefix_tensors():
@@ -341,10 +341,11 @@ def test_pv2_encoder_gradients_for_prefix_tensors():
     weights = init_encoder(config, seed=30)
     adapter = init_pv2_adapter(config, prompt_len=3, seed=31)
     build_registry(weights, adapter)  # freezes backbone, marks adapter trainable
-    tokens = np.array([3, 1, 4, 1, 5])
+    tokens = np.array([[3, 1, 4, 1, 5]])
 
     def loss_fn(_):
-        return cross_entropy_mean(encoder_forward(weights, tokens, adapter=adapter), [2])
+        return cross_entropy_mean(encoder_forward(weights, tokens, adapter=adapter, pooled=True),
+                                  [2])
 
     rng = np.random.default_rng(32)
     # every coordinate of both layers' packed prefixes, so every head's block
@@ -359,7 +360,7 @@ def test_frozen_backbone_gets_no_grad_buffers_in_fl_mode():
     adapter = init_fl_adapter(config, d_a=4, seed=34)
     registry = build_registry(weights, adapter)
     with Tape() as tape:
-        logits = encoder_forward(weights, np.array([3, 1, 4]), adapter=adapter)
+        logits = encoder_forward(weights, np.array([[3, 1, 4]]), adapter=adapter, pooled=True)
         loss = cross_entropy_mean(logits, [0])
         tape.backward(loss)
     for entry in registry.frozen_entries():

@@ -166,15 +166,15 @@ def test_adapter_round_trip_on_fresh_backbone_bitwise(tmp_path):
     rng = np.random.default_rng(7)
     for params in adapter.layers.values():
         params.w2.data = rng.normal(0.0, 0.1, params.w2.shape)
-    tokens = np.array([9, 2, 7, 1])
-    logits_before = encoder_forward(weights, tokens, adapter=adapter).data
+    tokens = np.array([[9, 2, 7, 1]])
+    logits_before = encoder_forward(weights, tokens, adapter=adapter, pooled=True).data
 
     path = tmp_path / "trainable.flckpt"
     save_trainable(registry, path, config_echo={"d_a": 4})
     rebuilt = init_encoder(config, seed=5)
     fresh = init_fl_adapter(config, d_a=4, seed=99)
     load_trainable(path, build_registry(rebuilt, fresh))
-    logits_after = encoder_forward(rebuilt, tokens, adapter=fresh).data
+    logits_after = encoder_forward(rebuilt, tokens, adapter=fresh, pooled=True).data
     assert np.array_equal(logits_before, logits_after)
 
 

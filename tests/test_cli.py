@@ -84,10 +84,11 @@ CONFIG_COMMANDS = {"gradcheck": [], "params": [], "train": [], "fewshot": [],
 
 @pytest.mark.parametrize("command, route", [
     *[(command, route) for route in ("--seed", "output_dir") for command in CONFIG_COMMANDS],
-    ("verify", "--seed")])
+    ("verify", "--seed"), ("params", "--json")])
 def test_each_setting_has_one_route(tmp_path, monkeypatch, capsys, command, route):
     # the training seed is --set train.seed=N and the run directory is --out,
-    # else $FLTUNE_OUTPUT_ROOT/<command>; verify's --seed seeds its suites
+    # else $FLTUNE_OUTPUT_ROOT/<command>; verify's --seed seeds its suites,
+    # and params prints only JSON
     monkeypatch.setenv("FLTUNE_OUTPUT_ROOT", str(tmp_path / "root"))
     monkeypatch.chdir(tmp_path)
     if command == "verify":
@@ -95,14 +96,15 @@ def test_each_setting_has_one_route(tmp_path, monkeypatch, capsys, command, rout
         return
     path = desk_config(tmp_path)
     argv = [command, str(path), *CONFIG_COMMANDS[command]]
-    if route == "--seed":
-        argv += ["--seed", "7"]
-        expected = "fltune: error: unrecognized arguments: --seed 7\n"
-    else:
+    if route == "output_dir":
         config = json.loads(path.read_text(encoding="utf-8"))
         path.write_text(json.dumps({**config, "output_dir": str(tmp_path / "out")}),
                         encoding="utf-8")
         expected = "config error: unknown key(s): output_dir\n"
+    else:
+        flag = {"--seed": ["--seed", "7"], "--json": ["--json"]}[route]
+        argv += flag
+        expected = f"fltune: error: unrecognized arguments: {' '.join(flag)}\n"
     before = sorted(tmp_path.rglob("*"))
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
@@ -250,7 +252,7 @@ def test_only_train_and_fewshot_take_out(tmp_path, capsys, command, args):
 
 def test_params_json_fractions(tmp_path, capsys):
     path = desk_config(tmp_path)
-    assert main(["params", str(path), "--json"]) == EXIT_OK
+    assert main(["params", str(path)]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     modes = payload["modes"]
     assert modes["finetune"]["fraction"] == 1.0
@@ -261,19 +263,19 @@ def test_params_json_fractions(tmp_path, capsys):
         assert mode in modes
 
 
-def test_params_table_output(tmp_path, capsys):
+def test_params_prints_only_its_json_payload(tmp_path, capsys):
     path = desk_config(tmp_path)
     assert main(["params", str(path)]) == EXIT_OK
     out = capsys.readouterr().out
-    assert "mode" in out and "finetune" in out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert set(json.loads(out)) == {"encoder", "ffn_share_per_layer", "modes"}
 
 
 def test_params_reports_unfittable_mode_instead_of_crashing(tmp_path, capsys):
     # default prompt length (160) cannot fit max_seq_len 16; the pv1 row
     # must degrade to an explanation, not a traceback
     path = desk_config(tmp_path)
-    assert main(["params", str(path), "--set", "train.prompt_len=160",
-                 "--json"]) == EXIT_OK
+    assert main(["params", str(path), "--set", "train.prompt_len=160"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert "error" in payload["modes"]["pv1"]
     assert payload["modes"]["fl"]["trainable"] > 0

@@ -14,9 +14,7 @@ from fltune.encoder import (
     FFNLayer,
     attention_forward,
     encoder_forward,
-    encoder_forward_batch,
     encoder_hidden,
-    encoder_hidden_batch,
     ffn_fl_split,
     ffn_forward,
     ffn_parameter_share,
@@ -194,9 +192,9 @@ def test_ffn_width_mismatch_raises():
 
 def test_encoder_forward_deterministic():
     weights = init_encoder(small_config(), seed=7)
-    tokens = np.array([3, 1, 4, 1, 5])
-    a = encoder_forward(weights, tokens)
-    b = encoder_forward(weights, tokens)
+    tokens = np.array([[3, 1, 4, 1, 5]])
+    a = encoder_forward(weights, tokens, pooled=True)
+    b = encoder_forward(weights, tokens, pooled=True)
     assert np.array_equal(a.data, b.data)
     assert a.shape == (1, 3)
 
@@ -204,13 +202,13 @@ def test_encoder_forward_deterministic():
 def test_encoder_rejects_unknown_token():
     weights = init_encoder(small_config(), seed=7)
     with pytest.raises(ShapeError, match="unknown token id"):
-        encoder_forward(weights, np.array([3, 99]))
+        encoder_forward(weights, np.array([[3, 99]]))
 
 
 def test_encoder_rejects_overlong_sequence():
     weights = init_encoder(small_config(), seed=7)
     with pytest.raises(ShapeError, match="too long"):
-        encoder_forward(weights, np.arange(13))
+        encoder_forward(weights, np.arange(13)[None])
 
 
 def not_a_batch(got):
@@ -266,17 +264,26 @@ def test_malformed_batches_raise_the_per_token_message(tokens, prompt_len, messa
     weights = init_encoder(config, seed=7)
     adapter = init_pv1_adapter(config, prompt_len=prompt_len, seed=1) if prompt_len else None
     with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
-        encoder_forward_batch(weights, tokens, adapter)
+        encoder_forward(weights, tokens, adapter)
 
 
-@pytest.mark.parametrize("forward", [encoder_forward, encoder_hidden, encoder_forward_batch,
-                                     encoder_hidden_batch])
+@pytest.mark.parametrize("forward", [encoder_forward, encoder_hidden])
 @pytest.mark.parametrize("tokens", [[3, 1, 4], ((3, 1, 4),)], ids=["list", "tuple"])
 def test_every_encoder_entry_refuses_a_python_sequence(forward, tokens):
     weights = init_encoder(small_config(), seed=7)
     message = not_a_batch(type(tokens).__name__)
     with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
         forward(weights, tokens)
+
+
+@pytest.mark.parametrize("forward", [encoder_forward, encoder_hidden])
+def test_every_encoder_entry_refuses_a_1d_array(forward):
+    # one sequence is a (1, T) batch; a bare 1-d array is not read as one
+    weights = init_encoder(small_config(), seed=7)
+    message = not_a_batch("1-d int64 array")
+    for pooled in (False, True):
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            forward(weights, np.array([3, 1, 4], dtype=np.int64), pooled=pooled)
 
 
 INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
@@ -291,22 +298,22 @@ def test_batch_forms_of_the_same_tokens_give_the_same_logits_bitwise(data):
     n, t = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 12))
     ids = data.draw(st.lists(st.integers(0, 15), min_size=n * t, max_size=n * t))
     tokens = np.array(ids, dtype=np.int64).reshape(n, t)
-    per_position = data.draw(st.booleans())
-    want = encoder_forward_batch(weights, tokens, per_position=per_position).data
+    pooled = data.draw(st.booleans())
+    want = encoder_forward(weights, tokens, pooled=pooled).data
     for dtype in INT_DTYPES:
         wide = np.zeros((2 * n, 3 * t), dtype=dtype)
         wide[::2, ::3] = tokens
         for form in (tokens.astype(dtype), tokens.astype(dtype, order="F"), wide[::2, ::3]):
-            got = encoder_forward_batch(weights, form, per_position=per_position).data
+            got = encoder_forward(weights, form, pooled=pooled).data
             assert got.tobytes() == want.tobytes(), (dtype, form.strides)
     for other in (bool, np.float64, object):
         with pytest.raises(ShapeError, match="^a token batch is an .* array, got 2-d"):
-            encoder_forward_batch(weights, tokens.astype(other), per_position=per_position)
+            encoder_forward(weights, tokens.astype(other), pooled=pooled)
 
 
-def test_encoder_per_position_logits_shape():
+def test_encoder_token_row_logits_shape():
     weights = init_encoder(small_config(), seed=7)
-    out = encoder_forward(weights, np.array([3, 1, 4]), per_position=True)
+    out = encoder_forward(weights, np.array([[3, 1, 4]]))
     assert out.shape == (3, 3)
 
 
@@ -317,7 +324,7 @@ def test_encoder_golden_output_postnorm_regression():
     the overall composition; any layout change breaks these values.
     """
     weights = init_encoder(small_config(), seed=11)
-    logits = encoder_forward(weights, np.array([2, 7, 1, 0])).data
+    logits = encoder_forward(weights, np.array([[2, 7, 1, 0]]), pooled=True).data
     expected = np.array([[-0.023503730496855897, -0.054240566835668864, 0.02230247287921916]])
     np.testing.assert_allclose(logits, expected, atol=1e-12, rtol=0)
 
@@ -325,11 +332,11 @@ def test_encoder_golden_output_postnorm_regression():
 def test_encoder_gradients_match_finite_differences():
     config = small_config()
     weights = init_encoder(config, seed=13)
-    tokens = np.array([3, 1, 4, 1, 5, 9])
+    tokens = np.array([[3, 1, 4, 1, 5, 9]])
     label = [1]
 
     def loss_fn(_):
-        return cross_entropy_mean(encoder_forward(weights, tokens), label)
+        return cross_entropy_mean(encoder_forward(weights, tokens, pooled=True), label)
 
     rng = np.random.default_rng(17)
     probes = {

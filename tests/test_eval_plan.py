@@ -38,16 +38,16 @@ def build(mode, kind, seq_len, dev_size, prompt_len=2, seed=0):
 
 
 def recorded_passes(monkeypatch, weights, adapter, task) -> list:
-    """The token array of each ``encoder_forward_batch`` call that one
+    """The token array of each ``encoder_forward`` call that one
     ``evaluate`` of the dev split makes."""
     passes = []
-    forward = training.encoder_forward_batch
+    forward = training.encoder_forward
 
     def recording(weights, sequences, *args, **kwargs):
         passes.append(sequences)
         return forward(weights, sequences, *args, **kwargs)
 
-    monkeypatch.setattr(training, "encoder_forward_batch", recording)
+    monkeypatch.setattr(training, "encoder_forward", recording)
     evaluate(weights, adapter, task.dev, task.kind)
     return passes
 
@@ -73,19 +73,19 @@ def test_passes_cover_the_split_in_order(monkeypatch, mode, seq_len, prompt_len,
 
 def one_pass_per_example(weights, adapter, examples, kind):
     """Accuracy, mean loss and F1 from one forward pass per example."""
-    per_position = kind == "tagging"
+    tagging = kind == "tagging"
     correct = labels = 0
     losses, true_seqs, pred_seqs = [], [], []
     for tokens, label in zip(examples.tokens, examples.labels.tolist()):
-        logits = encoder_forward(weights, tokens, adapter, per_position=per_position)
-        target = label if per_position else [label]
+        logits = encoder_forward(weights, tokens[None], adapter, pooled=not tagging)
+        target = label if tagging else [label]
         losses.append(cross_entropy_mean(logits, target).item())
         pred = logits.data.argmax(axis=1)
         correct += int((pred == np.asarray(target)).sum())
         labels += len(target)
         true_seqs.append(target)
         pred_seqs.append(pred)
-    f1 = span_f1(np.array(true_seqs), np.array(pred_seqs)) if per_position else None
+    f1 = span_f1(np.array(true_seqs), np.array(pred_seqs)) if tagging else None
     return correct / labels, sum(losses) / len(losses), f1
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from fltune.adapters import build_registry
 from fltune.data import KINDS, generate_task
-from fltune.encoder import EncoderConfig, encoder_forward, encoder_forward_batch, init_encoder
+from fltune.encoder import EncoderConfig, encoder_forward, init_encoder
 from fltune.tensor import (
     ShapeError,
     Tape,
@@ -60,18 +60,16 @@ def tape_grads(registry, loss_fn) -> dict:
 def test_packed_batch_matches_single_examples(mode, kind):
     weights, adapter, registry, task = build(mode, kind)
     examples = task.train
-    per_position = kind == "tagging"
-    packed = encoder_forward_batch(weights, examples.tokens, adapter,
-                                   per_position=per_position).data
-    single = np.concatenate([encoder_forward(weights, tokens, adapter,
-                                             per_position=per_position).data
+    pooled = kind != "tagging"
+    packed = encoder_forward(weights, examples.tokens, adapter, pooled=pooled).data
+    single = np.concatenate([encoder_forward(weights, tokens[None], adapter, pooled=pooled).data
                              for tokens in examples.tokens])
     np.testing.assert_allclose(packed, single, rtol=0, atol=1e-12)
 
     def per_example_loss():
         loss = None
         for tokens, label in zip(examples.tokens, examples.labels):
-            logits = encoder_forward(weights, tokens, adapter, per_position=per_position)
+            logits = encoder_forward(weights, tokens[None], adapter, pooled=pooled)
             part = scale(cross_entropy_mean(logits, label.reshape(-1)), 1.0 / len(examples))
             loss = part if loss is None else add(loss, part)
         return loss
@@ -88,11 +86,11 @@ def test_packed_batch_matches_single_examples(mode, kind):
 def test_examples_in_a_batch_do_not_read_each_other(mode, kind):
     weights, adapter, _registry, task = build(mode, kind)
     sequences = task.train.tokens
-    per_position = kind == "tagging"
+    pooled = kind != "tagging"
     changed = sequences.copy()
     changed[2] = sequences[2, ::-1]
-    before = encoder_forward_batch(weights, sequences, adapter, per_position=per_position).data
-    after = encoder_forward_batch(weights, changed, adapter, per_position=per_position).data
+    before = encoder_forward(weights, sequences, adapter, pooled=pooled).data
+    after = encoder_forward(weights, changed, adapter, pooled=pooled).data
     rows = before.shape[0] // len(sequences)
     keep = np.arange(before.shape[0]) // rows != 2
     assert np.array_equal(before[keep], after[keep])
@@ -105,13 +103,13 @@ def test_ragged_batch_raises_shape_error():
     sequences = [task.train.tokens[0], task.train.tokens[1, :-1]]
     message = "a token batch is an (N, T) integer array, got list"
     with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
-        encoder_forward_batch(weights, sequences, adapter)
+        encoder_forward(weights, sequences, adapter)
 
 
 def test_empty_batch_raises_shape_error():
     weights, _adapter, _registry, task = build("finetune", "classification")
     with pytest.raises(ShapeError, match="^batch has no sequences$"):
-        encoder_forward_batch(weights, task.train.tokens[:0])
+        encoder_forward(weights, task.train.tokens[:0])
 
 
 @pytest.mark.parametrize("which", [2, 3], ids=["qx", "kx"])

@@ -13,7 +13,6 @@ from fltune.encoder import (
     EncoderConfig,
     attention_forward,
     encoder_forward,
-    encoder_forward_batch,
     encoder_hidden,
     ffn_fl_split,
     ffn_forward,
@@ -63,7 +62,6 @@ def all_rows_hidden(weights, tokens, adapter):
     hooks = adapter if adapter is not None else AdapterHooks()
     prompt = hooks.prompt_rows()
     prompt_len = 0 if prompt is None else prompt.shape[0]
-    tokens = np.atleast_2d(tokens)
     batch, seq_len = tokens.shape
     x = gather_rows(weights.tok_emb, tokens.ravel())
     if prompt_len:
@@ -111,10 +109,10 @@ def tape_grads(registry, loss_fn) -> dict:
 @pytest.mark.parametrize("mode", MODES)
 def test_pooled_logits_match_all_rows(mode, kind):
     weights, adapter, _registry, task = build(mode, kind)
-    for tokens in task.train.tokens:
+    for tokens in task.train.tokens[:, None]:
         hidden = encoder_hidden(weights, tokens, adapter, pooled=True)
         assert hidden.shape == (1, weights.config.d_m)
-        pooled = encoder_forward(weights, tokens, adapter).data
+        pooled = encoder_forward(weights, tokens, adapter, pooled=True).data
         full = all_rows_logits(weights, tokens, adapter).data
         np.testing.assert_allclose(pooled, full, rtol=0, atol=1e-12)
 
@@ -123,9 +121,9 @@ def test_pooled_logits_match_all_rows(mode, kind):
 @pytest.mark.parametrize("mode", MODES)
 def test_pooled_gradients_match_all_rows(mode, kind):
     weights, adapter, registry, task = build(mode, kind)
-    tokens, label = task.train.tokens[0], task.train.labels[:1]
+    tokens, label = task.train.tokens[:1], task.train.labels[:1]
     pooled = tape_grads(registry, lambda: cross_entropy_mean(
-        encoder_forward(weights, tokens, adapter), label))
+        encoder_forward(weights, tokens, adapter, pooled=True), label))
     full = tape_grads(registry, lambda: cross_entropy_mean(
         all_rows_logits(weights, tokens, adapter), label))
     assert pooled.keys() == full.keys()
@@ -139,7 +137,7 @@ def test_pooled_gradients_match_all_rows(mode, kind):
 def test_tagging_logits_match_all_rows(mode):
     weights, adapter, _registry, task = build(mode, "tagging")
     tokens = task.train.tokens
-    got = encoder_forward_batch(weights, tokens, adapter, per_position=True).data
+    got = encoder_forward(weights, tokens, adapter).data
     assert got.shape == (tokens.size, weights.config.n_classes)
     want = all_rows_tagging_logits(weights, tokens, adapter).data
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -150,7 +148,7 @@ def test_tagging_gradients_match_all_rows(mode):
     weights, adapter, registry, task = build(mode, "tagging")
     tokens, labels = task.train.tokens[:2], task.train.labels[:2].ravel()
     pruned = tape_grads(registry, lambda: cross_entropy_mean(
-        encoder_forward_batch(weights, tokens, adapter, per_position=True), labels))
+        encoder_forward(weights, tokens, adapter), labels))
     full = tape_grads(registry, lambda: cross_entropy_mean(
         all_rows_tagging_logits(weights, tokens, adapter), labels))
     assert pruned.keys() == full.keys()
@@ -172,8 +170,9 @@ def test_pruned_path_passes_finite_differences(mode, kind, pick):
 
     def loss_fn(_tensor):
         loss = None
-        for tokens, label in zip(examples.tokens, examples.labels):
-            part = cross_entropy_mean(encoder_forward(weights, tokens, adapter), [label])
+        for tokens, label in zip(examples.tokens[:, None], examples.labels):
+            part = cross_entropy_mean(encoder_forward(weights, tokens, adapter, pooled=True),
+                                      [label])
             loss = part if loss is None else add(loss, part)
         return loss
 

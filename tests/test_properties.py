@@ -350,7 +350,7 @@ def test_params_and_train_agree_mode_by_mode(config_path, out_root, section):
     sets = [arg for key, value in section.items()
             for arg in ("--set", f"{key}={json.dumps(value)}")]
     out = out_root / "modes"
-    params = run_main(["params", str(config_path), "--json", *sets])
+    params = run_main(["params", str(config_path), *sets])
     train = run_main(["train", str(config_path), "--out", str(out), *sets])
     if params[0] != EXIT_OK:
         assert params[0] == train[0] == EXIT_USAGE
@@ -362,7 +362,7 @@ def test_params_and_train_agree_mode_by_mode(config_path, out_root, section):
     shutil.rmtree(out)
     rows = json.loads(params[1])["modes"]
     for mode in MODES:
-        code, stdout, stderr = run_main(["params", str(config_path), "--json", *sets,
+        code, stdout, stderr = run_main(["params", str(config_path), *sets,
                                          "--set", f"train.mode={mode}"])
         if "error" in rows[mode]:
             # the row carries the message of the rule that refuses the mode

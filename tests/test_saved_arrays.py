@@ -14,7 +14,7 @@ import pytest
 
 import fltune.encoder as encoder_module
 from fltune.adapters import init_fl_adapter
-from fltune.encoder import EncoderConfig, encoder_forward_batch, init_encoder
+from fltune.encoder import EncoderConfig, encoder_forward, init_encoder
 from fltune.tensor import (
     Tape,
     Tensor,
@@ -203,7 +203,8 @@ def test_encoder_frees_frozen_ffn_hidden_and_out_proj_outputs(monkeypatch):
 
     monkeypatch.setattr(encoder_module, "affine", traced)
     with Tape() as tape:
-        logits = encoder_forward_batch(weights, np.array([[1, 2, 3, 4], [5, 6, 7, 8]]), adapter)
+        logits = encoder_forward(weights, np.array([[1, 2, 3, 4], [5, 6, 7, 8]]), adapter,
+                                 pooled=True)
         loss = cross_entropy_mean(logits, [0, 2])
     del logits
     gc.collect()

@@ -25,6 +25,7 @@ from fltune.adapters import (
     init_ma_adapter,
     ma_forward,
 )
+from fltune.cli import build_experiment, load_experiment_config
 from fltune.encoder import (
     AdapterHooks,
     EncoderConfig,
@@ -71,9 +72,9 @@ def test_every_adapter_implements_the_hooks():
 
 def test_base_hooks_are_transparent():
     weights = init_encoder(small_config(), seed=1)
-    tokens = np.array([3, 5, 7, 9, 11])
-    plain = encoder_forward(weights, tokens).data
-    hooked = encoder_forward(weights, tokens, adapter=AdapterHooks()).data
+    tokens = np.array([[3, 5, 7, 9, 11]])
+    plain = encoder_forward(weights, tokens, pooled=True).data
+    hooked = encoder_forward(weights, tokens, adapter=AdapterHooks(), pooled=True).data
     assert np.array_equal(plain, hooked)
 
 
@@ -89,9 +90,9 @@ def test_custom_adapter_overriding_one_hook_matches_fl_adapter():
         def ffn_units(self, i):
             return fl.layers[i]
 
-    tokens = np.array([4, 6, 8, 10])
-    assert np.array_equal(encoder_forward(weights, tokens, adapter=fl).data,
-                          encoder_forward(weights, tokens, adapter=OnlyFFN()).data)
+    tokens = np.array([[4, 6, 8, 10]])
+    assert np.array_equal(encoder_forward(weights, tokens, adapter=fl, pooled=True).data,
+                          encoder_forward(weights, tokens, adapter=OnlyFFN(), pooled=True).data)
 
 
 def test_ma_forward_is_attention_with_expansion():
@@ -304,22 +305,29 @@ def test_no_module_imports_a_name_it_never_uses():
         assert not unused, f"imported and never used: {unused}"
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def import_spans(monkeypatch):
+    """A fresh import of perfbench's span tracer module."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in ("spans", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    return importlib.import_module("spans")
+
+
 def test_every_name_perfbench_looks_up_exists(monkeypatch):
     # perfbench drives the program by name: spans.METHODS is read when spans
     # is imported, spans.FUNCTIONS with getattr under --trace 1, and spans.py
     # and worker.py read module attributes; without this check a deleted name
     # fails only in the slow `pytest perfbench`
-    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
-    monkeypatch.syspath_prepend(str(perfbench))
-    for name in ("spans", "workloads"):
-        monkeypatch.delitem(sys.modules, name, raising=False)
-    spans = importlib.import_module("spans")  # raises if a METHODS class is gone
+    spans = import_spans(monkeypatch)  # raises if a METHODS class is gone
     missing = [f"{home.__name__}.{name}" for home, names in spans.FUNCTIONS.items()
                for name in names if not hasattr(home, name)]
     missing += [f"{cls.__name__}.{meth}" for _home, cls, meth in spans.METHODS
                 if not hasattr(cls, meth)]
     for file in ("spans.py", "worker.py"):
-        tree = ast.parse((perfbench / file).read_text(encoding="utf-8"))
+        tree = ast.parse((PERFBENCH / file).read_text(encoding="utf-8"))
         homes = {"fltune": fltune}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fltune"):
@@ -334,6 +342,21 @@ def test_every_name_perfbench_looks_up_exists(monkeypatch):
                     if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
                     and n.value.id in homes and not hasattr(homes[n.value.id], n.attr)]
     assert not missing, f"names perfbench looks up that the program lacks: {missing}"
+
+
+def test_a_training_run_calls_the_encoder_names_perfbench_traces(monkeypatch):
+    # perfbench's encoder figures come from the spans of encoder.encoder_forward
+    # and encoder.encoder_hidden; a name that only some other path calls would
+    # leave them reading 0 on a working run
+    spans = import_spans(monkeypatch)
+    config = load_experiment_config(PERFBENCH.parent / "configs" / "demo_classification.json", [
+        "train.max_steps=2", "task.train_size=32", "task.dev_size=8", "task.test_size=8"])
+    task, weights, adapter, registry = build_experiment(config)
+    with spans.Tracer() as tracer:
+        training_module.train(weights, adapter, task, config.train, registry)
+    names = [tracer.names[i] for i in tracer.name]
+    assert names.count("encoder.encoder_forward") >= 1
+    assert names.count("encoder.encoder_hidden") >= 1
 
 
 def test_every_defaulted_parameter_is_passed_by_some_call():
