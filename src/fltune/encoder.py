@@ -20,9 +20,11 @@ row, prompt rows included, while its queries, attention rows, output
 projection, layer norms and FFN run on the read rows alone, so the logits
 equal those of an all-rows pass up to float rounding.
 
-A pass runs on the calling thread, but for the trailing rows of large
-projection and FFN products (``tensor._product``); independent batches may run
-concurrently, each on its own tape, with weights read-only while adapters train.
+A pass runs on the calling thread, but for the trailing part of its large
+ops, which ``tensor._split`` hands to one worker thread: the trailing rows of
+projection and FFN products and of layer norms, and the trailing examples of
+attention. Independent batches may run concurrently, each on its own tape,
+with weights read-only while adapters train.
 """
 
 from __future__ import annotations

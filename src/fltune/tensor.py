@@ -33,13 +33,31 @@ zeros would. The softmax shifts of ``attention_weights`` and
 NumPy reduces all rows in one vectorized pass instead of one short loop per
 row; a max is exact in any order.
 
-``matmul`` and ``affine`` form their forward and both backward products in
-``_product``. If, at import, BLAS runs one thread (``OPENBLAS_NUM_THREADS``,
-else ``OMP_NUM_THREADS``, is 1) and ``os.sched_getaffinity`` holds two CPUs or
-more (``taskset -c 0`` holds one), a product of at least 2^22 multiply-adds
-(the measured break-even) and 48 rows splits: a daemon worker thread computes
-its trailing rows under the caller's ``np.geterr``. Splits fall on multiples
-of 24 rows, so each row keeps its kind of dgemm tile, and so its bits (README.md).
+Large ops use a second core through ``_split``, which runs an op's kernel on
+a range of its rows (or examples). If, at import, BLAS runs one thread
+(``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, is 1) and
+``os.sched_getaffinity`` holds two CPUs or more (``taskset -c 0`` holds one),
+an op whose work reaches 2^22 multiply-adds splits: a daemon worker thread
+runs the kernel on the trailing rows under the caller's ``np.geterr``, while
+the caller runs it on the leading ones. Three kinds of op split (README.md
+gives the measured break-evens):
+
+- ``_product``, which forms the forward and both backward products of
+  ``matmul`` and ``affine``, by rows, with 48 rows or more. Splits fall on
+  multiples of 24 rows, so each row keeps its kind of dgemm tile, and so its
+  bits. Its work is its multiply-adds.
+- ``attention_weights`` and ``attention_values``, forward and backward, by
+  examples. Each example's per-head products are products of their own, and
+  each softmax row is reduced on its own, so no bit depends on the split.
+  Their work is the multiply-adds of the per-head products.
+- ``layer_norm``'s forward and its input gradient, by rows; each row is
+  reduced on its own. Its work counts ``_NORM_WORK`` (64) per element.
+
+Column sums never split, since that would change their summation order:
+``layer_norm``'s gain and bias gradients and ``affine``'s bias gradient stay
+whole on the calling thread. Below the threshold ``_split`` calls the kernel
+once on the whole arrays; the kernels are module functions, so an unsplit op
+builds no closure and no buffer for the split.
 
 Importing this module tunes the C allocator of the whole process, on Linux
 with glibc only and with no setting to turn it off. Every other fltune module
@@ -237,7 +255,8 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], needs: tuple[bool, ...],
     return out
 
 
-_SPLIT_MIN, _SPLIT_ROWS = 1 << 22, 24  # row-split products: see the module docstring
+_SPLIT_MIN, _SPLIT_ROWS = 1 << 22, 24  # row splits: see the module docstring
+_NORM_WORK = 64  # layer_norm's work per element, in multiply-adds (measured)
 _CAN_SPLIT = (len(getattr(os, "sched_getaffinity", lambda _: ())(0)) >= 2 and (
     os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")) == "1")
 _worker: dict = {}  # "jobs": the worker thread's queue, once one runs here
@@ -247,33 +266,51 @@ if hasattr(os, "register_at_fork"):
 
 def _work(jobs) -> None:
     while True:
-        a, b, out, err, call, done = jobs.get()
+        kernel, args, err, call, done = jobs.get()
         try:
             with np.errstate(call=call, **err):
-                np.matmul(a, b, out=out)
+                kernel(*args)
             done.put(None)
         except Exception as exc:  # re-raised by the caller
             done.put(exc)
-        del a, b, out, done  # hold no job's arrays while waiting for the next
+        del kernel, args, done  # hold no job's arrays while waiting for the next
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` of 2-d arrays, bit for bit (see the module docstring)."""
-    if not _CAN_SPLIT or len(a) < 2 * _SPLIT_ROWS or a.size * b.shape[1] < _SPLIT_MIN:
-        return a @ b
+def _split(kernel: Callable, work: int, align: int, rows: tuple, *shared) -> None:
+    """``kernel(*rows, *shared)``, bit for bit, where every array in ``rows``
+    (None stands for an unused one) shares a leading dimension whose entries
+    the kernel computes independently. With ``work`` at least ``_SPLIT_MIN``
+    and two ``align`` blocks of rows, the worker thread computes the trailing
+    rows (see the module docstring); below that the kernel runs once, on the
+    whole arrays."""
+    m = len(rows[0])
+    if not _CAN_SPLIT or m < 2 * align or work < _SPLIT_MIN:
+        kernel(*rows, *shared)
+        return
     import queue  # only here: a run that never splits imports nothing new
     fresh = queue.SimpleQueue()  # the worker's queue if no worker runs yet
     if _worker.setdefault("jobs", fresh) is fresh:  # one winner if threads race
         threading.Thread(target=_work, args=(fresh,), daemon=True).start()
-    h = _SPLIT_ROWS * round(len(a) / (2 * _SPLIT_ROWS))
-    out, done = np.empty((len(a), b.shape[1])), queue.SimpleQueue()
-    _worker["jobs"].put((a[h:], b, out[h:], np.geterr(), np.geterrcall(), done))
+    h = align * round(m / (2 * align))
+    done = queue.SimpleQueue()
+    tail = tuple(None if r is None else r[h:] for r in rows)
+    _worker["jobs"].put((kernel, tail + shared, np.geterr(), np.geterrcall(), done))
     try:
-        np.matmul(a[:h], b, out=out[:h])
+        kernel(*(None if r is None else r[:h] for r in rows), *shared)
     finally:
         error = done.get()
     if error is not None:
         raise error
+
+
+def _matmul_into(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    np.matmul(a, b, out=out)
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` of 2-d arrays, bit for bit (see the module docstring)."""
+    out = np.empty((len(a), b.shape[1]))
+    _split(_matmul_into, a.size * b.shape[1], _SPLIT_ROWS, (out, a), b)
     return out
 
 
@@ -484,6 +521,41 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
     return _record(out, (table,), needs, bw)
 
 
+def _norm_rows(xhat, std, out, x, residual, gain, bias, eps) -> None:
+    """``layer_norm``'s forward on some rows: in place on ``xhat``, ``std``
+    and ``out``, in the order of the textbook formulas xhat = (s - mu) /
+    sqrt(var + eps), out = gain * xhat + bias, s = x + residual."""
+    n = x.shape[1]
+    np.add(x, residual, out=xhat)
+    mu = np.add.reduce(xhat, axis=1, keepdims=True)
+    mu /= n
+    xhat -= mu
+    np.square(xhat, out=out)
+    np.add.reduce(out, axis=1, keepdims=True, out=std)
+    std /= n
+    std += eps
+    np.sqrt(std, out=std)
+    xhat /= std
+    np.multiply(gain, xhat, out=out)
+    out += bias
+
+
+def _norm_grad_rows(gx, tmp, g, xhat, std, gain) -> None:
+    """``layer_norm``'s input gradient on some rows: (dxhat - m1 - xhat * m2)
+    / std with dxhat = g * gain, in place on ``gx`` and ``tmp``."""
+    n = g.shape[1]
+    np.multiply(g, gain, out=gx)
+    m1 = np.add.reduce(gx, axis=1, keepdims=True)
+    m1 /= n
+    np.multiply(gx, xhat, out=tmp)
+    m2 = np.add.reduce(tmp, axis=1, keepdims=True)
+    m2 /= n
+    np.multiply(xhat, m2, out=tmp)
+    gx -= m1
+    gx -= tmp
+    gx /= std
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5, *,
                residual: Tensor) -> Tensor:
     """Per-row normalization of ``x + residual`` followed by a learned affine map.
@@ -502,20 +574,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5, *,
     if gain.data.shape != (1, n) or bias.data.shape != (1, n):
         raise ShapeError(
             f"layer_norm gain/bias must be (1, {n}), got {gain.data.shape} and {bias.data.shape}")
-    # in place on two buffers, in the order of the textbook formulas:
-    # xhat = (s - mu) / sqrt(var + eps), out = gain * xhat + bias, s = x + residual
-    rows = x.data + residual.data
-    mu = np.add.reduce(rows, axis=1, keepdims=True)
-    mu /= n
-    xhat = np.subtract(rows, mu, out=rows)
-    out = np.square(xhat)
-    std = np.add.reduce(out, axis=1, keepdims=True)
-    std /= n
-    std += eps
-    np.sqrt(std, out=std)
-    xhat /= std
-    np.multiply(gain.data, xhat, out=out)
-    out += bias.data
+    m = len(x.data)
+    xhat, std, out = np.empty((m, n)), np.empty((m, 1)), np.empty((m, n))
+    _split(_norm_rows, x.data.size * _NORM_WORK, 1,
+           (xhat, std, out, x.data, residual.data), gain.data, bias.data, eps)
     needs = _needs(x, gain, bias, residual)
     if needs is None:
         return Tensor(out)
@@ -523,21 +585,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5, *,
     gain_data = gain.data
 
     def bw(g):
-        gg = np.add.reduce(g * xhat, axis=0, keepdims=True) if need_gain else None
-        gb = np.add.reduce(g, axis=0, keepdims=True) if need_bias else None
         gx = None
         if need_x or need_residual:
-            # (dxhat - m1 - xhat * m2) / std with dxhat = g * gain, on two buffers
-            gx = g * gain_data
-            m1 = np.add.reduce(gx, axis=1, keepdims=True)
-            m1 /= n
-            tmp = gx * xhat
-            m2 = np.add.reduce(tmp, axis=1, keepdims=True)
-            m2 /= n
-            np.multiply(xhat, m2, out=tmp)
-            gx -= m1
-            gx -= tmp
-            gx /= std
+            gx = np.empty(g.shape)
+            _split(_norm_grad_rows, g.size * _NORM_WORK, 1,
+                   (gx, np.empty(g.shape), g, xhat, std), gain_data)
+        # column sums stay whole: a split would change their order
+        gg = np.add.reduce(g * xhat, axis=0, keepdims=True) if need_gain else None
+        gb = np.add.reduce(g, axis=0, keepdims=True) if need_bias else None
         return (gx if need_x else None, gg, gb,
                 gx if need_residual else None)
 
@@ -623,8 +678,14 @@ def sum_all(x: Tensor) -> Tensor:
     return _record(out, (x,), needs, bw)
 
 
-def _split_heads(x: Tensor, batch: int, heads: int, what: str) -> np.ndarray:
+def _heads(x: np.ndarray, batch: int, heads: int) -> np.ndarray:
     """View (batch·T, heads·d) rows as (batch, heads, T, d) blocks."""
+    rows, cols = x.shape
+    return x.reshape(batch, rows // batch, heads, cols // heads).transpose(0, 2, 1, 3)
+
+
+def _split_heads(x: Tensor, batch: int, heads: int, what: str) -> np.ndarray:
+    """``_heads`` of ``x``'s rows, once they are checked to split evenly."""
     if x.data.ndim != 2:
         raise ShapeError(f"{what} needs a 2-d tensor, got {x.data.shape}")
     rows, cols = x.data.shape
@@ -632,13 +693,41 @@ def _split_heads(x: Tensor, batch: int, heads: int, what: str) -> np.ndarray:
         raise ShapeError(
             f"{what} of shape {x.data.shape} does not split into {batch} examples "
             f"x {heads} heads")
-    return x.data.reshape(batch, rows // batch, heads, cols // heads).transpose(0, 2, 1, 3)
+    return _heads(x.data, batch, heads)
 
 
-def _merge_heads(blocks: np.ndarray) -> np.ndarray:
-    """(batch, heads, T, d) blocks back to (batch·T, heads·d) rows."""
-    b, h, t, d = blocks.shape
-    return blocks.transpose(0, 2, 1, 3).reshape(b * t, h * d)
+def _weights_rows(p, qb, kb, qxb, kxb, scale) -> None:
+    """``attention_weights``' forward on some examples, in place on ``p``."""
+    np.matmul(qb, kb.transpose(0, 1, 3, 2), out=p)
+    if qxb is not None:
+        p += qxb @ kxb.transpose(0, 1, 3, 2)
+    p *= scale
+    p -= _row_max(p)
+    np.exp(p, out=p)
+    p /= p.sum(axis=3, keepdims=True)
+
+
+def _weights_grad_rows(gs, g, p, rq, rk, rqx, rkx, gq, gk, gqx, gkx, scale) -> None:
+    """``attention_weights``' input gradients on some examples: the score
+    gradient, formed in place on ``gs``, times the partner blocks ``r*`` (its
+    transpose on the key side), written into the head blocks ``g*`` of each
+    needed gradient."""
+    np.multiply(g, p, out=gs)
+    np.subtract(g, gs.sum(axis=3, keepdims=True), out=gs)
+    gs *= p
+    gs *= scale
+    gs_t = gs.transpose(0, 1, 3, 2)
+    for s, r, out in ((gs, rq, gq), (gs_t, rk, gk), (gs, rqx, gqx), (gs_t, rkx, gkx)):
+        if r is not None:
+            np.matmul(s, r, out=out)
+
+
+def _values_grad_rows(g, ga, vb_t, gv, ab_t) -> None:
+    """``attention_values``' gradients on some examples, each when needed."""
+    if ga is not None:
+        np.matmul(g, vb_t, out=ga)
+    if gv is not None:
+        np.matmul(ab_t, g, out=gv)
 
 
 def attention_weights(q: Tensor, k: Tensor, batch: int, heads: int, scale: float,
@@ -658,11 +747,9 @@ def attention_weights(q: Tensor, k: Tensor, batch: int, heads: int, scale: float
     kb = _split_heads(k, batch, heads, "attention_weights k")
     if qb.shape[3] != kb.shape[3]:
         raise ShapeError(f"attention_weights q {q.data.shape} and k {k.data.shape} disagree")
-    inputs = (q, k)
-    blocks = [qb, kb]
-    scores = qb @ kb.transpose(0, 1, 3, 2)
     if (qx is None) != (kx is None):
         raise ShapeError("attention_weights needs both qx and kx, or neither")
+    inputs, blocks, depth = (q, k), [qb, kb, None, None], qb.shape[3]
     if qx is not None:
         qxb = _split_heads(qx, batch, heads, "attention_weights qx")
         kxb = _split_heads(kx, batch, heads, "attention_weights kx")
@@ -670,31 +757,26 @@ def attention_weights(q: Tensor, k: Tensor, batch: int, heads: int, scale: float
             raise ShapeError(
                 f"attention_weights expansion rows qx {qx.data.shape} and kx "
                 f"{kx.data.shape} do not match q {q.data.shape} and k {k.data.shape}")
-        inputs = (q, k, qx, kx)
-        blocks += [qxb, kxb]
-        scores += qxb @ kxb.transpose(0, 1, 3, 2)
-    # in place from here: scores become the probabilities p
-    scores *= scale
-    scores -= _row_max(scores)
-    p = np.exp(scores, out=scores)
-    p /= p.sum(axis=3, keepdims=True)
+        inputs, blocks[2:], depth = (q, k, qx, kx), (qxb, kxb), depth + qxb.shape[3]
+    p = np.empty(qb.shape[:3] + kb.shape[2:3])
+    work = p.size * depth  # the multiply-adds of the score products
+    _split(_weights_rows, work, 1, (p, *blocks), scale)
     out = Tensor(p.reshape(-1, p.shape[3]))
     needs = _needs(*inputs)
     if needs is None:
         return out
     # each gradient reads its partner's blocks: q's the keys, k's the queries
-    # (and qx's kx, kx's qx)
-    reads = [blocks[i ^ 1] if need else None for i, need in enumerate(needs)]
+    # (and qx's kx, kx's qx), and is written into its input's head blocks
+    n_in, pad = len(inputs), [None] * (4 - len(inputs))
+    reads = [blocks[i ^ 1] if need else None for i, need in enumerate(needs)] + pad
+    shapes = [t.data.shape if need else None for t, need in zip(inputs, needs)] + pad
 
     def bw(g):
-        g = g.reshape(p.shape)
-        gs = g - (g * p).sum(axis=3, keepdims=True)
-        gs *= p
-        gs *= scale
-        gs_t = gs.transpose(0, 1, 3, 2)
-        # score gradient gs for the query side, its transpose for the key side
-        return [None if r is None else _merge_heads((gs_t if i % 2 else gs) @ r)
-                for i, r in enumerate(reads)]
+        grads = [None if s is None else np.empty(s) for s in shapes]
+        _split(_weights_grad_rows, work, 1,
+               (np.empty(p.shape), g.reshape(p.shape), p, *reads,
+                *(None if gi is None else _heads(gi, batch, heads) for gi in grads)), scale)
+        return grads[:n_in]
 
     return _record(out, inputs, needs, bw)
 
@@ -714,21 +796,27 @@ def attention_values(a: Tensor, v: Tensor, batch: int, heads: int) -> Tensor:
             f"{heads} heads of values {v.data.shape}")
     rows, tk = a.data.shape
     ab = a.data.reshape(batch, heads, rows // (batch * heads), tk)
-    out = Tensor(_merge_heads(ab @ vb))
+    tq, dv = ab.shape[2], vb.shape[3]
+    work = a.data.size * dv  # the multiply-adds of the product
+    out = np.empty((batch * tq, heads * dv))
+    _split(_matmul_into, work, 1, (_heads(out, batch, heads), ab, vb))
     needs = _needs(a, v)
     if needs is None:
-        return out
+        return Tensor(out)
     need_a, need_v = needs
-    tq, dv = ab.shape[2], vb.shape[3]
     vb_t = vb.transpose(0, 1, 3, 2) if need_a else None
     ab_t = ab.transpose(0, 1, 3, 2) if need_v else None
+    ab_shape, v_shape = ab.shape, v.data.shape
 
     def bw(g):
-        gb = g.reshape(batch, tq, heads, dv).transpose(0, 2, 1, 3)
-        return ((gb @ vb_t).reshape(rows, tk) if need_a else None,
-                _merge_heads(ab_t @ gb) if need_v else None)
+        ga = np.empty((rows, tk)) if need_a else None
+        gv = np.empty(v_shape) if need_v else None
+        _split(_values_grad_rows, work, 1,
+               (_heads(g, batch, heads), None if ga is None else ga.reshape(ab_shape), vb_t,
+                None if gv is None else _heads(gv, batch, heads), ab_t))
+        return ga, gv
 
-    return _record(out, (a, v), needs, bw)
+    return _record(Tensor(out), (a, v), needs, bw)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ step, and the few-shot subsampling protocol.
 Every run is a pure function of (weights, adapter, task, config): data order
 comes from the config seed, there is no dropout, and wall-clock time is the
 only nondeterministic output column. A run's one helper thread computes the
-trailing rows of its large matrix products (``tensor._product``), bit for bit;
-parallel runs go in separate processes with disjoint output paths.
+trailing rows of its large matrix products and layer norms and the trailing
+examples of its large attention ops (``tensor._split``), bit for bit; parallel
+runs go in separate processes with disjoint output paths.
 """
 
 from __future__ import annotations
