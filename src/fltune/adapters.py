@@ -201,19 +201,14 @@ def ffn_fl_concat(
     x,
     position: str = "prefix",
     infix_index: Optional[int] = None,
-    blockwise_sum: bool = False,
 ) -> np.ndarray:
     """Expanded FFN computed by materializing the concatenated matrices.
 
     Verification oracle only (plain arrays, no tape). The added columns of
-    the first weight matrix and the added rows of the second sit at the
-    requested position inside the expanded hidden layer.
-
-    With ``blockwise_sum`` the reduction over the expanded hidden axis is
-    evaluated per block, backbone block(s) first and added units last; that
-    is exactly the summation order of the split path, so for a prefix (or
-    suffix) placement the result is bit-for-bit equal to it. The default
-    single-pass reduction differs from the split path only by float
+    the first weight matrix and the added rows of the second are inserted at
+    hidden index s of the frozen layer: 0 for a prefix, d_o for a suffix,
+    ``infix_index`` (default d_o // 2) for an infix. The single-pass reduction
+    over the expanded hidden axis differs from the split path only by float
     summation order.
     """
     if position not in POSITIONS:
@@ -222,40 +217,14 @@ def ffn_fl_concat(
     w1, b1, w2, b2 = (_as_array(t) for t in (layer.w1, layer.b1, layer.w2, layer.b2))
     aw1, ab1, aw2 = (_as_array(t) for t in (params.w1, params.b1, params.w2))
     d_o = w1.shape[1]
-
-    if position == "prefix":
-        pieces = [("added", aw1, ab1, aw2), ("frozen", w1, b1, w2)]
-    elif position == "suffix":
-        pieces = [("frozen", w1, b1, w2), ("added", aw1, ab1, aw2)]
-    else:
-        s = d_o // 2 if infix_index is None else infix_index
-        if not (0 <= s <= d_o):
-            raise ShapeError(f"infix index {s} out of range [0, {d_o}]")
-        pieces = [("frozen", w1[:, :s], b1[:, :s], w2[:s]),
-                  ("added", aw1, ab1, aw2),
-                  ("frozen", w1[:, s:], b1[:, s:], w2[s:])]
-
-    if not blockwise_sum:
-        w1e = np.concatenate([p[1] for p in pieces], axis=1)
-        b1e = np.concatenate([p[2] for p in pieces], axis=1)
-        w2e = np.concatenate([p[3] for p in pieces], axis=0)
-        hidden = np.maximum(X @ w1e + b1e, 0.0)
-        return hidden @ w2e + b2
-
-    # Identical-summation-order evaluation: per-block hidden products, then
-    # frozen block(s) + b2 first and the added block last. Every placement
-    # has at least one frozen block.
-    hidden_blocks = [(kind, np.maximum(X @ w1b + b1b, 0.0))
-                     for kind, w1b, b1b, _ in pieces]
-    out = None
-    for (kind, hb), (_, _, _, w2b) in zip(hidden_blocks, pieces):
-        if kind == "frozen":
-            out = hb @ w2b if out is None else out + hb @ w2b
-    out = out + b2
-    for (kind, hb), (_, _, _, w2b) in zip(hidden_blocks, pieces):
-        if kind == "added":
-            out = out + hb @ w2b
-    return out
+    s = (0 if position == "prefix" else d_o if position == "suffix"
+         else d_o // 2 if infix_index is None else infix_index)
+    if not (0 <= s <= d_o):  # only an infix index can fall outside
+        raise ShapeError(f"infix index {s} out of range [0, {d_o}]")
+    w1e = np.concatenate([w1[:, :s], aw1, w1[:, s:]], axis=1)
+    b1e = np.concatenate([b1[:, :s], ab1, b1[:, s:]], axis=1)
+    w2e = np.concatenate([w2[:s], aw2, w2[s:]], axis=0)
+    return np.maximum(X @ w1e + b1e, 0.0) @ w2e + b2
 
 
 # ---------------------------------------------------------------------------

@@ -516,7 +516,8 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
     def bw(g):
         # element (i, j) is bin i·d + j (see the module docstring)
         bins = (idx[:, None] * d + np.arange(d)).ravel()
-        return (np.bincount(bins, weights=g.ravel(), minlength=n * d).reshape(n, d),)
+        grad = np.bincount(bins, weights=g.ravel(), minlength=n * d).reshape(n, d)
+        return (grad.astype(np.float64, copy=False),)  # an empty bincount is int64
 
     return _record(out, (table,), needs, bw)
 

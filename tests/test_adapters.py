@@ -6,6 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import small_config
 from fltune import adapters
 from fltune.adapters import (
     VERIFY_TOLERANCE,
@@ -44,13 +45,6 @@ from fltune.tensor import (
     matmul,
     sum_all,
 )
-
-
-def small_config(**overrides):
-    base = dict(d_m=8, n_heads=2, n_layers=2, vocab_size=16,
-                max_seq_len=12, n_classes=3)
-    base.update(overrides)
-    return EncoderConfig(**base)
 
 
 def random_ffn(rng, d_m=6, d_o=10):
@@ -147,18 +141,19 @@ def test_theorem1_rejects_zero_trials():
         verify_theorem1(trials=0)
 
 
-def test_ordering_experiment_blockwise_prefix_is_bitwise_exact():
-    """With the reduction over the expanded hidden axis forced into the same
-    block order the split path uses, prefix placement agrees bit for bit:
-    the two forms differ only by float summation order."""
+def test_split_equals_the_backbone_first_sum_bit_for_bit():
+    """The split path is bit for bit the expanded FFN summed block by block,
+    the backbone block (with b2) first and the added units last, so the
+    concatenated form differs from it only by float summation order."""
     rng = np.random.default_rng(5)
     for _ in range(20):
         layer = random_ffn(rng, d_m=7, d_o=12)
         params = random_fl_params(rng, d_m=7, d_a=5)
         x = Tensor(rng.uniform(-1, 1, (4, 7)))
-        split = ffn_fl_split(layer, params, x).data
-        conc = ffn_fl_concat(layer, params, x, position="prefix", blockwise_sum=True)
-        assert np.array_equal(split, conc)
+        X, (w1, b1, w2, b2) = x.data, (t.data for t in (layer.w1, layer.b1, layer.w2, layer.b2))
+        aw1, ab1, aw2 = params.w1.data, params.b1.data, params.w2.data
+        ordered = (np.maximum(X @ w1 + b1, 0) @ w2 + b2) + np.maximum(X @ aw1 + ab1, 0) @ aw2
+        assert ffn_fl_split(layer, params, x).data.tobytes() == ordered.tobytes()
 
 
 def test_theorem2_boundary_indices_identical_to_prefix_suffix():

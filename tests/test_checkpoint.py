@@ -7,6 +7,7 @@ import stat
 import numpy as np
 import pytest
 
+from conftest import small_config
 from fltune.adapters import build_registry, init_fl_adapter
 from fltune.checkpoint import (
     CheckpointError,
@@ -16,14 +17,7 @@ from fltune.checkpoint import (
     save_trainable,
     load_trainable,
 )
-from fltune.encoder import EncoderConfig, encoder_forward, init_encoder
-
-
-def small_config(**overrides):
-    base = dict(d_m=8, n_heads=2, n_layers=2, vocab_size=16,
-                max_seq_len=12, n_classes=3)
-    base.update(overrides)
-    return EncoderConfig(**base)
+from fltune.encoder import encoder_forward, init_encoder
 
 
 def test_save_load_round_trip_bitwise(tmp_path):

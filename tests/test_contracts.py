@@ -12,6 +12,7 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import child_env
 from fltune.adapters import (
     ParamRegistry,
     _random_ffn_instance,
@@ -25,7 +26,6 @@ from fltune.checkpoint import (
     load_checkpoint,
     save_tensors,
 )
-import fltune
 from fltune import cli, training
 from fltune.cli import EXIT_CHECK_FAILED, EXIT_USAGE, main
 from fltune.tensor import Tape, Tensor, _needs, _record, check_gradients, matmul, sum_all
@@ -149,10 +149,7 @@ print(__debug__, raised, recorded_in_b, len(a), len(b))
 
 def test_exiting_tapes_out_of_order_raises_under_python_o():
     # -O strips assert statements; the order check must hold there too
-    src = os.path.dirname(os.path.dirname(os.path.abspath(fltune.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run([sys.executable, "-O", "-c", TAPE_ORDER_SCRIPT], env=env,
+    done = subprocess.run([sys.executable, "-O", "-c", TAPE_ORDER_SCRIPT], env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     # a stays unrecorded, b keeps the op made while it was active, and no

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import small_config
 from fltune.adapters import FLLayerParams, init_pv1_adapter, prefix_gate_reference
 from fltune.encoder import (
     AttentionLayer,
@@ -22,13 +23,6 @@ from fltune.encoder import (
     layer_param_counts,
 )
 from fltune.tensor import ShapeError, Tensor, check_gradients, cross_entropy_mean
-
-
-def small_config(**overrides):
-    base = dict(d_m=8, n_heads=2, n_layers=2, vocab_size=16,
-                max_seq_len=12, n_classes=3)
-    base.update(overrides)
-    return EncoderConfig(**base)
 
 
 def random_attention_layer(rng, d_m=6, d_k=3, d_v=4, n_heads=2):

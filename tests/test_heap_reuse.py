@@ -3,18 +3,16 @@ thresholds, so steady-state training steps and evaluation passes reuse the
 heap instead of page-faulting it back in."""
 
 import json
-import os
 import platform
 import subprocess
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+from conftest import REPO, child_env
 from fltune import tensor
 
-REPO = Path(__file__).resolve().parents[1]
 CONFIG = REPO / "configs" / "demo_classification.json"
 
 # Runs in a fresh interpreter so that no earlier test has warmed the heap.
@@ -48,9 +46,7 @@ print(json.dumps(out))
 @pytest.mark.skipif(not (sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"),
                     reason="the allocator tuning applies to Linux with glibc only")
 def test_steady_state_steps_and_eval_do_not_fault():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(REPO / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", PROBE, str(CONFIG)], env=env,
+    proc = subprocess.run([sys.executable, "-c", PROBE, str(CONFIG)], env=child_env(),
                           capture_output=True, text=True, timeout=300, check=True)
     counts = json.loads(proc.stdout.strip().splitlines()[-1])
     for mode, (per_step, per_example) in counts.items():

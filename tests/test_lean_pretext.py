@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import assert_bitwise
 from fltune.adapters import ParamRegistry, build_registry
 from fltune.cli import load_experiment_config
 from fltune.data import (
@@ -111,10 +112,6 @@ def grads_and_loss(loss_fn, registry):
     for e in registry.entries:
         e.tensor.grad = None
     return loss.item(), grads
-
-
-def assert_bitwise(a, b):
-    assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_weighted_pretext_loss_has_the_per_example_gradients_bitwise():

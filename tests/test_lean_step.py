@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_bitwise
 from fltune.adapters import ParamRegistry
 from fltune.tensor import (
     Tape,
@@ -43,10 +44,6 @@ def grads_of(build, arrays, trainable, upstream):
         out = build(*inputs)
         tape.backward(weighted_sum(out, upstream))
     return out.data, [t.grad for t in inputs]
-
-
-def assert_bitwise(a, b):
-    assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def assert_grads_bitwise(got, want, trainable):

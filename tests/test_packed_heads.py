@@ -9,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import assert_bitwise
 from fltune.adapters import (
     MALayerParams,
     build_registry,
@@ -31,10 +32,6 @@ from fltune.training import TrainConfig, make_adapter
 def config_with(n_heads):
     return EncoderConfig(d_m=12, n_heads=n_heads, n_layers=2, vocab_size=16,
                          max_seq_len=8, n_classes=3)
-
-
-def assert_bitwise(got, want):
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -28,19 +28,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import ONE_BLAS_THREAD, REPO, assert_bitwise, child_env
 from fltune import tensor
 from fltune.cli import build_experiment, load_experiment_config, main
 from fltune.tensor import Tape
 from fltune.training import Adam, DivergenceError, batch_loss, train_step
-
-REPO = Path(__file__).resolve().parents[1]
-ONE_BLAS_THREAD = os.environ.get("OPENBLAS_NUM_THREADS") == "1"
-
-
-def child_env(**extra) -> dict:
-    paths = [str(REPO / "src")] + ([os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ
-                                   else [])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths), **extra)
 
 
 @pytest.mark.skipif(ONE_BLAS_THREAD, reason="this process runs the module's tests itself")
@@ -67,35 +59,6 @@ def write_config(tmp_path, config) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     return path
-
-
-def assert_bitwise(got, want):
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()
-
-
-class CountingJobs:
-    """The worker's job queue, counting the halves handed to it."""
-
-    def __init__(self, jobs):
-        self.jobs, self.count = jobs, 0
-
-    def put(self, job):
-        self.count += 1
-        self.jobs.put(job)
-
-
-@pytest.fixture
-def splits(monkeypatch):
-    """Splitting switched on; returns the counter of split products."""
-    if not ONE_BLAS_THREAD:
-        pytest.skip("BLAS may run several threads: "
-                    "test_module_passes_with_one_blas_thread runs this test")
-    monkeypatch.setattr(tensor, "_CAN_SPLIT", True)
-    tensor._product(np.ones((48, 512)), np.ones((512, 512)))  # starts the worker
-    counter = CountingJobs(tensor._worker["jobs"])
-    monkeypatch.setitem(tensor._worker, "jobs", counter)
-    return counter
 
 
 def splits_at(m, k, n) -> bool:

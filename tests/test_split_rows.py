@@ -17,60 +17,30 @@ any size: every example's per-head products keep their shapes, whichever
 thread computes them. So the bit tests also lower ``_SPLIT_MIN`` to 0, which
 splits every op of two or more examples or rows."""
 
-import os
 import subprocess
 import sys
 import threading
 import time
 import warnings
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import ONE_BLAS_THREAD, REPO, assert_bitwise, child_env
 from fltune import tensor
 from fltune.tensor import (Tape, Tensor, attention_values, attention_weights,
                            cross_entropy_mean, layer_norm)
 
-REPO = Path(__file__).resolve().parents[1]
-ONE_BLAS_THREAD = os.environ.get("OPENBLAS_NUM_THREADS") == "1"
 WHOLE = 1 << 62  # a _SPLIT_MIN no op reaches: every split off
 
 
 @pytest.mark.skipif(ONE_BLAS_THREAD, reason="this process runs the module's tests itself")
 def test_module_passes_with_one_blas_thread():
-    paths = [str(REPO / "src")] + ([os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ
-                                   else [])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                           __file__], env=env, cwd=REPO, timeout=300, capture_output=True,
-                          text=True)
+                           __file__], env=child_env(OPENBLAS_NUM_THREADS="1"), cwd=REPO,
+                          timeout=300, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
-
-
-class CountingJobs:
-    """The worker's job queue, counting the halves handed to it."""
-
-    def __init__(self, jobs):
-        self.jobs, self.count = jobs, 0
-
-    def put(self, job):
-        self.count += 1
-        self.jobs.put(job)
-
-
-@pytest.fixture
-def splits(monkeypatch):
-    """Splitting switched on; returns the counter of split ops."""
-    if not ONE_BLAS_THREAD:
-        pytest.skip("BLAS may run several threads: "
-                    "test_module_passes_with_one_blas_thread runs this test")
-    monkeypatch.setattr(tensor, "_CAN_SPLIT", True)
-    tensor._product(np.ones((48, 512)), np.ones((512, 512)))  # starts the worker
-    counter = CountingJobs(tensor._worker["jobs"])
-    monkeypatch.setitem(tensor._worker, "jobs", counter)
-    return counter
 
 
 def value_and_grads(op, arrays, seed):
@@ -87,8 +57,7 @@ def value_and_grads(op, arrays, seed):
 def assert_same_bytes(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert g.shape == w.shape and g.dtype == w.dtype
-        assert g.tobytes() == w.tobytes()
+        assert_bitwise(g, w)
 
 
 def weights_case(batch, heads, tq, tk, d, dx, seed):

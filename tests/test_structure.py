@@ -4,7 +4,6 @@ import ast
 import dataclasses
 import importlib
 import inspect
-import os
 import pkgutil
 import re
 import subprocess
@@ -14,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import child_env, small_config
 import fltune
 import fltune.adapters as adapters_module
 import fltune.encoder as encoder_module
@@ -28,7 +28,6 @@ from fltune.adapters import (
 from fltune.cli import build_experiment, load_experiment_config
 from fltune.encoder import (
     AdapterHooks,
-    EncoderConfig,
     attention_forward,
     encoder_forward,
     init_encoder,
@@ -37,11 +36,6 @@ import fltune.tensor as tensor_module
 import fltune.training as training_module
 from fltune.tensor import Tensor
 from fltune.training import TrainConfig
-
-
-def small_config():
-    return EncoderConfig(d_m=8, n_heads=2, n_layers=2, vocab_size=16,
-                         max_seq_len=12, n_classes=3)
 
 
 def encoder_tree() -> ast.Module:
@@ -208,10 +202,7 @@ def test_backward_closures_capture_no_tensors():
 def run_python(script: str) -> str:
     """Run ``script`` in a fresh interpreter that imports fltune from this
     tree; its stdout."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(fltune.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run([sys.executable, "-c", script], env=env,
+    done = subprocess.run([sys.executable, "-c", script], env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout
@@ -359,11 +350,20 @@ def test_a_training_run_calls_the_encoder_names_perfbench_traces(monkeypatch):
     assert names.count("encoder.encoder_hidden") >= 1
 
 
+# parameters only the tests pass, each to reach what a run never varies: an
+# argv in place of sys.argv, a hand-made theorem-1 instance, every coordinate
+# of a gradient check, and a layer norm epsilon other than the encoder's
+TEST_SEAMS = {"cli.py:main(argv=)", "adapters.py:verify_theorem1(draw=)",
+              "tensor.py:check_gradients(max_coords=)", "tensor.py:layer_norm(eps=)"}
+
+
 def test_every_defaulted_parameter_is_passed_by_some_call():
-    # a default that no call overrides is a constant kept as a parameter. Like
-    # the check above this goes by name: a call counts for every public
-    # function or method of its name, a class call for the class's __init__,
-    # and a positional argument for the parameter in its place (after self)
+    # a default that no program call overrides is a constant kept as a
+    # parameter; calls from the tests do not count, so a knob only a test
+    # turns must be listed in TEST_SEAMS. Like the check above this goes by
+    # name: a call counts for every public function or method of its name, a
+    # class call for the class's __init__, and a positional argument for the
+    # parameter in its place (after self)
     repo = Path(__file__).resolve().parents[1]
     package = repo / "src" / "fltune"
     harness = [p for p in sorted((repo / "perfbench").glob("*.py"))
@@ -379,8 +379,7 @@ def test_every_defaulted_parameter_is_passed_by_some_call():
                               for m in stmt.body if isinstance(m, ast.FunctionDef)
                               and (m.name == "__init__" or not m.name.startswith("_"))]
     keywords, positional = {}, {}
-    tests = sorted(Path(__file__).parent.glob("*.py"))
-    for path in sorted(package.glob("*.py")) + tests + harness:
+    for path in sorted(package.glob("*.py")) + harness:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
@@ -396,4 +395,7 @@ def test_every_defaulted_parameter_is_passed_by_some_call():
         unpassed += [f"{label}({a.arg}=)"
                      for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
                      if d is not None and a.arg not in passed]
-    assert not unpassed, f"defaulted parameters no call passes: {unpassed}"
+    stale = TEST_SEAMS - set(unpassed)
+    assert not stale, f"seams a program call now passes: {sorted(stale)}"
+    unpassed = sorted(set(unpassed) - TEST_SEAMS)
+    assert not unpassed, f"defaulted parameters no program call passes: {unpassed}"
